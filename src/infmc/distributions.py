@@ -24,6 +24,7 @@ __all__ = [
     "Gamma",
     "ScalarInverseWishart",
     "TupleDensity",
+    "student_t_logpdf",
     "sample",
     "log_density",
 ]
@@ -79,7 +80,8 @@ class DiagGaussian(Density):
         return -0.5 * (LOG_TWO_PI + np.log(self.var) + (xs - self.mean) ** 2 / self.var)
 
 
-def _student_t_logpdf(x, loc, scale, df):
+def student_t_logpdf(x, loc, scale, df):
+    """Elementwise Student-t log density with location, scale and degrees of freedom."""
     z = (x - loc) / scale
     return (
         gammaln((df + 1.0) / 2.0)
@@ -102,10 +104,10 @@ class StudentT(Density):
         return self.loc + self.scale * float(rng.generator.standard_t(self.df))
 
     def log_density(self, x) -> float:
-        return float(_student_t_logpdf(float(x), self.loc, self.scale, self.df))
+        return float(student_t_logpdf(float(x), self.loc, self.scale, self.df))
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
-        return _student_t_logpdf(np.asarray(xs, dtype=float), self.loc, self.scale, self.df)
+        return student_t_logpdf(np.asarray(xs, dtype=float), self.loc, self.scale, self.df)
 
 
 class ProductStudentT(Density):
@@ -134,7 +136,7 @@ class ProductStudentT(Density):
         x = np.asarray(x, dtype=float)
         if x.shape != np.broadcast_shapes(x.shape, self.loc.shape, self.scale.shape):
             raise ValueError(f"dimension mismatch: point {x.shape}, density {self.loc.shape}")
-        return float(np.sum(_student_t_logpdf(x, self.loc, self.scale, self.df)))
+        return float(np.sum(student_t_logpdf(x, self.loc, self.scale, self.df)))
 
 
 class Dirichlet(Density):

@@ -30,6 +30,7 @@ from .factorized import (
     FactorizedModel,
     FactorizedProposal,
     InflationConfig,
+    block_contributions,
     grouped_inflate,
     inflate,
 )
@@ -116,8 +117,9 @@ class ExperimentConfig:
                 raise ValueError("budgets must be strictly increasing")
             if self.replications < 2:
                 raise ValueError("need at least 2 replications to estimate variances")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name in ("workers", "group_size", "generations", "inner_draws"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -277,18 +279,6 @@ def _gauss_draw(toy: GaussianToy, center, count: int, src: RandomSource, sanity:
     return toy.sample_proposal(count, src, center)
 
 
-def _plain_log_weights(model: FactorizedModel, prop: FactorizedProposal, pts: np.ndarray) -> np.ndarray:
-    lw = np.full(pts.shape[0], float(model.global_log_prior(None)) + model.log_evidence_offset)
-    for j in range(model.num_blocks):
-        col = pts[:, j]
-        lw = lw + (
-            np.asarray(model.block_log_priors[j](col), dtype=float)
-            + np.asarray(model.block_log_likelihoods[j](None, col), dtype=float)
-            - prop.block_proposals[j].log_density_each(col)
-        )
-    return lw
-
-
 def gauss_replication(
     toy: GaussianToy,
     model: FactorizedModel,
@@ -308,7 +298,10 @@ def gauss_replication(
     out: dict[str, dict] = {}
     if "plain" in methods:
         t0 = time.perf_counter()
-        sample_set = SampleSet(pts, _plain_log_weights(model, prop, pts))
+        log_w, contrib = block_contributions(model, prop, pts)
+        for column in contrib.T:  # ((base + c_0) + c_1): grouped_inflate's order
+            log_w = log_w + column
+        sample_set = SampleSet(pts, log_w)
         out["plain"] = {
             "expectation": self_normalized_estimate(sample_set, identity).value,
             "log_evidence": float(evidence_estimate(sample_set).value[0]),
@@ -414,7 +407,6 @@ def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> di
             population_size=population,
             generations=cfg.generations,
             kernel=kernel,
-            use_inflation=(method == "inflated"),
             inner_draws=cfg.inner_draws if method == "inflated" else 1,
             global_proposal_builder=informed_assignment_builder(spec),
         )

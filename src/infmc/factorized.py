@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,12 +26,14 @@ __all__ = [
     "FactorizedProposal",
     "InflationConfig",
     "EvalCounter",
+    "recombine",
     "plain_factorized_sampler",
     "inflate",
+    "block_contributions",
     "grouped_inflate",
 ]
 
-# uncapped enumeration refuses beyond this many emitted combinations
+# enumeration refuses beyond this many emitted combinations
 MAX_UNCAPPED_COMBINATIONS = 10**8
 
 
@@ -63,8 +65,9 @@ class FactorizedModel:
     blocks for a fixed global value.
 
     For models without a global block, pass evaluators that accept ``None``.
-    Block evaluators used with :func:`grouped_inflate` must additionally
-    accept arrays of block values elementwise.
+    Block evaluators used on the array path (:func:`block_contributions`,
+    :func:`grouped_inflate`) must additionally accept arrays of block values
+    elementwise.
     """
 
     num_blocks: int
@@ -129,13 +132,10 @@ class InflationConfig:
 
     outer_draws: int
     inner_draws: int
-    combination_cap: int | None = None
 
     def __post_init__(self):
         if self.outer_draws < 1 or self.inner_draws < 1:
             raise ValueError("outer_draws and inner_draws must be >= 1")
-        if self.combination_cap is not None and self.combination_cap < 1:
-            raise ValueError("combination_cap must be >= 1 when set")
 
 
 @dataclass
@@ -164,27 +164,57 @@ def _draw_global(model: FactorizedModel, prop: FactorizedProposal, rng: RandomSo
     return global_value, base
 
 
-def _plain_draw(
+def recombine(
     model: FactorizedModel,
-    prop: FactorizedProposal,
+    proposals: Iterable[FactorizedProposal],
+    inner_draws: int,
     rng: RandomSource,
-    counter: EvalCounter | None,
-) -> tuple[FactorizedPoint, float]:
-    """One joint draw and its log weight (model density over proposal density)."""
-    global_value, log_w = _draw_global(model, prop, rng)
-    values = []
-    for j in range(model.num_blocks):
-        value = prop.block_proposals[j].sample(rng)
-        log_q = float(prop.block_proposals[j].log_density(value))
-        _check_proposal_support(log_q, f"block {j}")
-        factor = float(model.block_log_priors[j](value)) + float(
-            model.block_log_likelihoods[j](global_value, value)
-        )
-        if counter is not None:
-            counter.block_likelihood_evals += 1
-        log_w += factor - log_q
-        values.append(value)
-    return FactorizedPoint(global_value, tuple(values)), log_w
+    counter: EvalCounter,
+) -> SampleSet:
+    """The recombining sampler behind every object-path draw.
+
+    Per proposal, make one global draw and ``inner_draws`` draws per block,
+    cache each block's prior-plus-likelihood factor and proposal density
+    once, then emit every cross-combination of block indices, in
+    lexicographic order, with
+
+        log w = global prior + offset - log q_global
+                + sum_j (cached_factor[j][c_j] - cached_log_q[j][c_j])
+
+    One inner draw is plain importance sampling.  ``proposals`` is consumed
+    lazily, one proposal per global draw, so a generator may draw from
+    ``rng`` to build each proposal just before its draws are made.
+    """
+    k = model.num_blocks
+    points: list[FactorizedPoint] = []
+    log_weights: list[float] = []
+    for prop in proposals:
+        global_value, base = _draw_global(model, prop, rng)
+        block_values: list[list] = []
+        contrib = np.empty((k, inner_draws))
+        for j in range(k):
+            values_j = []
+            for i in range(inner_draws):
+                value = prop.block_proposals[j].sample(rng)
+                log_q = float(prop.block_proposals[j].log_density(value))
+                _check_proposal_support(log_q, f"block {j}")
+                factor = float(model.block_log_priors[j](value)) + float(
+                    model.block_log_likelihoods[j](global_value, value)
+                )
+                counter.block_likelihood_evals += 1
+                contrib[j, i] = factor - log_q
+                values_j.append(value)
+            block_values.append(values_j)
+        for combo in itertools.product(range(inner_draws), repeat=k):
+            log_w = base
+            for j, c in enumerate(combo):
+                log_w += contrib[j, c]
+            points.append(
+                FactorizedPoint(global_value, tuple(block_values[j][c] for j, c in enumerate(combo)))
+            )
+            log_weights.append(log_w)
+    counter.joint_samples_emitted += len(points)
+    return SampleSet(points, log_weights)
 
 
 def plain_factorized_sampler(
@@ -195,20 +225,9 @@ def plain_factorized_sampler(
     counter: EvalCounter | None = None,
 ) -> SampleSet:
     """Independent joint draws weighted by model density over joint proposal
-    density.  Each draw costs one likelihood evaluation per block."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if prop.num_blocks != model.num_blocks:
-        raise ValueError("proposal and model disagree on the number of blocks")
-    points: list[FactorizedPoint] = []
-    log_weights = np.empty(count)
-    for i in range(count):
-        point, log_w = _plain_draw(model, prop, rng, counter)
-        points.append(point)
-        log_weights[i] = log_w
-    if counter is not None:
-        counter.joint_samples_emitted += count
-    return SampleSet(points, log_weights)
+    density: :func:`inflate` with one inner draw.  Each draw costs one
+    likelihood evaluation per block."""
+    return inflate(model, prop, InflationConfig(count, 1), rng, counter)[0]
 
 
 def inflate(
@@ -218,87 +237,55 @@ def inflate(
     rng: RandomSource,
     counter: EvalCounter | None = None,
 ) -> tuple[SampleSet, EvalCounter]:
-    """Recombining sampler: per global draw, make ``inner_draws`` draws per
-    block, cache each block's prior-plus-likelihood factor and proposal
-    density once, then emit every cross-combination of block indices with
+    """:func:`recombine` over ``outer_draws`` global draws from ``prop``.
 
-        log w = global prior + offset - log q_global
-                + sum_j (cached_factor[j][c_j] - cached_log_q[j][c_j])
-
-    Combinations are enumerated lexicographically; an optional cap emits only
-    the first ``combination_cap`` of them per global draw.  The block
-    likelihood is invoked exactly ``outer_draws * inner_draws * num_blocks``
-    times no matter how many combinations are emitted.
+    Every global draw emits all ``inner_draws**num_blocks`` combinations.
+    The block likelihood is invoked exactly ``outer_draws * inner_draws *
+    num_blocks`` times.
     """
     if prop.num_blocks != model.num_blocks:
         raise ValueError("proposal and model disagree on the number of blocks")
-    k = model.num_blocks
-    m, inner = cfg.outer_draws, cfg.inner_draws
-    per_draw = inner**k
-    if cfg.combination_cap is not None and cfg.combination_cap > per_draw:
-        raise ValueError(f"combination_cap {cfg.combination_cap} exceeds {inner}^{k}")
-    emitted_per_draw = per_draw if cfg.combination_cap is None else cfg.combination_cap
-    if cfg.combination_cap is None and m * per_draw > MAX_UNCAPPED_COMBINATIONS:
+    m, inner, k = cfg.outer_draws, cfg.inner_draws, model.num_blocks
+    if m * inner**k > MAX_UNCAPPED_COMBINATIONS:
         raise InflationBudgetError(
-            f"{m} x {inner}^{k} = {m * per_draw} combinations; "
-            f"set a combination_cap below {MAX_UNCAPPED_COMBINATIONS}"
+            f"{m} x {inner}^{k} = {m * inner**k} combinations exceed {MAX_UNCAPPED_COMBINATIONS}"
         )
     if counter is None:
         counter = EvalCounter()
-
-    points: list[FactorizedPoint] = []
-    log_weights = np.empty(m * emitted_per_draw)
-    pos = 0
-    for _ in range(m):
-        pos = _inflated_draw(
-            model, prop, inner, emitted_per_draw, rng, counter, points, log_weights, pos
-        )
-    counter.joint_samples_emitted += pos
-    return SampleSet(points, log_weights), counter
+    return recombine(model, itertools.repeat(prop, m), inner, rng, counter), counter
 
 
-def _inflated_draw(
+def block_contributions(
     model: FactorizedModel,
     prop: FactorizedProposal,
-    inner: int,
-    emit_limit: int,
-    rng: RandomSource,
-    counter: EvalCounter,
-    points: list,
-    log_weights: np.ndarray,
-    pos: int,
-) -> int:
-    """One global draw expanded into its block recombinations; appends points
-    and fills ``log_weights`` from ``pos``, returning the new position."""
-    k = model.num_blocks
-    global_value, base = _draw_global(model, prop, rng)
-    block_values: list[list] = []
-    factors = np.empty((k, inner))
-    log_qs = np.empty((k, inner))
-    for j in range(k):
-        values_j = []
-        for i in range(inner):
-            value = prop.block_proposals[j].sample(rng)
-            log_q = float(prop.block_proposals[j].log_density(value))
-            _check_proposal_support(log_q, f"block {j}")
-            factors[j, i] = float(model.block_log_priors[j](value)) + float(
-                model.block_log_likelihoods[j](global_value, value)
-            )
-            counter.block_likelihood_evals += 1
-            log_qs[j, i] = log_q
-            values_j.append(value)
-        block_values.append(values_j)
-    contrib = factors - log_qs
-    for combo in itertools.islice(itertools.product(range(inner), repeat=k), emit_limit):
-        log_w = base
-        for j, c in enumerate(combo):
-            log_w += contrib[j, c]
-        points.append(
-            FactorizedPoint(global_value, tuple(block_values[j][c] for j, c in enumerate(combo)))
+    points,
+) -> tuple[float, np.ndarray]:
+    """Log-weight terms of an ``(n, K)`` array of scalar block values.
+
+    Returns the base term (global prior plus offset) and the ``(n, K)``
+    per-block contributions, prior plus likelihood minus proposal density,
+    so that row ``i``'s log weight is ``base + sum_j contrib[i, j]``.  Only
+    models with an empty global block are supported on this path, and the
+    block evaluators are applied to whole columns at once, so they must be
+    array-capable.
+    """
+    if prop.global_proposal is not None:
+        raise ValueError("array-path weights require an empty global block")
+    if prop.num_blocks != model.num_blocks:
+        raise ValueError("proposal and model disagree on the number of blocks")
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != model.num_blocks:
+        raise ValueError(f"points must be (n, {model.num_blocks}), got {pts.shape}")
+    base = float(model.global_log_prior(None)) + model.log_evidence_offset
+    contrib = np.empty_like(pts)
+    for j in range(model.num_blocks):
+        col = pts[:, j]
+        contrib[:, j] = (
+            np.asarray(model.block_log_priors[j](col), dtype=float)
+            + np.asarray(model.block_log_likelihoods[j](None, col), dtype=float)
+            - prop.block_proposals[j].log_density_each(col)
         )
-        log_weights[pos] = log_w
-        pos += 1
-    return pos
+    return base, contrib
 
 
 def grouped_inflate(
@@ -312,15 +299,11 @@ def grouped_inflate(
     ``points`` is an ``(n, K)`` array of scalar block values drawn from
     ``prop``; each group of ``group_size`` rows is treated as that many inner
     draws per block and expanded to all ``group_size**K`` recombinations, and
-    the groups are concatenated.  Only models with an empty global block are
-    supported on this path, and the block evaluators are applied to whole
-    columns at once, so they must be array-capable.
+    the groups are concatenated.  Weights come from
+    :func:`block_contributions`, with its restrictions.
     """
-    if prop.global_proposal is not None:
-        raise ValueError("grouped recombination requires an empty global block")
+    base, contrib = block_contributions(model, prop, points)
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != model.num_blocks:
-        raise ValueError(f"points must be (n, {model.num_blocks}), got {pts.shape}")
     n, k = pts.shape
     if group_size < 1 or n % group_size != 0:
         raise ValueError(f"{n} samples do not divide into groups of {group_size}")
@@ -329,30 +312,15 @@ def grouped_inflate(
     if total > MAX_UNCAPPED_COMBINATIONS:
         raise InflationBudgetError(f"refusing to emit {total} recombined samples")
 
-    base = float(model.global_log_prior(None)) + model.log_evidence_offset
-    # per-block contribution of every input row, evaluated in one shot per column
-    contrib = np.empty_like(pts)
-    for j in range(k):
-        col = pts[:, j]
-        contrib[:, j] = (
-            np.asarray(model.block_log_priors[j](col), dtype=float)
-            + np.asarray(model.block_log_likelihoods[j](None, col), dtype=float)
-            - prop.block_proposals[j].log_density_each(col)
-        )
-
-    g = group_size
     out_points = np.empty((total, k))
     out_log_w = np.empty(total)
-    per_group = g**k
-    for gi in range(num_groups):
-        rows = slice(gi * g, (gi + 1) * g)
-        grid = np.full((g,) * k, base)
-        for j in range(k):
-            shape = [1] * k
-            shape[j] = g
-            grid = grid + contrib[rows, j].reshape(shape)
-        out = slice(gi * per_group, (gi + 1) * per_group)
-        out_log_w[out] = grid.reshape(-1)  # C order = lexicographic combination order
-        axes = np.meshgrid(*(pts[rows, j] for j in range(k)), indexing="ij")
-        out_points[out] = np.stack([a.reshape(-1) for a in axes], axis=1)
+    # C order over (group, c_1, ..., c_K) is the lexicographic combination order
+    weight_grid = out_log_w.reshape((num_groups,) + (group_size,) * k)
+    point_grid = out_points.reshape(weight_grid.shape + (k,))
+    weight_grid[...] = base
+    for j in range(k):
+        shape = [num_groups] + [1] * k
+        shape[1 + j] = group_size
+        weight_grid += contrib[:, j].reshape(shape)
+        point_grid[..., j] = pts[:, j].reshape(shape)
     return SampleSet(out_points, out_log_w)

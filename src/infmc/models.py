@@ -25,7 +25,7 @@ from .distributions import (
     ScalarInverseWishart,
     StudentT,
     TupleDensity,
-    _student_t_logpdf,
+    student_t_logpdf,
 )
 from .estimators import TestFunction
 from .factorized import FactorizedModel, FactorizedProposal
@@ -82,7 +82,7 @@ class GaussianToy:
             log_evidence_offset=self.log_evidence_offset,
         )
 
-    def proposal(self, center=(0.0, 0.0)) -> FactorizedProposal:
+    def proposal(self, center=0.0) -> FactorizedProposal:
         """Per-coordinate Student-t proposal with the target's scale matrix."""
         center = np.asarray(center, dtype=float)
         scale = float(np.sqrt(self.variance))
@@ -91,7 +91,7 @@ class GaussianToy:
         )
         return FactorizedProposal(block_proposals=blocks)
 
-    def sample_proposal(self, count: int, rng: RandomSource, center=(0.0, 0.0)) -> np.ndarray:
+    def sample_proposal(self, count: int, rng: RandomSource, center=0.0) -> np.ndarray:
         """``(count, dimension)`` draws from :meth:`proposal` in one shot."""
         base = ProductStudentT(
             np.broadcast_to(np.asarray(center, dtype=float), (self.dimension,)),
@@ -146,7 +146,7 @@ class DmmSpec:
         mean, var, df = params
         if var <= 0.0 or df <= 0.0:
             return np.full(obs.shape, -np.inf)
-        return _student_t_logpdf(obs, float(mean), float(np.sqrt(var)), float(df))
+        return student_t_logpdf(obs, float(mean), float(np.sqrt(var)), float(df))
 
     def component_log_density(self, obs: np.ndarray, params) -> float:
         """Log likelihood of ``obs`` under one component's parameters."""

@@ -4,11 +4,12 @@ Each generation draws a population of weighted samples whose per-draw
 proposals are Markov kernels centered on points resampled (with replacement,
 proportionally to weight) from the previous generation.  Weights always use
 the drawing proposal's own density, so every generation is a valid importance
-sample; generations may optionally be produced by the recombining sampler at
-a matched likelihood-evaluation budget.
+sample; with more than one inner draw per block, generations are recombined
+at a matched likelihood-evaluation budget.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -29,8 +30,7 @@ from .factorized import (
     FactorizedModel,
     FactorizedPoint,
     FactorizedProposal,
-    _inflated_draw,
-    _plain_draw,
+    recombine,
 )
 from .rng import RandomSource
 
@@ -130,15 +130,15 @@ class TupleKernel(Kernel):
 
 @dataclass(frozen=True)
 class PmcConfig:
-    """Population size and generation count, the per-block Markov kernel, and
-    optionally a per-center builder for the global block's proposal (the
-    default re-proposes the global block from the initial proposal every
+    """Population size and generation count, the per-block Markov kernel, the
+    inner draws per block (1 is plain importance sampling), and optionally a
+    per-center builder for the global block's proposal (the default
+    re-proposes the global block from the initial proposal every
     generation)."""
 
     population_size: int
     generations: int
     kernel: Kernel
-    use_inflation: bool = False
     inner_draws: int = 1
     global_proposal_builder: Callable[[FactorizedPoint], Density] | None = None
 
@@ -147,7 +147,7 @@ class PmcConfig:
             raise ValueError("population_size and generations must be >= 1")
         if self.inner_draws < 1:
             raise ValueError("inner_draws must be >= 1")
-        if self.use_inflation and self.population_size % self.inner_draws != 0:
+        if self.population_size % self.inner_draws != 0:
             raise ValueError(
                 "population_size must divide into inner_draws so the "
                 "likelihood-evaluation budget matches the plain run"
@@ -188,43 +188,30 @@ def run_pmc(
 
     Generation 1 draws from ``init``; later generations center block kernels
     on uniformly chosen members of the previous generation's resampled
-    population (never on samples from the same generation).  With inflation
-    enabled, each generation makes ``population_size / inner_draws`` outer
-    draws so its block-likelihood evaluation count equals the plain run's.
+    population (never on samples from the same generation).  Each generation
+    makes ``population_size / inner_draws`` outer draws, so its
+    block-likelihood evaluation count equals the plain run's.
     """
     if init.num_blocks != model.num_blocks:
         raise ValueError("initial proposal and model disagree on the number of blocks")
-    outer = cfg.population_size
-    per_draw = 1
-    if cfg.use_inflation:
-        outer = cfg.population_size // cfg.inner_draws
-        per_draw = cfg.inner_draws**model.num_blocks
+    outer = cfg.population_size // cfg.inner_draws
     generations: list[Generation] = []
     all_sets: list[SampleSet] = []
     prev_resampled: list | None = None
 
     for t in range(1, cfg.generations + 1):
         counter = EvalCounter()
-        points: list = []
-        log_weights = np.empty(outer * per_draw)
-        pos = 0
-        for _ in range(outer):
-            if t == 1:
-                prop = init
-            else:
-                center = prev_resampled[int(rng.generator.integers(len(prev_resampled)))]
-                prop = _kernel_proposal(cfg, init, center)
-            if cfg.use_inflation:
-                pos = _inflated_draw(
-                    model, prop, cfg.inner_draws, per_draw, rng, counter, points, log_weights, pos
+        if t == 1:
+            proposals = itertools.repeat(init, outer)
+        else:
+            # each center is drawn just before the draws it centers
+            proposals = (
+                _kernel_proposal(
+                    cfg, init, prev_resampled[int(rng.generator.integers(len(prev_resampled)))]
                 )
-            else:
-                point, log_w = _plain_draw(model, prop, rng, counter)
-                points.append(point)
-                log_weights[pos] = log_w
-                pos += 1
-        counter.joint_samples_emitted += pos
-        gen_set = SampleSet(points, log_weights)
+                for _ in range(outer)
+            )
+        gen_set = recombine(model, proposals, cfg.inner_draws, rng, counter)
         if gen_set.log_weight_sum == -np.inf:
             raise DegenerateGenerationError(t)
         all_sets.append(gen_set)

@@ -35,8 +35,10 @@ class TestConfig:
             tiny_gauss_config(budgets=(200, 200))
 
     def test_replications_floor(self):
-        with pytest.raises(ValueError):
-            tiny_gauss_config(replications=1)
+        below_floor = dict(replications=1, workers=0, group_size=0, generations=0, inner_draws=0)
+        for field, value in below_floor.items():
+            with pytest.raises(ValueError):
+                tiny_gauss_config(**{field: value})
 
     def test_unknown_experiment(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from infmc.factorized import (
     FactorizedProposal,
     InflationBudgetError,
     InflationConfig,
+    block_contributions,
     grouped_inflate,
     inflate,
     plain_factorized_sampler,
@@ -119,7 +120,7 @@ class TestInflate:
         assert counter.joint_samples_emitted == 6
         for a, b in zip(plain.points, inflated.points):
             assert a == b
-        assert np.allclose(plain.log_weights, inflated.log_weights, atol=1e-12)
+        assert np.array_equal(plain.log_weights, inflated.log_weights)
 
     def test_two_by_two_emits_four_lexicographic_combinations(self):
         model = priors_only_model(2)
@@ -185,25 +186,10 @@ class TestInflate:
             oracle -= prop.joint_log_density(point)
             assert lw == pytest.approx(oracle, abs=1e-12)
 
-    def test_combination_cap_takes_lexicographic_prefix(self):
-        model = priors_only_model(2)
-        full, _ = inflate(model, gaussian_proposal(2), InflationConfig(1, 3), RandomSource(12))
-        capped, counter = inflate(model, gaussian_proposal(2), InflationConfig(1, 3, combination_cap=4), RandomSource(12))
-        assert len(capped) == 4
-        assert counter.block_likelihood_evals == 6  # evals unchanged by the cap
-        for a, b in zip(full.points[:4], capped.points):
-            assert a == b
-        assert np.array_equal(full.log_weights[:4], capped.log_weights)
-
     def test_refuses_huge_uncapped_enumeration(self):
         model = priors_only_model(2)
         with pytest.raises(InflationBudgetError):
             inflate(model, gaussian_proposal(2), InflationConfig(1, 100000), RandomSource(0))
-
-    def test_cap_cannot_exceed_combination_count(self):
-        model = priors_only_model(2)
-        with pytest.raises(ValueError):
-            inflate(model, gaussian_proposal(2), InflationConfig(1, 2, combination_cap=5), RandomSource(0))
 
     def test_index_tuple_partition_satisfies_union_decomposition(self):
         # samples sharing a combination index form one iid set per index
@@ -246,14 +232,16 @@ class TestGroupedInflate:
         expected = [(1.0, 10.0), (1.0, 20.0), (2.0, 10.0), (2.0, 20.0)]
         assert [tuple(p) for p in np.asarray(out.points)] == expected
 
-    def test_weights_match_monolithic_oracle(self):
-        toy = GaussianToy()
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_weights_match_monolithic_oracle(self, dimension):
+        toy = GaussianToy(dimension=dimension)
         model, prop = toy.model(), toy.proposal()
         pts = toy.sample_proposal(40, RandomSource(6))
         out = grouped_inflate(pts, 10, model, prop)
+        assert len(out) == 4 * 10**dimension
         for point, lw in zip(np.asarray(out.points), out.log_weights):
             joint = model.joint_log_density(None, tuple(point))
-            log_q = sum(prop.block_proposals[j].log_density(point[j]) for j in range(2))
+            log_q = sum(prop.block_proposals[j].log_density(point[j]) for j in range(dimension))
             assert lw == pytest.approx(joint - log_q, abs=1e-12)
 
     def test_indivisible_group_size_rejected(self):
@@ -261,6 +249,16 @@ class TestGroupedInflate:
         pts = toy.sample_proposal(10, RandomSource(0))
         with pytest.raises(ValueError):
             grouped_inflate(pts, 3, toy.model(), toy.proposal())
+
+    @pytest.mark.parametrize("num_blocks", [1, 3])
+    def test_proposal_block_count_must_match_model(self, num_blocks):
+        toy = GaussianToy()
+        pts = toy.sample_proposal(4, RandomSource(0))
+        prop = gaussian_proposal(num_blocks)
+        with pytest.raises(ValueError):
+            block_contributions(toy.model(), prop, pts)
+        with pytest.raises(ValueError):
+            grouped_inflate(pts, 2, toy.model(), prop)
 
     def test_global_block_not_supported(self):
         model = two_block_data_model()

@@ -1,0 +1,33 @@
+"""Module boundaries: no ``infmc`` module reaches into a sibling's private names."""
+import ast
+from pathlib import Path
+
+import infmc
+
+PACKAGE_DIR = Path(infmc.__file__).parent
+
+
+def _private_sibling_imports(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and not module.startswith("infmc"):
+            continue
+        found += [f"{'.' * node.level}{module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_guard_sees_relative_and_absolute_private_imports():
+    source = "from .factorized import _draw\nfrom infmc.models import x, _y\nfrom numpy import _z\n"
+    assert _private_sibling_imports(source) == [".factorized._draw", "infmc.models._y"]
+
+
+def test_no_module_imports_private_names_from_a_sibling():
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (names := _private_sibling_imports(path.read_text()))
+    }
+    assert offenders == {}

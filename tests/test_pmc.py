@@ -70,7 +70,7 @@ class TestKernels:
 class TestConfig:
     def test_inflation_budget_divisibility(self):
         with pytest.raises(ValueError):
-            PmcConfig(population_size=5, generations=2, kernel=GaussianKernel(), use_inflation=True, inner_draws=2)
+            PmcConfig(population_size=5, generations=2, kernel=GaussianKernel(), inner_draws=2)
 
     def test_basic_validation(self):
         with pytest.raises(ValueError):
@@ -169,7 +169,7 @@ class TestRunPmc:
         h = component_means_function(spec)
         plain_cfg = PmcConfig(population_size=40, generations=2, kernel=GaussianKernel(0.25))
         infl_cfg = PmcConfig(population_size=40, generations=2, kernel=GaussianKernel(0.25),
-                             use_inflation=True, inner_draws=2)
+                             inner_draws=2)
         plain = run_pmc(model, init, plain_cfg, RandomSource(1), h)
         inflated = run_pmc(model, init, infl_cfg, RandomSource(2), h)
         for gp, gi in zip(plain, inflated):
