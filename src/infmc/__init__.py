@@ -2,12 +2,10 @@
 models with factorizing likelihoods."""
 
 from .distributions import (
-    Categorical,
     Density,
     DiagGaussian,
     Dirichlet,
     Gamma,
-    ProductStudentT,
     ScalarInverseWishart,
     StudentT,
     TupleDensity,
@@ -17,7 +15,6 @@ from .estimators import (
     Estimate,
     SampleSet,
     TestFunction,
-    WeightedSample,
     combine,
     decomposition_residual,
     error_convexity_margin,
@@ -45,7 +42,6 @@ from .models import (
     component_means_function,
     dmm_init_proposal,
     dmm_model,
-    gaussian_toy_model,
     load_dataset,
     make_synthetic,
     save_dataset,

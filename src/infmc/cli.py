@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -42,6 +43,16 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["csv", "json"], default=None)
 
 
+@contextlib.contextmanager
+def _usage_errors(args: argparse.Namespace):
+    """Report a ``ValueError`` from input validation as a usage error of the
+    subcommand: the problem on stderr, exit code 2, nothing written."""
+    try:
+        yield
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
 def _build_config(args: argparse.Namespace, experiment: str, **extra) -> ExperimentConfig:
     overrides = {
         "experiment": experiment,
@@ -54,9 +65,10 @@ def _build_config(args: argparse.Namespace, experiment: str, **extra) -> Experim
         "format": args.format,
     }
     overrides.update(extra)
-    if args.config:
-        return ExperimentConfig.from_file(args.config, **overrides)
-    return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
+    with _usage_errors(args):
+        if args.config:
+            return ExperimentConfig.from_file(args.config, **overrides)
+        return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def _write_series(series, cfg: ExperimentConfig) -> None:
@@ -79,10 +91,6 @@ def _cmd_gauss(args: argparse.Namespace) -> int:
 
 
 def _cmd_dmm(args: argparse.Namespace) -> int:
-    if args.budgets is None and args.config is None:
-        args.budgets = (2000,)  # per-generation plain sample count
-    if args.replications is None and args.config is None:
-        args.replications = 25
     cfg = _build_config(
         args,
         args.experiment,
@@ -103,7 +111,9 @@ def _cmd_dmm(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorems(args: argparse.Namespace) -> int:
-    report = run_theorem_suite(args.seed, instances=args.instances)
+    with _usage_errors(args):
+        cfg = ExperimentConfig("theorem-suite", args.seed, instances=args.instances)
+    report = run_theorem_suite(cfg.seed, instances=cfg.instances)
     payload = json.dumps(report.to_dict(), indent=2)
     if args.output:
         Path(args.output).write_text(payload + "\n")
@@ -132,7 +142,7 @@ def main(argv=None) -> int:
     gauss.add_argument("--group-size", type=int, default=None, dest="group_size")
     gauss.add_argument("--sanity-fq", action="store_true", dest="sanity_fq",
                        help="target equals proposal: unit weights, zero log evidence")
-    gauss.set_defaults(func=_cmd_gauss)
+    gauss.set_defaults(func=_cmd_gauss, parser=gauss)
 
     dmm = sub.add_parser("dmm", help="mixture-model comparison at matched eval budgets")
     _add_common_flags(dmm)
@@ -145,13 +155,13 @@ def main(argv=None) -> int:
     dmm.add_argument("--data-count", type=int, default=None, dest="data_count")
     dmm.add_argument("--mixing", type=float, default=None, help="proportion of the first component")
     dmm.add_argument("--traces", type=str, default=None, help="optional per-generation trace JSON")
-    dmm.set_defaults(func=_cmd_dmm)
+    dmm.set_defaults(func=_cmd_dmm, parser=dmm)
 
     theorems = sub.add_parser("theorems", help="run the property suite; nonzero exit on failure")
     theorems.add_argument("--seed", type=int, required=True)
     theorems.add_argument("--instances", type=int, default=500)
     theorems.add_argument("--output", type=str, default=None)
-    theorems.set_defaults(func=_cmd_theorems)
+    theorems.set_defaults(func=_cmd_theorems, parser=theorems)
 
     emit_data = sub.add_parser("emit-data", help="write a synthetic mixture dataset")
     emit_data.add_argument("--seed", type=int, required=True)

@@ -18,15 +18,11 @@ __all__ = [
     "Density",
     "DiagGaussian",
     "StudentT",
-    "ProductStudentT",
     "Dirichlet",
-    "Categorical",
     "Gamma",
     "ScalarInverseWishart",
     "TupleDensity",
     "student_t_logpdf",
-    "sample",
-    "log_density",
 ]
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -110,35 +106,6 @@ class StudentT(Density):
         return student_t_logpdf(np.asarray(xs, dtype=float), self.loc, self.scale, self.df)
 
 
-class ProductStudentT(Density):
-    """Independent Student-t coordinates (a product of univariate t densities).
-
-    This factorizes per coordinate, unlike a genuinely multivariate t whose
-    coordinates are dependent; per-block recombination requires the product
-    form.
-    """
-
-    def __init__(self, loc, scale, df: float):
-        self.loc = np.atleast_1d(np.asarray(loc, dtype=float))
-        self.scale = np.atleast_1d(_positive(scale, "scale"))
-        self.df = float(_positive(df, "df"))
-        np.broadcast_shapes(self.loc.shape, self.scale.shape)
-
-    def sample(self, rng: RandomSource) -> np.ndarray:
-        shape = np.broadcast_shapes(self.loc.shape, self.scale.shape)
-        return self.loc + self.scale * rng.generator.standard_t(self.df, size=shape)
-
-    def sample_batch(self, count: int, rng: RandomSource) -> np.ndarray:
-        shape = np.broadcast_shapes(self.loc.shape, self.scale.shape)
-        return self.loc + self.scale * rng.generator.standard_t(self.df, size=(count,) + shape)
-
-    def log_density(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != np.broadcast_shapes(x.shape, self.loc.shape, self.scale.shape):
-            raise ValueError(f"dimension mismatch: point {x.shape}, density {self.loc.shape}")
-        return float(np.sum(student_t_logpdf(x, self.loc, self.scale, self.df)))
-
-
 class Dirichlet(Density):
     """Dirichlet over the probability simplex."""
 
@@ -165,30 +132,6 @@ class Dirichlet(Density):
             return -np.inf  # simplex boundary: zero density (a>1) or excluded by convention (a<1)
         terms = np.sum((a[nonunit] - 1.0) * np.log(x[nonunit]))
         return float(terms + gammaln(a.sum()) - np.sum(gammaln(a)))
-
-
-class Categorical(Density):
-    """Finite distribution over indices ``0..K-1``."""
-
-    def __init__(self, probs):
-        probs = np.atleast_1d(np.asarray(probs, dtype=float))
-        if np.any(probs < 0.0):
-            raise ValueError("categorical probabilities must be nonnegative")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"categorical probabilities must sum to 1, got {probs.sum()!r}")
-        self.probs = probs / probs.sum()
-
-    def sample(self, rng: RandomSource) -> int:
-        return int(rng.generator.choice(self.probs.size, p=self.probs))
-
-    def sample_batch(self, count: int, rng: RandomSource) -> np.ndarray:
-        return rng.generator.choice(self.probs.size, size=count, p=self.probs)
-
-    def log_density(self, x) -> float:
-        k = int(x)
-        if k != x or not 0 <= k < self.probs.size or self.probs[k] == 0.0:
-            return -np.inf
-        return float(np.log(self.probs[k]))
 
 
 class Gamma(Density):
@@ -257,13 +200,3 @@ class TupleDensity(Density):
         if len(x) != len(self.parts):
             raise ValueError(f"dimension mismatch: {len(x)} values for {len(self.parts)} parts")
         return float(sum(part.log_density(v) for part, v in zip(self.parts, x)))
-
-
-def sample(spec: Density, rng: RandomSource):
-    """Draw once from ``spec``, consuming ``rng`` deterministically."""
-    return spec.sample(rng)
-
-
-def log_density(spec: Density, x) -> float:
-    """Natural-log density of ``spec`` at ``x``; ``-inf`` outside the support."""
-    return spec.log_density(x)

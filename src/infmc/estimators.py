@@ -8,7 +8,7 @@ zero (linear-space weights are never materialized).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -17,7 +17,6 @@ from .rng import RandomSource
 
 __all__ = [
     "DegenerateWeightsError",
-    "WeightedSample",
     "SampleSet",
     "Estimate",
     "TestFunction",
@@ -40,20 +39,6 @@ class DegenerateWeightsError(ValueError):
     """Raised when every weight in a sample set is zero."""
 
 
-@dataclass(frozen=True)
-class WeightedSample:
-    """A point in parameter space with its unnormalized log weight."""
-
-    point: Any
-    log_weight: float
-
-    def __post_init__(self):
-        lw = float(self.log_weight)
-        if np.isnan(lw) or lw == np.inf:
-            raise ValueError(f"log_weight must be finite or -inf, got {lw!r}")
-        object.__setattr__(self, "log_weight", lw)
-
-
 def _check_log_weights(log_weights: np.ndarray) -> None:
     if np.any(np.isnan(log_weights)) or np.any(log_weights == np.inf):
         raise ValueError("log weights must be finite or -inf; found NaN or +inf")
@@ -62,10 +47,11 @@ def _check_log_weights(log_weights: np.ndarray) -> None:
 class SampleSet:
     """An ordered collection of weighted samples with its cached log weight sum.
 
-    ``points`` may be a ``(n, d)`` array for vector-valued points or any
-    sequence of opaque point objects; estimators only ever hand points to a
-    :class:`TestFunction`.  Instances are immutable after construction and
-    safe to share across threads.
+    ``points`` is an array whose first axis indexes the samples: ``(n, d)``
+    floats for vector-valued points, or a 1-D object array of opaque point
+    objects; estimators only ever hand points to a :class:`TestFunction`.
+    Instances are immutable after construction and safe to share across
+    threads.
     """
 
     __slots__ = ("points", "log_weights", "log_weight_sum")
@@ -75,43 +61,14 @@ class SampleSet:
         if log_weights.ndim != 1:
             raise ValueError("log_weights must be one-dimensional")
         _check_log_weights(log_weights)
-        if isinstance(points, np.ndarray):
-            if points.shape[0] != log_weights.size:
-                raise ValueError("points and log_weights disagree on sample count")
-        else:
-            points = list(points)
-            if len(points) != log_weights.size:
-                raise ValueError("points and log_weights disagree on sample count")
+        if not isinstance(points, np.ndarray) or points.ndim == 0 or len(points) != log_weights.size:
+            raise ValueError("points must be an array with one row per log weight")
         self.points = points
         self.log_weights = log_weights
         self.log_weight_sum = float(logsumexp(log_weights)) if log_weights.size else -np.inf
 
-    @classmethod
-    def from_samples(cls, samples: Iterable[WeightedSample]) -> SampleSet:
-        samples = list(samples)
-        return cls([s.point for s in samples], [s.log_weight for s in samples])
-
-    @property
-    def samples(self) -> tuple[WeightedSample, ...]:
-        return tuple(WeightedSample(p, lw) for p, lw in zip(self.points, self.log_weights))
-
     def __len__(self) -> int:
         return int(self.log_weights.size)
-
-    def __iter__(self) -> Iterator[WeightedSample]:
-        return iter(self.samples)
-
-    def subset(self, indices) -> SampleSet:
-        indices = np.asarray(indices, dtype=int)
-        if isinstance(self.points, np.ndarray):
-            pts = self.points[indices]
-        else:
-            pts = [self.points[i] for i in indices]
-        return SampleSet(pts, self.log_weights[indices])
-
-    def shifted(self, offset: float) -> SampleSet:
-        """The same samples with a constant added to every log weight."""
-        return SampleSet(self.points, self.log_weights + float(offset))
 
 
 @dataclass(frozen=True)
@@ -132,9 +89,8 @@ class Estimate:
 class TestFunction:
     """A batched map from points to real vectors.
 
-    ``fn`` receives the sample set's points container (array or sequence) and
-    must return an ``(n, dim)`` array.  It must be total on the target's
-    support.
+    ``fn`` receives the sample set's points array and must return an
+    ``(n, dim)`` array.  It must be total on the target's support.
     """
 
     fn: Callable[[Any], np.ndarray]
@@ -144,7 +100,7 @@ class TestFunction:
 
     def __call__(self, points) -> np.ndarray:
         values = np.asarray(self.fn(points), dtype=float)
-        n = points.shape[0] if isinstance(points, np.ndarray) else len(points)
+        n = len(points)
         if values.shape != (n, self.dim):
             raise ValueError(f"test function returned {values.shape}, expected {(n, self.dim)}")
         return values
@@ -216,10 +172,7 @@ def combine(sets: Sequence[SampleSet]) -> SampleSet:
         raise ValueError("combine requires at least one sample set")
     if len(sets) == 1:
         return sets[0]
-    if all(isinstance(s.points, np.ndarray) for s in sets):
-        points = np.concatenate([s.points for s in sets], axis=0)
-    else:
-        points = [p for s in sets for p in s.points]
+    points = np.concatenate([s.points for s in sets], axis=0)
     log_weights = np.concatenate([s.log_weights for s in sets])
     return SampleSet(points, log_weights)
 
@@ -281,6 +234,4 @@ def resample(x: SampleSet, count: int, rng: RandomSource) -> list:
     probs = np.exp(x.log_weights - x.log_weight_sum)
     probs /= probs.sum()
     indices = rng.generator.choice(len(x), size=int(count), replace=True, p=probs)
-    if isinstance(x.points, np.ndarray):
-        return list(x.points[indices])
-    return [x.points[i] for i in indices]
+    return list(x.points[indices])

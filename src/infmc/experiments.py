@@ -82,12 +82,17 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a harness run needs; see the CLI for one flag per field."""
+    """Everything a harness run needs; see the CLI for one flag per field.
+
+    Unset ``budgets`` and ``replications`` resolve per experiment family:
+    (2000,) x 25 for the mixture experiments, (200, 2000, 20000) x 50
+    otherwise.
+    """
 
     experiment: str
     seed: int
-    budgets: tuple[int, ...] = (200, 2000, 20000)
-    replications: int = 50
+    budgets: tuple[int, ...] | None = None
+    replications: int | None = None
     method: str = "both"
     group_size: int = 100
     generations: int = 20
@@ -110,6 +115,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
+        mixture = self.experiment in DMM_EXPERIMENTS
+        if self.replications is None:
+            object.__setattr__(self, "replications", 25 if mixture else 50)
+        if self.budgets is None:
+            object.__setattr__(self, "budgets", (2000,) if mixture else (200, 2000, 20000))
         budgets = tuple(int(b) for b in self.budgets)
         object.__setattr__(self, "budgets", budgets)
         if self.experiment != "theorem-suite":
@@ -117,9 +127,14 @@ class ExperimentConfig:
                 raise ValueError("budgets must be strictly increasing")
             if self.replications < 2:
                 raise ValueError("need at least 2 replications to estimate variances")
-        for name in ("workers", "group_size", "generations", "inner_draws"):
+        for name in ("workers", "group_size", "generations", "inner_draws", "data_count", "instances"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("kernel_bandwidth", "kernel_cv"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not 0.0 <= self.mixing <= 1.0:
+            raise ValueError(f"mixing must lie in [0, 1], got {self.mixing!r}")
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -555,6 +570,8 @@ def _random_small_instance(rng: RandomSource):
 def run_theorem_suite(seed: int, instances: int = 500, inflation_instances: int = 200) -> TheoremReport:
     """Execute the estimator and recombination property checks on randomized
     instances and report the worst residual per check."""
+    if instances < 1 or inflation_instances < 1:
+        raise ValueError("instances and inflation_instances must be >= 1")
     rng = RandomSource(seed)
     h = TestFunction.identity(2)
     checks: list[CheckResult] = []

@@ -48,10 +48,6 @@ class FactorizedPoint:
     global_value: Any
     block_values: tuple
 
-    def __iter__(self):
-        yield self.global_value
-        yield from self.block_values
-
 
 @dataclass(frozen=True)
 class FactorizedModel:
@@ -74,7 +70,6 @@ class FactorizedModel:
     global_log_prior: Callable[[Any], float]
     block_log_priors: tuple[Callable[[Any], float], ...]
     block_log_likelihoods: tuple[Callable[[Any, Any], float], ...]
-    data: Any = None
     log_evidence_offset: float = 0.0
 
     def __post_init__(self):
@@ -214,7 +209,7 @@ def recombine(
             )
             log_weights.append(log_w)
     counter.joint_samples_emitted += len(points)
-    return SampleSet(points, log_weights)
+    return SampleSet(np.fromiter(points, dtype=object, count=len(points)), log_weights)
 
 
 def plain_factorized_sampler(

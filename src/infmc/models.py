@@ -21,7 +21,6 @@ from .distributions import (
     DiagGaussian,
     Dirichlet,
     Gamma,
-    ProductStudentT,
     ScalarInverseWishart,
     StudentT,
     TupleDensity,
@@ -33,7 +32,6 @@ from .rng import RandomSource
 
 __all__ = [
     "GaussianToy",
-    "gaussian_toy_model",
     "DmmSpec",
     "MixtureGlobalProposal",
     "MixtureAssignmentProposal",
@@ -64,6 +62,10 @@ class GaussianToy:
     proposal_df: float = 20.0
     """Recombination removes only other blocks' weight noise: 1 - 1/E_q[w^2] ~ 0.5% of centered MSE at df 20."""
 
+    def __post_init__(self):
+        if self.dimension < 1 or not (self.variance > 0 and self.proposal_df > 0):
+            raise ValueError(f"need dimension >= 1 and positive variance and proposal_df, got {self!r}")
+
     @property
     def true_mean(self) -> np.ndarray:
         return np.zeros(self.dimension)
@@ -93,17 +95,9 @@ class GaussianToy:
 
     def sample_proposal(self, count: int, rng: RandomSource, center=0.0) -> np.ndarray:
         """``(count, dimension)`` draws from :meth:`proposal` in one shot."""
-        base = ProductStudentT(
-            np.broadcast_to(np.asarray(center, dtype=float), (self.dimension,)),
-            np.full(self.dimension, np.sqrt(self.variance)),
-            self.proposal_df,
-        )
-        return base.sample_batch(count, rng)
-
-
-def gaussian_toy_model() -> FactorizedModel:
-    """The default two-block Gaussian toy target."""
-    return GaussianToy().model()
+        center = np.broadcast_to(np.asarray(center, dtype=float), (self.dimension,))
+        draws = rng.generator.standard_t(self.proposal_df, size=(count, self.dimension))
+        return center + np.sqrt(self.variance) * draws
 
 
 @dataclass(frozen=True)
@@ -282,7 +276,6 @@ def dmm_model(spec: DmmSpec) -> FactorizedModel:
         global_log_prior=global_log_prior,
         block_log_priors=(prior.log_density,) * spec.num_components,
         block_log_likelihoods=tuple(make_likelihood(j) for j in range(spec.num_components)),
-        data=spec.data,
     )
 
 

@@ -161,7 +161,6 @@ class Generation:
     index: int
     sample_set: SampleSet
     resampled_points: list
-    generation_estimate: Optional[Estimate]
     cumulative_estimate: Optional[Estimate]
     best_log_likelihood: float
     block_evals: int
@@ -216,16 +215,15 @@ def run_pmc(
             raise DegenerateGenerationError(t)
         all_sets.append(gen_set)
 
-        gen_est = cum_est = None
+        cum_est = None
         if test_function is not None:
-            gen_est = self_normalized_estimate(gen_set, test_function)
             cum_est = self_normalized_estimate(combine(all_sets), test_function)
         best = max(
             model.data_log_likelihood(p.global_value, p.block_values) for p in gen_set.points
         )
         resampled = resample(gen_set, cfg.population_size, rng)
         generations.append(
-            Generation(t, gen_set, resampled, gen_est, cum_est, best, counter.block_likelihood_evals)
+            Generation(t, gen_set, resampled, cum_est, best, counter.block_likelihood_evals)
         )
         prev_resampled = resampled
     return generations
@@ -245,7 +243,6 @@ class GenerationTrace:
     best_log_likelihood: np.ndarray
     best_log_likelihood_so_far: np.ndarray
     estimate_error: np.ndarray
-    weight_variance: np.ndarray
     block_evals: np.ndarray
 
     def __len__(self) -> int:
@@ -253,8 +250,8 @@ class GenerationTrace:
 
 
 def trace_metrics(generations: list[Generation], truth) -> GenerationTrace:
-    """Best data log-likelihood, cumulative-estimate error against ``truth``,
-    and a weight-variance proxy, per generation."""
+    """Best data log-likelihood and cumulative-estimate error against
+    ``truth``, per generation."""
     if not generations:
         raise ValueError("trace_metrics needs at least one generation")
     truth = np.asarray(truth, dtype=float)
@@ -267,14 +264,9 @@ def trace_metrics(generations: list[Generation], truth) -> GenerationTrace:
             for g in generations
         ]
     )
-    wvar = np.empty(len(generations))
-    for i, g in enumerate(generations):
-        norm_w = np.exp(g.sample_set.log_weights - g.sample_set.log_weight_sum)
-        wvar[i] = float(np.sum((norm_w - 1.0 / norm_w.size) ** 2))
     return GenerationTrace(
         best_log_likelihood=best,
         best_log_likelihood_so_far=np.maximum.accumulate(best),
         estimate_error=errors,
-        weight_variance=wvar,
         block_evals=np.array([g.block_evals for g in generations]),
     )

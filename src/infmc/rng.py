@@ -37,9 +37,5 @@ class RandomSource:
         )
         return RandomSource(_seq=seq)
 
-    def split(self, n: int) -> list[RandomSource]:
-        """Children ``0..n-1``, for fanning out over parallel work."""
-        return [self.child(i) for i in range(n)]
-
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, key={tuple(self._seq.spawn_key)})"

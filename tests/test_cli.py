@@ -77,3 +77,19 @@ class TestEmitDataCommand:
         assert ds.true_means == (-1.5, 2.5)
         assert ds.observations.size == 60
         assert np.isfinite(ds.observations).all()
+
+
+class TestUsageErrors:
+    def test_invalid_input_is_a_usage_error(self, tmp_path, capsys):
+        cases = [
+            (["gauss", "--group-size", "0"], "group_size must be >= 1"),
+            (["dmm", "--mixing", "1.5"], "mixing must lie in [0, 1]"),
+            (["theorems", "--instances", "0"], "instances must be >= 1"),
+        ]
+        for argv, message in cases:
+            out = tmp_path / "never.csv"
+            with pytest.raises(SystemExit) as exit_info:
+                main([*argv, "--seed", "1", "--output", str(out)])
+            assert exit_info.value.code == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()

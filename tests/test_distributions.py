@@ -3,16 +3,12 @@ import pytest
 import scipy.stats
 
 from infmc.distributions import (
-    Categorical,
     DiagGaussian,
     Dirichlet,
     Gamma,
-    ProductStudentT,
     ScalarInverseWishart,
     StudentT,
     TupleDensity,
-    log_density,
-    sample,
 )
 from infmc.rng import RandomSource
 
@@ -34,7 +30,7 @@ class TestRandomSource:
 
     def test_children_differ_from_parent_and_each_other(self):
         root = RandomSource(7)
-        streams = [c.generator.standard_normal(50) for c in root.split(4)]
+        streams = [root.child(i).generator.standard_normal(50) for i in range(4)]
         for i in range(4):
             for j in range(i + 1, 4):
                 assert not np.allclose(streams[i], streams[j])
@@ -85,18 +81,6 @@ class TestStudentT:
                 scipy.stats.t.logpdf(x, df=5.0, loc=0.3, scale=1.7), abs=1e-12
             )
 
-    def test_product_equals_sum_of_univariate(self):
-        # per-coordinate t with the paper-style scale, against scipy twice
-        d = ProductStudentT(np.zeros(2), np.full(2, np.sqrt(2.0)), 20.0)
-        expected = 2 * scipy.stats.t.logpdf(0.0, df=20.0, scale=np.sqrt(2.0))
-        assert d.log_density(np.zeros(2)) == pytest.approx(expected, abs=1e-12)
-
-    def test_batch_sampling_matches_scalar_scale(self):
-        d = ProductStudentT(np.array([1.0, -1.0]), np.array([0.5, 2.0]), 4.0)
-        draws = d.sample_batch(20000, RandomSource(3))
-        assert draws.shape == (20000, 2)
-        assert np.abs(np.median(draws, axis=0) - d.loc).max() < 0.05
-
 
 class TestGamma:
     def test_unit_exponential_at_one(self):
@@ -140,26 +124,6 @@ class TestScalarInverseWishart:
         assert draws.mean() == pytest.approx(2.0, rel=0.05)
 
 
-class TestCategorical:
-    def test_degenerate_always_first(self):
-        d = Categorical([1.0, 0.0])
-        rng = RandomSource(0)
-        assert all(d.sample(rng) == 0 for _ in range(100))
-
-    def test_log_density(self):
-        d = Categorical([0.25, 0.75])
-        assert d.log_density(1) == pytest.approx(np.log(0.75), abs=1e-12)
-        assert d.log_density(0.5) == -np.inf
-        assert d.log_density(2) == -np.inf
-        assert Categorical([1.0, 0.0]).log_density(1) == -np.inf
-
-    def test_probabilities_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            Categorical([0.5, 0.4])
-        with pytest.raises(ValueError):
-            Categorical([-0.1, 1.1])
-
-
 class TestDirichlet:
     def test_samples_sum_to_one_exactly(self):
         d = Dirichlet([1.0, 1.0])
@@ -196,14 +160,6 @@ class TestTupleDensity:
         assert len(drawn) == 2
 
 
-class TestModuleSurface:
-    def test_free_functions_delegate(self):
-        d = Gamma(1.0, 1.0)
-        rng = RandomSource(8)
-        x = sample(d, rng)
-        assert log_density(d, x) == d.log_density(x)
-
-
 def _grid_mass_1d(density, lo, hi, n=200001):
     xs = np.linspace(lo, hi, n)
     return np.trapezoid(np.exp(density.log_density_each(xs)), xs)
@@ -232,7 +188,6 @@ class TestNormalization:
         xs = np.linspace(-10.0, 10.0, 1201)
         cases = [
             (DiagGaussian(np.zeros(2), np.full(2, 2.0)), DiagGaussian(0.0, 2.0)),
-            (ProductStudentT(np.zeros(2), np.full(2, np.sqrt(2.0)), 20.0), StudentT(0.0, np.sqrt(2.0), 20.0)),
         ]
         for density, marginal in cases:
             each = marginal.log_density_each(xs)
@@ -246,7 +201,7 @@ class TestNormalization:
 
     def test_reproducible_streams_per_family(self):
         for density in (DiagGaussian(0.0, 1.0), StudentT(0.0, 1.0, 3.0), Gamma(2.0, 2.0),
-                        ScalarInverseWishart(3.0, 5.0), Dirichlet([1.5, 2.5]), Categorical([0.3, 0.7])):
+                        ScalarInverseWishart(3.0, 5.0), Dirichlet([1.5, 2.5])):
             a = [density.sample(RandomSource(1000)) for _ in range(1)]
             b = [density.sample(RandomSource(1000)) for _ in range(1)]
             assert repr(a) == repr(b)

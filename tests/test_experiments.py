@@ -35,10 +35,24 @@ class TestConfig:
             tiny_gauss_config(budgets=(200, 200))
 
     def test_replications_floor(self):
-        below_floor = dict(replications=1, workers=0, group_size=0, generations=0, inner_draws=0)
-        for field, value in below_floor.items():
+        below_floor = [
+            ("replications", 1), ("workers", 0), ("group_size", 0), ("generations", 0), ("inner_draws", 0),
+            ("data_count", 0), ("instances", 0), ("kernel_bandwidth", 0.0), ("kernel_cv", 0.0),
+            ("mixing", -0.1), ("mixing", 1.5),
+        ]
+        for field, value in below_floor:
             with pytest.raises(ValueError):
                 tiny_gauss_config(**{field: value})
+
+    def test_unset_budgets_and_replications_resolve_per_family(self, tmp_path):
+        path = tmp_path / "dmm.cfg"
+        path.write_text("schema_version = 1\nexperiment = dmm-gauss\nseed = 1\n")
+        for cfg in (ExperimentConfig("dmm-t", seed=1), ExperimentConfig.from_file(path)):
+            assert (cfg.budgets, cfg.replications) == ((2000,), 25)
+        gauss = ExperimentConfig("gauss-offcenter", seed=1)
+        assert (gauss.budgets, gauss.replications) == ((200, 2000, 20000), 50)
+        explicit = ExperimentConfig("dmm-gauss", seed=1, budgets=(40, 80), replications=3)
+        assert (explicit.budgets, explicit.replications) == ((40, 80), 3)
 
     def test_unknown_experiment(self):
         with pytest.raises(ValueError):
@@ -257,6 +271,11 @@ class TestTheoremSuite:
         report = run_theorem_suite(seed=6, instances=10, inflation_instances=5)
         adv = next(c for c in report.checks if "600" in c.name)
         assert adv.worst < 1e-8
+
+    def test_instance_counts_floor(self):
+        for counts in (dict(instances=0), dict(inflation_instances=0)):
+            with pytest.raises(ValueError):
+                run_theorem_suite(seed=6, **counts)
 
 
 class TestEmit:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infmc.distributions import DiagGaussian
-from infmc.estimators import TestFunction, decomposition_residual
+from infmc.estimators import SampleSet, TestFunction, decomposition_residual
 from infmc.factorized import (
     EvalCounter,
     FactorizedModel,
@@ -45,7 +45,6 @@ def two_block_data_model(shift=0.5):
         global_log_prior=prior.log_density,
         block_log_priors=(prior.log_density,) * 2,
         block_log_likelihoods=tuple(make_lik(j) for j in range(2)),
-        data=data,
         log_evidence_offset=-3.25,
     )
 
@@ -199,7 +198,8 @@ class TestInflate:
         drawn, _ = inflate(model, prop, InflationConfig(m, inner), RandomSource(5))
         per_draw = inner**2
         h = TestFunction.from_pointwise(lambda p: [p.block_values[0], p.block_values[1]], 2)
-        parts = [drawn.subset(np.arange(m) * per_draw + c) for c in range(per_draw)]
+        first = np.arange(m) * per_draw
+        parts = [SampleSet(drawn.points[first + c], drawn.log_weights[first + c]) for c in range(per_draw)]
         for kind in ("standard", "self-normalized"):
             assert decomposition_residual(parts, h, kind) < 1e-10
 

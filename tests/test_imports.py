@@ -1,5 +1,7 @@
-"""Module boundaries: no ``infmc`` module reaches into a sibling's private names."""
+"""Module boundaries: no ``infmc`` module reaches into a sibling's private
+names, and the package re-exports only what its modules declare public."""
 import ast
+import importlib
 from pathlib import Path
 
 import infmc
@@ -31,3 +33,22 @@ def test_no_module_imports_private_names_from_a_sibling():
         if (names := _private_sibling_imports(path.read_text()))
     }
     assert offenders == {}
+
+
+def test_every_public_name_resolves():
+    missing = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"infmc.{path.stem}")
+            missing += [f"{path.stem}.{n}" for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_package_reexports_only_public_names():
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    undeclared = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            declared = importlib.import_module(f"infmc.{node.module}").__all__
+            undeclared += [f"{node.module}.{a.name}" for a in node.names if a.name not in declared]
+    assert undeclared == []

@@ -11,7 +11,6 @@ from infmc.models import (
     SyntheticDataset,
     dmm_init_proposal,
     dmm_model,
-    gaussian_toy_model,
     load_dataset,
     make_synthetic,
     save_dataset,
@@ -21,12 +20,12 @@ from infmc.rng import RandomSource
 
 class TestGaussianToy:
     def test_joint_at_origin(self):
-        model = gaussian_toy_model()
+        model = GaussianToy().model()
         expected = 2 * (-0.5 * np.log(4 * np.pi)) - 1000.0
         assert model.joint_log_density(None, (0.0, 0.0)) == pytest.approx(expected, abs=1e-10)
 
     def test_additive_decomposition_at_random_points(self):
-        model = gaussian_toy_model()
+        model = GaussianToy().model()
         rng = np.random.default_rng(0)
         density = DiagGaussian(0.0, 2.0)
         for point in rng.normal(size=(100, 2)):
@@ -36,7 +35,7 @@ class TestGaussianToy:
             assert model.joint_log_density(None, tuple(point)) == pytest.approx(expected, abs=1e-12)
 
     def test_quadrature_recovers_log_evidence(self):
-        model = gaussian_toy_model()
+        model = GaussianToy().model()
         xs = np.linspace(-10.0, 10.0, 2001)
         each = model.block_log_priors[0](xs)
         joint = each[:, None] + each[None, :] + model.log_evidence_offset
@@ -58,6 +57,11 @@ class TestGaussianToy:
         assert pts.shape == (1000, 2)
         assert abs(np.median(pts[:, 0]) - 1.0) < 0.2
         assert abs(np.median(pts[:, 1]) + 1.0) < 0.2
+
+    def test_rejects_invalid_parameters(self):
+        for field, value in [("variance", 0.0), ("variance", -2.0), ("proposal_df", 0.0), ("dimension", 0)]:
+            with pytest.raises(ValueError):
+                GaussianToy(**{field: value})
 
 
 def small_spec(family="gaussian"):

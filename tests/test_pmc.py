@@ -89,7 +89,6 @@ class TestRunPmc:
         assert len(gens) == 1
         assert np.array_equal(gens[0].sample_set.log_weights, direct.log_weights)
         expected = self_normalized_estimate(direct, h).value
-        assert np.array_equal(gens[0].generation_estimate.value, expected)
         assert np.array_equal(gens[0].cumulative_estimate.value, expected)
 
     def test_stationary_toy_has_constant_weights_and_uniform_resampling(self):
@@ -217,7 +216,7 @@ class TestTraceMetrics:
         clones = [gens[0], gens[0], gens[0]]
         trace = trace_metrics(clones, np.zeros(1))
         assert np.all(trace.best_log_likelihood == trace.best_log_likelihood[0])
-        assert np.all(trace.weight_variance == trace.weight_variance[0])
+        assert np.all(trace.estimate_error == trace.estimate_error[0])
 
     def test_best_so_far_is_monotone(self):
         trace = trace_metrics(self._toy_generations(4), np.zeros(1))
