@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,6 +21,8 @@ from .models import make_synthetic, save_dataset
 
 __all__ = ["main"]
 
+_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v.strip()) for v in text.split(","))
@@ -32,15 +35,21 @@ def _float_pair(text: str) -> tuple[float, float]:
     return values
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, experiments: tuple[str, ...]) -> None:
+    """Flags shared by ``gauss`` and ``dmm``.  Every flag but ``--config``
+    sets the ``ExperimentConfig`` field named by its ``dest``, and an unset
+    flag is ``None``, so the config file or the field's default applies."""
     parser.add_argument("--seed", type=int, required=True, help="base seed; mandatory for reproducibility")
     parser.add_argument("--config", type=str, default=None, help="flat key=value config file (schema 1)")
+    parser.add_argument("--experiment", choices=list(experiments), default=None,
+                        help=f"default: the config file's, else {experiments[0]}")
     parser.add_argument("--budgets", type=_int_list, default=None, help="comma-separated, strictly increasing")
     parser.add_argument("--replications", type=int, default=None)
     parser.add_argument("--method", choices=["plain", "inflated", "both"], default=None)
     parser.add_argument("--workers", type=int, default=None, help="thread workers across replications")
     parser.add_argument("--output", type=str, default=None, help="metrics file to write")
     parser.add_argument("--format", choices=["csv", "json"], default=None)
+    parser.set_defaults(parser=parser, experiments=experiments)
 
 
 @contextlib.contextmanager
@@ -53,22 +62,17 @@ def _usage_errors(args: argparse.Namespace):
         args.parser.error(str(exc))
 
 
-def _build_config(args: argparse.Namespace, experiment: str, **extra) -> ExperimentConfig:
-    overrides = {
-        "experiment": experiment,
-        "seed": args.seed,
-        "budgets": args.budgets,
-        "replications": args.replications,
-        "method": args.method,
-        "workers": args.workers,
-        "output": args.output,
-        "format": args.format,
-    }
-    overrides.update(extra)
+def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """A flag beats the config file, and the file beats the subcommand's
+    default experiment."""
+    settings = {"experiment": args.experiments[0]}
     with _usage_errors(args):
         if args.config:
-            return ExperimentConfig.from_file(args.config, **overrides)
-        return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
+            settings.update(ExperimentConfig.read_file(args.config))
+        settings.update((k, v) for k, v in vars(args).items() if k in _FIELDS and v is not None)
+        if settings["experiment"] not in args.experiments:
+            raise ValueError(f"{args.command} cannot run experiment {settings['experiment']!r}")
+        return ExperimentConfig(**settings)
 
 
 def _write_series(series, cfg: ExperimentConfig) -> None:
@@ -79,29 +83,14 @@ def _write_series(series, cfg: ExperimentConfig) -> None:
 
 
 def _cmd_gauss(args: argparse.Namespace) -> int:
-    cfg = _build_config(
-        args,
-        args.experiment,
-        group_size=args.group_size,
-        sanity_fq=args.sanity_fq or None,
-    )
+    cfg = _build_config(args)
     series = run_gauss(cfg)
     _write_series(series, cfg)
     return 0
 
 
 def _cmd_dmm(args: argparse.Namespace) -> int:
-    cfg = _build_config(
-        args,
-        args.experiment,
-        generations=args.generations,
-        inner_draws=args.inner_draws,
-        kernel_bandwidth=args.kernel_bandwidth,
-        kernel_cv=args.kernel_cv,
-        true_means=args.means,
-        data_count=args.data_count,
-        mixing=args.mixing,
-    )
+    cfg = _build_config(args)
     series, traces = run_dmm(cfg)
     _write_series(series, cfg)
     if args.traces:
@@ -111,9 +100,9 @@ def _cmd_dmm(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorems(args: argparse.Namespace) -> int:
-    with _usage_errors(args):
-        cfg = ExperimentConfig("theorem-suite", args.seed, instances=args.instances)
-    report = run_theorem_suite(cfg.seed, instances=cfg.instances)
+    if args.instances < 1:
+        args.parser.error("instances must be >= 1")
+    report = run_theorem_suite(args.seed, instances=args.instances)
     payload = json.dumps(report.to_dict(), indent=2)
     if args.output:
         Path(args.output).write_text(payload + "\n")
@@ -126,7 +115,8 @@ def _cmd_theorems(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_data(args: argparse.Namespace) -> int:
-    dataset = make_synthetic(args.kind, args.means, args.seed, count=args.count)
+    with _usage_errors(args):
+        dataset = make_synthetic(args.kind, args.means, args.seed, count=args.count)
     save_dataset(dataset, args.output)
     print(f"wrote {dataset.observations.size} observations to {args.output}")
     return 0
@@ -137,25 +127,23 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gauss = sub.add_parser("gauss", help="Gaussian-target comparison at several budgets")
-    _add_common_flags(gauss)
-    gauss.add_argument("--experiment", choices=list(GAUSS_EXPERIMENTS), default="gauss-centered")
-    gauss.add_argument("--group-size", type=int, default=None, dest="group_size")
-    gauss.add_argument("--sanity-fq", action="store_true", dest="sanity_fq",
+    _add_common_flags(gauss, GAUSS_EXPERIMENTS)
+    gauss.add_argument("--group-size", type=int, default=None)
+    gauss.add_argument("--sanity-fq", action="store_true", default=None,
                        help="target equals proposal: unit weights, zero log evidence")
-    gauss.set_defaults(func=_cmd_gauss, parser=gauss)
+    gauss.set_defaults(func=_cmd_gauss)
 
     dmm = sub.add_parser("dmm", help="mixture-model comparison at matched eval budgets")
-    _add_common_flags(dmm)
-    dmm.add_argument("--experiment", choices=list(DMM_EXPERIMENTS), default="dmm-gauss")
+    _add_common_flags(dmm, DMM_EXPERIMENTS)
     dmm.add_argument("--generations", type=int, default=None)
-    dmm.add_argument("--inner-draws", type=int, default=None, dest="inner_draws")
-    dmm.add_argument("--kernel-bandwidth", type=float, default=None, dest="kernel_bandwidth")
-    dmm.add_argument("--kernel-cv", type=float, default=None, dest="kernel_cv")
-    dmm.add_argument("--means", type=_float_pair, default=None)
-    dmm.add_argument("--data-count", type=int, default=None, dest="data_count")
+    dmm.add_argument("--inner-draws", type=int, default=None)
+    dmm.add_argument("--kernel-bandwidth", type=float, default=None)
+    dmm.add_argument("--kernel-cv", type=float, default=None)
+    dmm.add_argument("--means", type=_float_pair, default=None, dest="true_means", metavar="MEANS")
+    dmm.add_argument("--data-count", type=int, default=None)
     dmm.add_argument("--mixing", type=float, default=None, help="proportion of the first component")
     dmm.add_argument("--traces", type=str, default=None, help="optional per-generation trace JSON")
-    dmm.set_defaults(func=_cmd_dmm, parser=dmm)
+    dmm.set_defaults(func=_cmd_dmm)
 
     theorems = sub.add_parser("theorems", help="run the property suite; nonzero exit on failure")
     theorems.add_argument("--seed", type=int, required=True)
@@ -169,7 +157,7 @@ def main(argv=None) -> int:
     emit_data.add_argument("--means", type=_float_pair, default=(-2.0, 2.0))
     emit_data.add_argument("--count", type=int, default=100)
     emit_data.add_argument("--output", type=str, required=True)
-    emit_data.set_defaults(func=_cmd_emit_data)
+    emit_data.set_defaults(func=_cmd_emit_data, parser=emit_data)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 import json
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -62,7 +63,7 @@ __all__ = [
 
 GAUSS_EXPERIMENTS = ("gauss-centered", "gauss-offcenter")
 DMM_EXPERIMENTS = ("dmm-gauss", "dmm-t")
-EXPERIMENTS = GAUSS_EXPERIMENTS + DMM_EXPERIMENTS + ("theorem-suite",)
+EXPERIMENTS = GAUSS_EXPERIMENTS + DMM_EXPERIMENTS
 METHODS = ("plain", "inflated")
 
 CSV_COLUMNS = (
@@ -82,11 +83,17 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a harness run needs; see the CLI for one flag per field.
+    """Everything a harness run needs: the one declaration of each setting's
+    name, type, default and validity.  Config-file keys and the ``dest`` of
+    every ``gauss``/``dmm`` flag are these field names, and config values are
+    parsed by the field's type.
 
     Unset ``budgets`` and ``replications`` resolve per experiment family:
     (2000,) x 25 for the mixture experiments, (200, 2000, 20000) x 50
-    otherwise.
+    otherwise.  A Gaussian budget must be a positive multiple of
+    ``group_size``; a mixture budget counts the plain run's samples over all
+    ``generations``, so it must split into that many populations, each a
+    multiple of ``inner_draws``.
     """
 
     experiment: str
@@ -104,7 +111,6 @@ class ExperimentConfig:
     mixing: float = 0.5
     workers: int = 1
     sanity_fq: bool = False
-    instances: int = 500
     output: str | None = None
     format: str = "csv"
 
@@ -122,14 +128,23 @@ class ExperimentConfig:
             object.__setattr__(self, "budgets", (2000,) if mixture else (200, 2000, 20000))
         budgets = tuple(int(b) for b in self.budgets)
         object.__setattr__(self, "budgets", budgets)
-        if self.experiment != "theorem-suite":
-            if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
-                raise ValueError("budgets must be strictly increasing")
-            if self.replications < 2:
-                raise ValueError("need at least 2 replications to estimate variances")
-        for name in ("workers", "group_size", "generations", "inner_draws", "data_count", "instances"):
+        if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
+            raise ValueError("budgets must be strictly increasing")
+        if self.replications < 2:
+            raise ValueError("need at least 2 replications to estimate variances")
+        for name in ("workers", "group_size", "generations", "inner_draws", "data_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for budget in budgets:
+            if mixture:
+                population, rest = divmod(budget, self.generations)
+                if population < 1 or rest or population % self.inner_draws:
+                    raise ValueError(
+                        f"budget {budget} must split into {self.generations} generations, "
+                        f"each a positive multiple of inner_draws {self.inner_draws}"
+                    )
+            elif budget < self.group_size or budget % self.group_size:
+                raise ValueError(f"budget {budget} must be a positive multiple of group_size {self.group_size}")
         for name in ("kernel_bandwidth", "kernel_cv"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -141,12 +156,14 @@ class ExperimentConfig:
         return METHODS if self.method == "both" else (self.method,)
 
     @classmethod
-    def from_file(cls, path, **overrides) -> ExperimentConfig:
-        """Parse the flat ``key = value`` config format (schema version 1).
+    def read_file(cls, path) -> dict:
+        """Parse the flat ``key = value`` config format (schema version 1)
+        into keyword arguments of this class.
 
-        Lines are ``key = value`` with ``#`` comments; keys match the field
-        names of this class, list values are comma separated, booleans are
-        ``true``/``false``.  A ``schema_version = 1`` entry is required.
+        Lines are ``key = value`` with ``#`` comments; keys are field names
+        and values are parsed by the field's type: list values are comma
+        separated, booleans are ``true``/``false``.  A ``schema_version = 1``
+        entry is required.
         """
         entries: dict[str, str] = {}
         for raw in Path(path).read_text().splitlines():
@@ -159,37 +176,30 @@ class ExperimentConfig:
             entries[key] = value
         if entries.pop("schema_version", None) != "1":
             raise ValueError("config file must declare schema_version = 1")
-        typed: dict = {}
-        known = {f.name: f for f in fields(cls)}
-        for key, value in entries.items():
-            if key not in known:
+        types = typing.get_type_hints(cls)
+        for key in entries:
+            if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
-            typed[key] = _parse_config_value(key, value)
-        typed.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**typed)
+        return {key: _parse_config_value(key, types[key], value) for key, value in entries.items()}
+
+    @classmethod
+    def from_file(cls, path, **overrides) -> ExperimentConfig:
+        """The config in ``path``, with every override that is not ``None``
+        taking precedence over the file."""
+        return cls(**{**cls.read_file(path), **{k: v for k, v in overrides.items() if v is not None}})
 
 
-_INT_TUPLE_KEYS = {"budgets"}
-_FLOAT_TUPLE_KEYS = {"true_means"}
-_INT_KEYS = {"seed", "replications", "group_size", "generations", "inner_draws", "data_count", "workers", "instances"}
-_FLOAT_KEYS = {"kernel_bandwidth", "kernel_cv", "mixing"}
-_BOOL_KEYS = {"sanity_fq"}
-
-
-def _parse_config_value(key: str, value: str):
-    if key in _INT_TUPLE_KEYS:
-        return tuple(int(v.strip()) for v in value.split(","))
-    if key in _FLOAT_TUPLE_KEYS:
-        return tuple(float(v.strip()) for v in value.split(","))
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _BOOL_KEYS:
+def _parse_config_value(key: str, kind, value: str):
+    if type(None) in typing.get_args(kind):  # "X | None" parses as X
+        kind = typing.get_args(kind)[0]
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(item(v.strip()) for v in value.split(","))
+    if kind is bool:
         if value.lower() not in ("true", "false"):
             raise ValueError(f"{key} must be true or false, got {value!r}")
         return value.lower() == "true"
-    return value
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -341,9 +351,6 @@ def run_gauss(cfg: ExperimentConfig) -> MetricSeries:
     if cfg.experiment not in GAUSS_EXPERIMENTS:
         raise ValueError(f"run_gauss cannot run {cfg.experiment!r}")
     toy, center, model, prop = _gauss_setup(cfg)
-    for budget in cfg.budgets:
-        if budget < cfg.group_size or budget % cfg.group_size != 0:
-            raise ValueError(f"budget {budget} must be a positive multiple of group_size {cfg.group_size}")
     root = RandomSource(cfg.seed)
     truth = toy.true_mean
     series = MetricSeries()
@@ -388,20 +395,6 @@ def _aligned_estimate(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return best[1]
 
 
-def _dmm_population(cfg: ExperimentConfig, budget: int) -> int:
-    """The budget counts total plain samples over the whole run (the
-    generation loop outputs that many), so each generation's population is
-    the budget divided by the generation count."""
-    if budget % cfg.generations != 0:
-        raise ValueError(f"budget {budget} must divide into {cfg.generations} generations")
-    population = budget // cfg.generations
-    if population % cfg.inner_draws != 0:
-        raise ValueError(
-            f"per-generation population {population} must divide into inner_draws {cfg.inner_draws}"
-        )
-    return population
-
-
 def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> dict:
     """One (plain, inflated) pair on a fresh synthetic dataset at matched
     likelihood-evaluation budgets."""
@@ -414,12 +407,11 @@ def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> di
     h = component_means_function(spec)
     kernel = _dmm_kernel(cfg)
     truth = np.asarray(cfg.true_means, dtype=float)
-    population = _dmm_population(cfg, budget)
 
     out: dict[str, dict] = {"truth": truth, "dataset_seed": data_seed}
     for mi, method in enumerate(cfg.methods):
         pmc_cfg = PmcConfig(
-            population_size=population,
+            population_size=budget // cfg.generations,
             generations=cfg.generations,
             kernel=kernel,
             inner_draws=cfg.inner_draws if method == "inflated" else 1,
@@ -511,20 +503,7 @@ class TheoremReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "cases": c.cases,
-                    "worst": c.worst,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"schema_version": 1, "passed": self.passed, **asdict(self)}
 
 
 def _random_partition(rng: RandomSource, max_size: int, span: float):

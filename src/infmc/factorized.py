@@ -178,12 +178,18 @@ def recombine(
 
     One inner draw is plain importance sampling.  ``proposals`` is consumed
     lazily, one proposal per global draw, so a generator may draw from
-    ``rng`` to build each proposal just before its draws are made.
+    ``rng`` to build each proposal just before its draws are made.  Raises
+    :class:`InflationBudgetError`, before its draws, for a global draw whose
+    combinations would take the total beyond ``MAX_UNCAPPED_COMBINATIONS``.
     """
     k = model.num_blocks
     points: list[FactorizedPoint] = []
     log_weights: list[float] = []
     for prop in proposals:
+        if len(points) + inner_draws**k > MAX_UNCAPPED_COMBINATIONS:
+            raise InflationBudgetError(
+                f"{len(points)} + {inner_draws}^{k} combinations exceed {MAX_UNCAPPED_COMBINATIONS}"
+            )
         global_value, base = _draw_global(model, prop, rng)
         block_values: list[list] = []
         contrib = np.empty((k, inner_draws))
@@ -240,14 +246,9 @@ def inflate(
     """
     if prop.num_blocks != model.num_blocks:
         raise ValueError("proposal and model disagree on the number of blocks")
-    m, inner, k = cfg.outer_draws, cfg.inner_draws, model.num_blocks
-    if m * inner**k > MAX_UNCAPPED_COMBINATIONS:
-        raise InflationBudgetError(
-            f"{m} x {inner}^{k} = {m * inner**k} combinations exceed {MAX_UNCAPPED_COMBINATIONS}"
-        )
     if counter is None:
         counter = EvalCounter()
-    return recombine(model, itertools.repeat(prop, m), inner, rng, counter), counter
+    return recombine(model, itertools.repeat(prop, cfg.outer_draws), cfg.inner_draws, rng, counter), counter
 
 
 def block_contributions(

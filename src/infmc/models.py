@@ -325,6 +325,8 @@ def make_synthetic(
     """
     if kind not in (GAUSSIAN, STUDENT_T):
         raise ValueError(f"unknown synthetic kind {kind!r}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     rng = RandomSource(seed)
     means_arr = np.asarray(means, dtype=float)
     labels = (rng.generator.random(count) < (1.0 - mixing)).astype(int)

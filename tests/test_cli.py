@@ -35,6 +35,44 @@ class TestGaussCommand:
         assert out.exists()
 
 
+class TestConfigPrecedence:
+    """A flag beats the config file, which beats the subcommand's default experiment."""
+
+    SMALL_RUN = {
+        "gauss": ["--budgets", "200"],
+        "dmm": ["--budgets", "40", "--generations", "2", "--data-count", "20"],
+    }
+
+    @pytest.mark.parametrize("command, config_line, flags, expected", [
+        ("gauss", "experiment = gauss-offcenter", [], "gauss-offcenter"),
+        ("dmm", "experiment = dmm-t", [], "dmm-t"),
+        ("gauss", "experiment = gauss-offcenter", ["--experiment", "gauss-centered"], "gauss-centered"),
+        ("gauss", "method = plain", [], "gauss-centered"),
+        ("dmm", "method = plain", [], "dmm-gauss"),
+    ])
+    def test_flag_then_file_then_subcommand_default(self, tmp_path, command, config_line, flags, expected):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"schema_version = 1\n{config_line}\n")
+        out = tmp_path / "out.csv"
+        code = main([
+            command, "--seed", "1", "--config", str(cfg), *self.SMALL_RUN[command],
+            "--replications", "2", "--method", "plain", "--output", str(out), *flags,
+        ])
+        assert code == 0
+        assert {line.split(",")[0] for line in out.read_text().splitlines()[1:]} == {expected}
+
+    def test_other_familys_experiment_is_a_usage_error(self, tmp_path, capsys):
+        for command, experiment in (("gauss", "dmm-gauss"), ("dmm", "gauss-centered")):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"schema_version = 1\nexperiment = {experiment}\n")
+            out = tmp_path / "never.csv"
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--seed", "1", "--config", str(cfg), "--output", str(out)])
+            assert exit_info.value.code == 2
+            assert f"cannot run experiment {experiment!r}" in capsys.readouterr().err
+            assert not out.exists()
+
+
 class TestDmmCommand:
     def test_writes_metrics_and_traces(self, tmp_path):
         out = tmp_path / "dmm.csv"
@@ -85,6 +123,9 @@ class TestUsageErrors:
             (["gauss", "--group-size", "0"], "group_size must be >= 1"),
             (["dmm", "--mixing", "1.5"], "mixing must lie in [0, 1]"),
             (["theorems", "--instances", "0"], "instances must be >= 1"),
+            (["gauss", "--budgets", "150"], "budget 150 must be a positive multiple of group_size 100"),
+            (["dmm", "--budgets", "45"], "budget 45 must split into 20 generations"),
+            (["emit-data", "--count", "0"], "count must be >= 1"),
         ]
         for argv, message in cases:
             out = tmp_path / "never.csv"

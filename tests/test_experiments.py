@@ -37,7 +37,7 @@ class TestConfig:
     def test_replications_floor(self):
         below_floor = [
             ("replications", 1), ("workers", 0), ("group_size", 0), ("generations", 0), ("inner_draws", 0),
-            ("data_count", 0), ("instances", 0), ("kernel_bandwidth", 0.0), ("kernel_cv", 0.0),
+            ("data_count", 0), ("kernel_bandwidth", 0.0), ("kernel_cv", 0.0),
             ("mixing", -0.1), ("mixing", 1.5),
         ]
         for field, value in below_floor:
@@ -206,12 +206,11 @@ class TestRunDmm:
             assert np.isnan(row.log_evidence_mse)
 
     def test_budget_must_divide_generations(self):
-        cfg = ExperimentConfig(
-            experiment="dmm-gauss", seed=11, budgets=(45,), replications=2,
-            generations=2, data_count=20,
-        )
         with pytest.raises(ValueError):
-            run_dmm(cfg)
+            ExperimentConfig(
+                experiment="dmm-gauss", seed=11, budgets=(45,), replications=2,
+                generations=2, data_count=20,
+            )
 
     def test_single_generation_trace(self):
         cfg = ExperimentConfig(

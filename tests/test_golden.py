@@ -1,0 +1,60 @@
+"""Golden outputs: at fixed seeds the CLI must reproduce the files under
+``tests/golden/`` byte for byte, apart from the CSV's ``wall_seconds`` column.
+
+Regenerate them, only for a change that is meant to move the numbers, with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from infmc.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+GAUSS = ["--seed", "42", "--budgets", "200,2000", "--replications", "5"]
+DMM = ["--seed", "42", "--budgets", "40", "--replications", "2", "--generations", "2", "--data-count", "20"]
+CASES = {
+    "gauss-centered": ["gauss", "--experiment", "gauss-centered", *GAUSS],
+    "gauss-offcenter": ["gauss", "--experiment", "gauss-offcenter", *GAUSS],
+    "dmm-gauss": ["dmm", "--experiment", "dmm-gauss", *DMM],
+    "dmm-t": ["dmm", "--experiment", "dmm-t", *DMM],
+    "theorems": ["theorems", "--seed", "3", "--instances", "20"],
+}
+
+
+def _without_wall_seconds(csv_text: str) -> str:
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    column = rows[0].index("wall_seconds")
+    return "".join(",".join(row[:column] + row[column + 1:]) + "\n" for row in rows)
+
+
+def _outputs(name: str, directory: Path) -> dict[str, str]:
+    """Run one case through the CLI and return its files by name."""
+    suffix = ".json" if CASES[name][0] == "theorems" else ".csv"
+    argv = [*CASES[name], "--output", str(directory / (name + suffix))]
+    if argv[0] == "dmm":
+        argv += ["--traces", str(directory / f"{name}.traces.json")]
+    assert main(argv) == 0
+    files = {path.name: path.read_text() for path in directory.iterdir()}
+    return {
+        filename: _without_wall_seconds(text) if filename.endswith(".csv") else text
+        for filename, text in files.items()
+    }
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_cli_output_matches_golden(name, tmp_path):
+    outputs = _outputs(name, tmp_path)
+    assert outputs
+    for filename, text in outputs.items():
+        assert text == (GOLDEN / filename).read_text(), filename
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            for filename, text in _outputs(name, Path(tmp)).items():
+                (GOLDEN / filename).write_text(text)

@@ -1,9 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from infmc import factorized
 from infmc.distributions import DiagGaussian, Gamma, ScalarInverseWishart
 from infmc.estimators import SampleSet, TestFunction, self_normalized_estimate
-from infmc.factorized import EvalCounter, FactorizedModel, FactorizedProposal, plain_factorized_sampler
+from infmc.factorized import (
+    EvalCounter,
+    FactorizedModel,
+    FactorizedProposal,
+    InflationBudgetError,
+    plain_factorized_sampler,
+)
 from infmc.models import DmmSpec, component_means_function, dmm_init_proposal, dmm_model, make_synthetic
 from infmc.pmc import (
     DegenerateGenerationError,
@@ -175,6 +184,25 @@ class TestRunPmc:
             assert gp.block_evals == gi.block_evals == 40 * 2
             assert len(gi.sample_set) == 2 * len(gp.sample_set)  # inner_draws**(blocks-1) more
             assert len(gi.resampled_points) == len(gp.resampled_points) == 40
+
+
+    def test_combination_cap_applies_before_any_block_evaluation(self, monkeypatch):
+        ds = make_synthetic("gaussian", (-2.0, 2.0), 7, count=20)
+        spec = DmmSpec(ds.observations)
+        model, init = dmm_model(spec), dmm_init_proposal(spec)
+        calls = []
+
+        def counted(lik):
+            return lambda phi, gamma: calls.append(1) or lik(phi, gamma)
+
+        model = dataclasses.replace(
+            model, block_log_likelihoods=tuple(counted(lik) for lik in model.block_log_likelihoods)
+        )
+        monkeypatch.setattr(factorized, "MAX_UNCAPPED_COMBINATIONS", 10)
+        cfg = PmcConfig(population_size=4, generations=1, kernel=GaussianKernel(0.25), inner_draws=4)
+        with pytest.raises(InflationBudgetError):
+            run_pmc(model, init, cfg, RandomSource(0))  # one outer draw emits 4^2 = 16 > 10
+        assert calls == []
 
 
 class TestResamplingLaw:
