@@ -72,12 +72,12 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         settings.update((k, v) for k, v in vars(args).items() if k in _FIELDS and v is not None)
         if settings["experiment"] not in args.experiments:
             raise ValueError(f"{args.command} cannot run experiment {settings['experiment']!r}")
+        if settings.get("output") is None:
+            raise ValueError("an --output path is required to write metrics")
         return ExperimentConfig(**settings)
 
 
 def _write_series(series, cfg: ExperimentConfig) -> None:
-    if cfg.output is None:
-        raise SystemExit("an --output path is required to write metrics")
     emit(series, cfg.output, cfg.format)
     print(f"wrote {len(series)} rows to {cfg.output}")
 

@@ -37,14 +37,24 @@ class Density:
     def log_density(self, x) -> float:
         raise NotImplementedError
 
+    def sample_with_log_density(self, rng: RandomSource):
+        """A draw and its log density; subclasses may share work between the two."""
+        x = self.sample(rng)
+        return x, self.log_density(x)
+
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
         """Per-point log densities for an array of univariate points."""
         raise NotImplementedError(f"{type(self).__name__} has no elementwise form")
 
 
 def _positive(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if not np.all(arr > 0) or not np.all(np.isfinite(arr)):
+    if isinstance(value, (int, float)):  # the kernels' per-draw case, without array reductions
+        ok = value > 0 and math.isfinite(value)
+        arr = np.float64(value)
+    else:
+        arr = np.asarray(value, dtype=float)
+        ok = np.all(arr > 0) and np.all(np.isfinite(arr))
+    if not ok:
         raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
     return arr
 

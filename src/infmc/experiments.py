@@ -395,6 +395,14 @@ def _aligned_estimate(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return best[1]
 
 
+def _best_marginal(spec: DmmSpec, points) -> float:
+    """Largest mixture marginal likelihood over one generation's points,
+    evaluated as one batch."""
+    weights = np.array([p.global_value[0] for p in points])
+    params = np.array([p.block_values for p in points], dtype=float)
+    return float(np.max(spec.marginal_data_log_likelihood(weights, params)))
+
+
 def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> dict:
     """One (plain, inflated) pair on a fresh synthetic dataset at matched
     likelihood-evaluation budgets."""
@@ -421,15 +429,7 @@ def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> di
         gens = run_pmc(model, init, pmc_cfg, src.child(1, mi), h)
         wall = time.perf_counter() - t0
         trace = trace_metrics(gens, truth)
-        best_marginal = np.array(
-            [
-                max(
-                    spec.marginal_data_log_likelihood(p.global_value[0], p.block_values)
-                    for p in g.sample_set.points
-                )
-                for g in gens
-            ]
-        )
+        best_marginal = np.array([_best_marginal(spec, g.sample_set.points) for g in gens])
         aligned = _aligned_estimate(pooled_estimate(gens, h).value, truth)
         out[method] = {
             "estimate": aligned,

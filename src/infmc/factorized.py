@@ -152,8 +152,8 @@ def _draw_global(model: FactorizedModel, prop: FactorizedProposal, rng: RandomSo
         global_value = None
         log_q_global = 0.0
     else:
-        global_value = prop.global_proposal.sample(rng)
-        log_q_global = float(prop.global_proposal.log_density(global_value))
+        global_value, log_q_global = prop.global_proposal.sample_with_log_density(rng)
+        log_q_global = float(log_q_global)
         _check_proposal_support(log_q_global, "global block")
     base = float(model.global_log_prior(global_value)) + model.log_evidence_offset - log_q_global
     return global_value, base

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import (
     LOG_TWO_PI,
@@ -146,15 +145,48 @@ class DmmSpec:
         """Log likelihood of ``obs`` under one component's parameters."""
         return float(np.sum(self.component_log_density_each(obs, params)))
 
-    def marginal_data_log_likelihood(self, weights, block_params) -> float:
-        """Mixture log likelihood of the data with assignments summed out."""
+    def marginal_data_log_likelihood(self, weights, block_params):
+        """Mixture log likelihood of the data with assignments summed out.
+
+        Broadcasts over leading batch axes: ``weights`` is ``(..., K)`` and
+        ``block_params`` is ``(..., K)`` for the gaussian family or
+        ``(..., K, 3)`` (mean, variance, degrees of freedom) for student-t;
+        the result has the batch shape.
+        """
         weights = np.asarray(weights, dtype=float)
-        comp = np.stack(
-            [self.component_log_density_each(self.data, p) for p in block_params], axis=1
-        )
+        params = np.asarray(block_params, dtype=float)
+        obs = self.data[:, None]
+        if self.component_family == GAUSSIAN:
+            comp = -0.5 * (LOG_TWO_PI + (obs - params[..., None, :]) ** 2)
+        else:
+            mean, var, df = (params[..., None, :, i] for i in range(3))
+            with np.errstate(divide="ignore", invalid="ignore"):  # masked just below
+                comp = student_t_logpdf(obs, mean, np.sqrt(var), df)
+            comp = np.where((var <= 0.0) | (df <= 0.0), -np.inf, comp)
         with np.errstate(divide="ignore"):
-            comp = comp + np.log(weights)[None, :]
-        return float(np.sum(logsumexp(comp, axis=1)))
+            comp = comp + np.log(weights)[..., None, :]
+        return np.sum(_logsumexp(comp)[..., 0], axis=-1)
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=-1, keepdims=True)`` for real ``a``.
+
+    The same operations in the same order, so the same bits, without scipy's
+    per-call dispatch, which dominates on the small arrays here: shift by the
+    maximum, sum the other terms and divide by the count ``m`` of maxima, then
+    ``log1p(s) + log(m) + max``; where that is not finite (an all ``-inf`` or
+    ``+inf`` row, or a NaN), the direct ``log(sum(exp(a)))``.
+    """
+    a_max = np.max(a, axis=-1, keepdims=True)
+    is_max = a == a_max
+    m = np.sum(is_max, axis=-1, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=-1, keepdims=True) / m
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=-1, keepdims=True)))
+    return out
 
 
 def _mixing_log_prob(prior: Dirichlet, weights, labels, num_components: int) -> float:
@@ -214,26 +246,34 @@ class MixtureAssignmentProposal(Density):
     def _assignment_log_probs(self, weights) -> np.ndarray:
         with np.errstate(divide="ignore"):
             scores = self._ref_each + np.log(np.asarray(weights, dtype=float))[None, :]
-        return scores - logsumexp(scores, axis=1, keepdims=True)
+        return scores - _logsumexp(scores)
+
+    def _log_density(self, weights, labels: np.ndarray, log_probs) -> float:
+        base = self.mixing_prior.log_density(weights)
+        if base == -np.inf:
+            return -np.inf
+        if labels.size and (labels.min() < 0 or labels.max() >= self.spec.num_components):
+            return -np.inf
+        if log_probs is None:
+            log_probs = self._assignment_log_probs(weights)
+        return base + float(log_probs[np.arange(labels.size), labels].sum())
 
     def sample(self, rng: RandomSource):
+        return self.sample_with_log_density(rng)[0]
+
+    def log_density(self, x) -> float:
+        weights, labels = x
+        return self._log_density(weights, np.asarray(labels), None)
+
+    def sample_with_log_density(self, rng: RandomSource):
+        """One computation of the assignment probabilities serves the draw
+        and its density."""
         weights = self.mixing_prior.sample(rng)
         log_probs = self._assignment_log_probs(weights)
         cdf = np.cumsum(np.exp(log_probs), axis=1)
         u = rng.generator.random(self.spec.data.size)
-        labels = (u[:, None] > cdf).sum(axis=1)
-        return weights, np.minimum(labels, self.spec.num_components - 1)
-
-    def log_density(self, x) -> float:
-        weights, labels = x
-        base = self.mixing_prior.log_density(weights)
-        if base == -np.inf:
-            return -np.inf
-        labels = np.asarray(labels)
-        if labels.size and (labels.min() < 0 or labels.max() >= self.spec.num_components):
-            return -np.inf
-        log_probs = self._assignment_log_probs(weights)
-        return base + float(log_probs[np.arange(labels.size), labels].sum())
+        labels = np.minimum((u[:, None] > cdf).sum(axis=1), self.spec.num_components - 1)
+        return (weights, labels), self._log_density(weights, labels, log_probs)
 
 
 def informed_assignment_builder(spec: DmmSpec):
@@ -291,10 +331,10 @@ def dmm_init_proposal(spec: DmmSpec) -> FactorizedProposal:
 def component_means_function(spec: DmmSpec) -> TestFunction:
     """Extracts the vector of component means from a joint mixture sample."""
     if spec.component_family == GAUSSIAN:
-        extract = lambda point: [float(v) for v in point.block_values]
+        extract = lambda point: point.block_values
     else:
-        extract = lambda point: [float(v[0]) for v in point.block_values]
-    return TestFunction.from_pointwise(extract, spec.num_components)
+        extract = lambda point: [v[0] for v in point.block_values]
+    return TestFunction(lambda pts: np.array([extract(p) for p in pts], dtype=float), spec.num_components)
 
 
 @dataclass(frozen=True)

@@ -134,3 +134,9 @@ class TestUsageErrors:
             assert exit_info.value.code == 2
             assert message in capsys.readouterr().err
             assert not out.exists()
+        for argv in (["gauss"], ["dmm", "--traces", str(tmp_path / "never.json")]):
+            with pytest.raises(SystemExit) as exit_info:
+                main([*argv, "--seed", "1"])  # the defaults would run for minutes
+            assert exit_info.value.code == 2
+            assert "an --output path is required" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())

@@ -9,6 +9,7 @@ from infmc.distributions import (
     ScalarInverseWishart,
     StudentT,
     TupleDensity,
+    _positive,
 )
 from infmc.rng import RandomSource
 
@@ -71,6 +72,46 @@ class TestDiagGaussian:
     def test_invalid_variance(self):
         with pytest.raises(ValueError):
             DiagGaussian(0.0, 0.0)
+
+
+class TestPositive:
+    def test_rejects_nonpositive_and_nonfinite_scalars_and_arrays(self):
+        for bad in [0, 0.0, -0.0, -1, -2.5, np.nan, np.inf, -np.inf, False, np.float64(np.nan), np.int64(0)]:
+            with pytest.raises(ValueError):
+                _positive(bad, "x")
+            with pytest.raises(ValueError):
+                _positive([1.0, bad], "x")
+            with pytest.raises(ValueError):
+                _positive(np.array([bad, 2.0]), "x")
+
+    def test_accepts_positive_values_unchanged(self):
+        for good in [1, 2.5, 5e-324, 1e308, np.float64(3.0), np.int64(4), True]:
+            value = _positive(good, "x")
+            assert np.shape(value) == () and value == float(good)
+        assert np.array_equal(_positive([0.5, 2.0], "x"), [0.5, 2.0])
+
+    def test_density_matches_scipy_with_scalar_or_array_parameters(self):
+        xs = np.array([-1.0, 0.3, 2.0])
+        expected = scipy.stats.norm(0.5, 2.0).logpdf(xs)
+        for var in (4.0, 4, np.array(4.0)):
+            assert np.allclose(DiagGaussian(0.5, var).log_density_each(xs), expected, rtol=0, atol=1e-12)
+
+
+class TestSampleWithLogDensity:
+    @pytest.mark.parametrize(
+        "density",
+        [DiagGaussian(0.5, 2.0), StudentT(0.0, 1.5, 4.0), Dirichlet([1.0, 2.0, 3.0]),
+         TupleDensity([StudentT(0.0, 1.0, 1.0), ScalarInverseWishart(5.0, 1.0), Gamma(1.0, 1.0)])],
+        ids=["gaussian", "student-t", "dirichlet", "tuple"],
+    )
+    def test_equals_sample_then_log_density(self, density):
+        fused, separate = RandomSource(17), RandomSource(17)
+        for _ in range(10):
+            x, log_q = density.sample_with_log_density(fused)
+            y = density.sample(separate)
+            assert np.array_equal(x, y)
+            assert log_q == density.log_density(y)
+        assert fused.generator.bit_generator.state == separate.generator.bit_generator.state
 
 
 class TestStudentT:

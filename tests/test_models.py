@@ -9,6 +9,7 @@ from infmc.models import (
     MixtureAssignmentProposal,
     MixtureGlobalProposal,
     SyntheticDataset,
+    _logsumexp,
     dmm_init_proposal,
     dmm_model,
     load_dataset,
@@ -137,6 +138,61 @@ class TestDmmModel:
         )
         assert spec.marginal_data_log_likelihood(weights, means) == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("family", ["gaussian", "student-t"])
+    def test_batched_marginal_equals_per_point_loop_bitwise(self, family):
+        spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 4).observations, family)
+        rng = np.random.default_rng(8)
+        weights = rng.dirichlet((1.0, 1.0), size=30)
+        weights[3] = (0.0, 1.0)  # an empty component
+        if family == "gaussian":
+            params = rng.normal(0.0, 2.0, size=(30, 2))
+        else:
+            params = np.stack(
+                [rng.normal(0.0, 2.0, (30, 2)), rng.gamma(2.0, 1.0, (30, 2)), rng.gamma(2.0, 5.0, (30, 2))],
+                axis=-1,
+            )
+            params[5, 1, 1] = 0.0  # variance outside the support
+            params[6, 0, 1] = -1.0
+            params[7, 0, 2] = 0.0  # degrees of freedom outside the support
+        expected = []
+        for w, p in zip(weights, params):
+            block_params = p if family == "gaussian" else [tuple(c) for c in p]
+            comp = np.stack([spec.component_log_density_each(spec.data, c) for c in block_params], axis=1)
+            with np.errstate(divide="ignore"):
+                comp = comp + np.log(w)[None, :]
+            expected.append(float(np.sum(logsumexp(comp, axis=1))))
+        batched = spec.marginal_data_log_likelihood(weights, params)
+        assert batched.shape == (30,)
+        assert np.array_equal(batched, expected)
+        if family == "student-t":
+            assert np.all(np.isfinite(batched[5:8]))  # the other component still explains the data
+
+
+class TestLogSumExp:
+    def test_matches_scipy_bitwise(self):
+        rng = np.random.default_rng(5)
+        for shape in [(100, 2), (7, 1), (40, 3), (6, 9, 4)]:
+            a = rng.normal(0.0, 30.0, size=shape)
+            a[..., 0] = np.round(a[..., 0])
+            a[..., -1] = np.round(a[..., -1])  # ties, including exact duplicates of the maximum
+            cases = [a, a - 1000.0, np.where(rng.random(shape) < 0.2, -np.inf, a)]
+            for case in cases:
+                expected = logsumexp(case, axis=-1, keepdims=True)
+                assert np.array_equal(_logsumexp(case), expected)
+
+    def test_infinite_entries_match_scipy(self):
+        a = np.array([
+            [0.5, -np.inf],  # a zero mixing weight
+            [-np.inf, -np.inf],  # every weight zero
+            [3.0, 3.0],
+            [np.inf, 1.0],
+            [-2.0, -np.inf],
+        ])
+        with np.errstate(divide="ignore"):
+            expected = logsumexp(a, axis=-1, keepdims=True)
+        assert np.array_equal(_logsumexp(a), expected)
+        assert _logsumexp(a)[1, 0] == -np.inf
+
 
 class TestGlobalProposals:
     def test_prior_proposal_cancels_model_prior(self):
@@ -159,6 +215,18 @@ class TestGlobalProposals:
         labels = [prop.sample(rng)[1] for _ in range(50)]
         first_two = np.array([l[:2] for l in labels])
         assert first_two.mean() < 0.2  # observations near -2 almost never map to component 1
+
+    @pytest.mark.parametrize("informed", [False, True])
+    def test_fused_draw_equals_sample_then_log_density(self, informed):
+        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6).observations)
+        prop = MixtureAssignmentProposal(spec, (-1.0, 2.5)) if informed else MixtureGlobalProposal(spec)
+        fused, separate = RandomSource(21), RandomSource(21)
+        for _ in range(20):
+            (weights, labels), log_q = prop.sample_with_log_density(fused)
+            x = prop.sample(separate)
+            assert np.array_equal(weights, x[0]) and np.array_equal(labels, x[1])
+            assert log_q == prop.log_density(x)
+        assert fused.generator.bit_generator.state == separate.generator.bit_generator.state
 
     def test_init_proposal_shares_prior_blocks(self):
         spec = small_spec()
