@@ -90,12 +90,6 @@ class TestPositive:
             assert np.shape(value) == () and value == float(good)
         assert np.array_equal(_positive([0.5, 2.0], "x"), [0.5, 2.0])
 
-    def test_density_matches_scipy_with_scalar_or_array_parameters(self):
-        xs = np.array([-1.0, 0.3, 2.0])
-        expected = scipy.stats.norm(0.5, 2.0).logpdf(xs)
-        for var in (4.0, 4, np.array(4.0)):
-            assert np.allclose(DiagGaussian(0.5, var).log_density_each(xs), expected, rtol=0, atol=1e-12)
-
 
 class TestSampleWithLogDensity:
     @pytest.mark.parametrize(
