@@ -65,25 +65,28 @@ class DiagGaussian(Density):
     def __init__(self, mean, var):
         self.mean = np.asarray(mean, dtype=float)
         self.var = _positive(var, "var")
-        np.broadcast_shapes(self.mean.shape, self.var.shape)
+        # fixed at construction, so the per-draw calls only read them
+        self._shape = np.broadcast_shapes(self.mean.shape, self.var.shape)
+        self._sd = np.sqrt(self.var)
+        self._log_norm = LOG_TWO_PI + np.log(self.var)
 
     def sample(self, rng: RandomSource):
-        shape = np.broadcast_shapes(self.mean.shape, self.var.shape)
-        draw = self.mean + np.sqrt(self.var) * rng.generator.standard_normal(shape)
-        return float(draw) if draw.ndim == 0 else draw
+        if not self._shape:
+            return float(self.mean + self._sd * rng.generator.standard_normal())
+        return self.mean + self._sd * rng.generator.standard_normal(self._shape)
 
     def log_density(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        if x.shape != np.broadcast_shapes(x.shape, self.mean.shape, self.var.shape):
+        if x.shape != self._shape and x.shape != np.broadcast_shapes(x.shape, self.mean.shape, self.var.shape):
             raise ValueError(f"dimension mismatch: point {x.shape}, density {self.mean.shape}")
-        terms = LOG_TWO_PI + np.log(self.var) + (x - self.mean) ** 2 / self.var
-        return float(-0.5 * np.sum(terms))
+        terms = self._log_norm + (x - self.mean) ** 2 / self.var
+        return float(-0.5 * (terms if terms.ndim == 0 else np.sum(terms)))
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
-        if self.mean.ndim != 0 or self.var.ndim != 0:
+        if self._shape:
             raise NotImplementedError("elementwise form requires scalar parameters")
         xs = np.asarray(xs, dtype=float)
-        return -0.5 * (LOG_TWO_PI + np.log(self.var) + (xs - self.mean) ** 2 / self.var)
+        return -0.5 * (self._log_norm + (xs - self.mean) ** 2 / self.var)
 
 
 def student_t_logpdf(x, loc, scale, df):

@@ -1,9 +1,10 @@
 """Importance-sampling estimators with log-space weight bookkeeping.
 
-All arithmetic on weights happens in log space through stable log-sum-exp;
-signed test-function values are handled by sign-tracking accumulation, so the
-estimators stay exact even when log weights sit hundreds of log-units below
-zero (linear-space weights are never materialized).
+All arithmetic on weights happens in log space through one stable
+log-sum-exp kernel, :func:`log_sum_exp`; signed test-function values are
+handled by sign-tracking accumulation, so the estimators stay exact even when
+log weights sit hundreds of log-units below zero (linear-space weights are
+never materialized).
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .rng import RandomSource
 
@@ -28,6 +28,7 @@ __all__ = [
     "decomposition_residual",
     "error_convexity_margin",
     "resample",
+    "log_sum_exp",
 ]
 
 STANDARD = "standard"
@@ -39,8 +40,65 @@ class DegenerateWeightsError(ValueError):
     """Raised when every weight in a sample set is zero."""
 
 
+def log_sum_exp(a: np.ndarray, axis: int, b: np.ndarray | None = None):
+    """``log|sum(b * exp(a))|`` and its sign along ``axis``, keeping the axis.
+
+    Bit for bit ``scipy.special.logsumexp(a, axis, b, keepdims=True,
+    return_sign=True)`` for real input (scipy 1.17): the same arithmetic in
+    the same order, after Blanchard, Higham & Higham, "Accurately computing
+    the log-sum-exp and softmax functions" (IMA J. Numer. Anal. 2021).
+    Entries where ``b`` is zero are dropped; the shifted sum leaves out the
+    terms at the maximum and divides by their weight ``m``, giving
+    ``log1p(s) + log|m| + max``; where that is not finite, the direct
+    ``log|sum(b * exp(a))|`` is returned instead.
+
+    ``b``, when given, has the full shape and ``a`` broadcasts to it.  An
+    ``(n, 1)`` column of log weights against ``(n, d)`` values is
+    exponentiated once per row, not once per entry, unless some ``b`` is
+    zero (then each column has its own maximum).  The weighted terms are
+    summed as C-ordered ``b``-shaped arrays, so a sum over axis 0 adds row
+    by row exactly as scipy's does.
+    """
+    kept = a
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if b is not None:
+            b = np.ascontiguousarray(b, dtype=float)
+            if (b == 0).any():
+                kept = np.where(b == 0, -np.inf, a)
+        a_max = np.max(kept, axis=axis, keepdims=True)
+        is_max = kept == a_max
+        shifted = np.where(is_max, -np.inf, kept)
+        shifted -= a_max
+        np.exp(shifted, out=shifted)
+        if b is None:
+            # s >= 0 and m >= 1 wherever the result is finite: no sign to track
+            m = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
+            s = np.sum(shifted, axis=axis, keepdims=True) / m
+            sign = np.sign(m)
+        else:
+            if kept is a and a.size == a.shape[axis] and np.count_nonzero(is_max) == 1:
+                # One maximum shared by every column: its weight is the masked
+                # sum in any order.  The other terms are zeros, or non-finite,
+                # and then so is s, and the direct sum replaces the result.
+                m = np.take(b, np.flatnonzero(is_max), axis=axis)
+            else:
+                m = np.sum(b * is_max, axis=axis, keepdims=True)
+            s = np.sum(b * shifted, axis=axis, keepdims=True)
+            s = np.where(s == 0, s, s / m)
+            sign = np.sign(s + 1) * np.sign(m)
+            s, m = np.where(s < -1, -s - 2, s), np.abs(m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            total = np.sum(np.exp(a) if b is None else b * np.exp(a), axis=axis, keepdims=True)
+            out = np.where(finite, out, np.log(np.abs(total)))
+            sign = np.where(finite, sign, np.sign(total))
+    return out, sign
+
+
 def _check_log_weights(log_weights: np.ndarray) -> None:
-    if np.any(np.isnan(log_weights)) or np.any(log_weights == np.inf):
+    # one pass: the maximum is NaN if any entry is NaN, and +inf if any is +inf
+    if not log_weights.max(initial=-np.inf) < np.inf:
         raise ValueError("log weights must be finite or -inf; found NaN or +inf")
 
 
@@ -65,7 +123,7 @@ class SampleSet:
             raise ValueError("points must be an array with one row per log weight")
         self.points = points
         self.log_weights = log_weights
-        self.log_weight_sum = float(logsumexp(log_weights)) if log_weights.size else -np.inf
+        self.log_weight_sum = float(log_sum_exp(log_weights, 0)[0][0]) if log_weights.size else -np.inf
 
     def __len__(self) -> int:
         return int(self.log_weights.size)
@@ -121,8 +179,8 @@ def _require_nonempty(x: SampleSet) -> None:
 
 def _signed_weighted_sum(log_weights: np.ndarray, values: np.ndarray):
     """log|sum_i b_i e^{a_i}| and its sign, per column of ``values``."""
-    with np.errstate(divide="ignore"):
-        return logsumexp(log_weights[:, None], b=values, axis=0, return_sign=True)
+    log_abs, sign = log_sum_exp(log_weights[:, None], 0, values)
+    return log_abs[0], sign[0]
 
 
 def standard_estimate(x: SampleSet, h: TestFunction) -> Estimate:
@@ -153,9 +211,8 @@ def snis_variance_estimate(x: SampleSet, h: TestFunction) -> np.ndarray:
     values = h(x.points)
     dev_sq = (values - est.value) ** 2
     log_sq_norm_w = 2.0 * (x.log_weights - x.log_weight_sum)
-    with np.errstate(divide="ignore"):
-        log_var = logsumexp(log_sq_norm_w[:, None], b=dev_sq, axis=0)
-    return np.exp(log_var)
+    log_var, sign = log_sum_exp(log_sq_norm_w[:, None], 0, dev_sq)
+    return np.where(sign[0] < 0, np.nan, np.exp(log_var[0]))
 
 
 def evidence_estimate(x: SampleSet) -> Estimate:

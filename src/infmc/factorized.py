@@ -308,15 +308,18 @@ def grouped_inflate(
     if total > MAX_UNCAPPED_COMBINATIONS:
         raise InflationBudgetError(f"refusing to emit {total} recombined samples")
 
-    out_points = np.empty((total, k))
-    out_log_w = np.empty(total)
-    # C order over (group, c_1, ..., c_K) is the lexicographic combination order
-    weight_grid = out_log_w.reshape((num_groups,) + (group_size,) * k)
-    point_grid = out_points.reshape(weight_grid.shape + (k,))
-    weight_grid[...] = base
-    for j in range(k):
+    def along_block(j: int, column: np.ndarray) -> np.ndarray:
         shape = [num_groups] + [1] * k
         shape[1 + j] = group_size
-        weight_grid += contrib[:, j].reshape(shape)
-        point_grid[..., j] = pts[:, j].reshape(shape)
-    return SampleSet(out_points, out_log_w)
+        return column.reshape(shape)
+
+    # C order over (group, c_1, ..., c_K) is the lexicographic combination
+    # order; each weight is ((base + c_1) + c_2) + ..., written once
+    weight_grid = base + along_block(0, contrib[:, 0])
+    for j in range(1, k):
+        weight_grid = weight_grid + along_block(j, contrib[:, j])
+    out_points = np.empty((total, k))
+    point_grid = out_points.reshape(weight_grid.shape + (k,))
+    for j in range(k):
+        point_grid[..., j] = along_block(j, pts[:, j])
+    return SampleSet(out_points, weight_grid.reshape(total))

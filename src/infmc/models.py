@@ -25,7 +25,7 @@ from .distributions import (
     TupleDensity,
     student_t_logpdf,
 )
-from .estimators import TestFunction
+from .estimators import TestFunction, log_sum_exp
 from .factorized import FactorizedModel, FactorizedProposal
 from .rng import RandomSource
 
@@ -165,28 +165,7 @@ class DmmSpec:
             comp = np.where((var <= 0.0) | (df <= 0.0), -np.inf, comp)
         with np.errstate(divide="ignore"):
             comp = comp + np.log(weights)[..., None, :]
-        return np.sum(_logsumexp(comp)[..., 0], axis=-1)
-
-
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """``scipy.special.logsumexp(a, axis=-1, keepdims=True)`` for real ``a``.
-
-    The same operations in the same order, so the same bits, without scipy's
-    per-call dispatch, which dominates on the small arrays here: shift by the
-    maximum, sum the other terms and divide by the count ``m`` of maxima, then
-    ``log1p(s) + log(m) + max``; where that is not finite (an all ``-inf`` or
-    ``+inf`` row, or a NaN), the direct ``log(sum(exp(a)))``.
-    """
-    a_max = np.max(a, axis=-1, keepdims=True)
-    is_max = a == a_max
-    m = np.sum(is_max, axis=-1, keepdims=True, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=-1, keepdims=True) / m
-        out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=-1, keepdims=True)))
-    return out
+        return np.sum(log_sum_exp(comp, -1)[0][..., 0], axis=-1)
 
 
 def _mixing_log_prob(prior: Dirichlet, weights, labels, num_components: int) -> float:
@@ -246,7 +225,7 @@ class MixtureAssignmentProposal(Density):
     def _assignment_log_probs(self, weights) -> np.ndarray:
         with np.errstate(divide="ignore"):
             scores = self._ref_each + np.log(np.asarray(weights, dtype=float))[None, :]
-        return scores - _logsumexp(scores)
+        return scores - log_sum_exp(scores, -1)[0]
 
     def _log_density(self, weights, labels: np.ndarray, log_probs) -> float:
         base = self.mixing_prior.log_density(weights)

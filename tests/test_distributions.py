@@ -3,6 +3,7 @@ import pytest
 import scipy.stats
 
 from infmc.distributions import (
+    LOG_TWO_PI,
     DiagGaussian,
     Dirichlet,
     Gamma,
@@ -72,6 +73,44 @@ class TestDiagGaussian:
     def test_invalid_variance(self):
         with pytest.raises(ValueError):
             DiagGaussian(0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "mean, var",
+        [(0.3, 1.7), (np.float64(-2.0), 0.5), (np.array([0.5, -1.0]), 2.0), (0.0, np.array([1.0, 3.0]))],
+    )
+    def test_equals_the_formula_bitwise(self, mean, var):
+        """Shapes and constants fixed at construction leave every bit as the
+        per-call formula computes it."""
+        mean_arr, var_arr = np.asarray(mean, dtype=float), np.asarray(var, dtype=float)
+        shape = np.broadcast_shapes(mean_arr.shape, var_arr.shape)
+
+        def formula(x):
+            x = np.asarray(x, dtype=float)
+            if x.shape != np.broadcast_shapes(x.shape, mean_arr.shape, var_arr.shape):
+                raise ValueError(f"dimension mismatch: point {x.shape}, density {mean_arr.shape}")
+            return float(-0.5 * np.sum(LOG_TWO_PI + np.log(var_arr) + (x - mean_arr) ** 2 / var_arr))
+
+        d = DiagGaussian(mean, var)
+        rng, ref = RandomSource(8), RandomSource(8)
+        for _ in range(20):
+            x = d.sample(rng)
+            expected = mean_arr + np.sqrt(var_arr) * ref.generator.standard_normal(shape)
+            assert np.array_equal(x, expected) and np.shape(x) == shape
+            assert d.log_density(x) == formula(x)
+        points = [0.7, np.float64(-3.1), np.array(1.25), np.array([0.1, 2.0]), np.array([0.1, 2.0, 5.0])]
+        for x in points:
+            try:
+                expected = formula(x)
+            except ValueError as error:
+                with pytest.raises(ValueError) as raised:
+                    d.log_density(x)
+                assert str(raised.value) == str(error)
+            else:
+                assert d.log_density(x) == expected
+        if not shape:
+            xs = np.linspace(-4.0, 4.0, 33)
+            expected = -0.5 * (LOG_TWO_PI + np.log(var_arr) + (xs - mean_arr) ** 2 / var_arr)
+            assert np.array_equal(d.log_density_each(xs), expected)
 
 
 class TestPositive:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from infmc.estimators import (
     DegenerateWeightsError,
@@ -11,6 +12,7 @@ from infmc.estimators import (
     decomposition_residual,
     error_convexity_margin,
     evidence_estimate,
+    log_sum_exp,
     resample,
     self_normalized_estimate,
     snis_variance_estimate,
@@ -23,6 +25,90 @@ IDENTITY_1D = TestFunction.identity(1)
 
 def make_set(points, log_weights):
     return SampleSet(np.asarray(points, dtype=float).reshape(len(log_weights), -1), log_weights)
+
+
+def assert_same_bits_as_scipy(a, axis, b=None):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        expected = logsumexp(a, axis=axis, b=b, keepdims=True, return_sign=True)
+    for got, want in zip(log_sum_exp(a, axis, b), expected):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestLogSumExp:
+    def test_matches_scipy_bitwise(self):
+        rng = np.random.default_rng(5)
+        for shape in [(100, 2), (7, 1), (40, 3), (6, 9, 4)]:
+            a = rng.normal(0.0, 30.0, size=shape)
+            a[..., 0] = np.round(a[..., 0])
+            a[..., -1] = np.round(a[..., -1])  # ties, including exact duplicates of the maximum
+            for case in [a, a - 1000.0, np.where(rng.random(shape) < 0.2, -np.inf, a)]:
+                assert_same_bits_as_scipy(case, -1)
+
+    def test_infinite_entries_match_scipy(self):
+        a = np.array([
+            [0.5, -np.inf],  # a zero mixing weight
+            [-np.inf, -np.inf],  # every weight zero
+            [3.0, 3.0],
+            [np.inf, 1.0],
+            [-2.0, -np.inf],
+        ])
+        assert_same_bits_as_scipy(a, -1)
+        assert log_sum_exp(a, -1)[0][1, 0] == -np.inf
+
+    @pytest.mark.parametrize("shift", [0.0, -1000.0])
+    def test_weighted_columns_match_scipy_bitwise(self, shift):
+        """Axis 0 with a log-weight column against signed values, as the estimators call it."""
+        rng = np.random.default_rng(11)
+        n = 500
+        a = np.round(rng.normal(0.0, 3.0, size=(n, 1)), 1) + shift
+        a[rng.random((n, 1)) < 0.1] = -np.inf
+        a[0] = np.max(a) + 1.0  # a single maximum
+        tied = a.copy()
+        tied[[3, 11, 40]] = a[0]  # three more terms at the maximum
+        b = rng.normal(0.0, 2.0, size=(n, 3))
+        for case in [a, tied]:
+            assert_same_bits_as_scipy(case, 0, b)
+            assert_same_bits_as_scipy(case, 0, np.asfortranarray(b))
+            assert_same_bits_as_scipy(case, 0, b**2)
+            assert_same_bits_as_scipy(case, 0, b[:, :1])
+        b_zero = b.copy()
+        b_zero[0, 1] = 0.0  # only column 1 loses the maximum, so the column maxima differ
+        b_zero[:7, 2] = 0.0
+        assert_same_bits_as_scipy(a, 0, b_zero)
+
+    def test_negative_weights_and_reflection(self):
+        a = np.array([[0.0], [-0.1], [-3.0], [0.0]])
+        # rows 0 and 3 tie at the maximum, so m sums both of their weights;
+        # columns 0 and 1 have s < -1, reflected as -s - 2; column 3 has m = 0
+        b = np.array([
+            [1.0, 0.5, -1.0, 1.0],
+            [-5.0, -4.0, 2.0, 2.0],
+            [2.0, 1.0, 0.25, 3.0],
+            [1.0, 0.5, 3.0, -1.0],
+        ])
+        _, sign = log_sum_exp(a, 0, b)
+        assert np.array_equal(sign, [[-1.0, -1.0, 1.0, 1.0]])
+        assert_same_bits_as_scipy(a, 0, b)
+        assert_same_bits_as_scipy(a, 0, -b)
+
+    def test_nonfinite_weights_and_empty_columns(self):
+        a = np.array([[0.0], [-1.0], [-2.0]])
+        b = np.array([
+            [np.inf, 1.0, 1.0, 0.0, 1.0],
+            [1.0, -np.inf, 1.0, 0.0, 1.0],
+            [1.0, 1.0, np.nan, 0.0, 1.0],
+        ])
+        assert_same_bits_as_scipy(a, 0, b)
+        assert_same_bits_as_scipy(np.full((3, 1), -np.inf), 0, b)  # every log weight -inf
+        out, sign = log_sum_exp(a, 0, b)
+        assert out[0, 3] == -np.inf and sign[0, 3] == 0.0  # every weight zero
+
+    def test_one_dimensional_total(self):
+        rng = np.random.default_rng(3)
+        a = np.round(rng.normal(0.0, 5.0, size=1001))
+        for case in [a, a - 1000.0, np.full(4, -np.inf), np.array([np.inf, 1.0]), np.array([-np.inf, 2.0])]:
+            assert_same_bits_as_scipy(case, 0)
 
 
 class TestSampleSet:

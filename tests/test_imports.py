@@ -52,3 +52,18 @@ def test_package_reexports_only_public_names():
             declared = importlib.import_module(f"infmc.{node.module}").__all__
             undeclared += [f"{node.module}.{a.name}" for a in node.names if a.name not in declared]
     assert undeclared == []
+
+
+def test_no_module_uses_scipys_logsumexp():
+    """``estimators.log_sum_exp`` is the package's one log-sum-exp kernel."""
+    users = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            imported = (
+                isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("scipy")
+                and any(a.name == "logsumexp" for a in node.names)
+            )
+            if imported or (isinstance(node, ast.Attribute) and node.attr == "logsumexp"):
+                users.append(path.name)
+    assert users == []

@@ -9,7 +9,6 @@ from infmc.models import (
     MixtureAssignmentProposal,
     MixtureGlobalProposal,
     SyntheticDataset,
-    _logsumexp,
     dmm_init_proposal,
     dmm_model,
     load_dataset,
@@ -166,32 +165,6 @@ class TestDmmModel:
         assert np.array_equal(batched, expected)
         if family == "student-t":
             assert np.all(np.isfinite(batched[5:8]))  # the other component still explains the data
-
-
-class TestLogSumExp:
-    def test_matches_scipy_bitwise(self):
-        rng = np.random.default_rng(5)
-        for shape in [(100, 2), (7, 1), (40, 3), (6, 9, 4)]:
-            a = rng.normal(0.0, 30.0, size=shape)
-            a[..., 0] = np.round(a[..., 0])
-            a[..., -1] = np.round(a[..., -1])  # ties, including exact duplicates of the maximum
-            cases = [a, a - 1000.0, np.where(rng.random(shape) < 0.2, -np.inf, a)]
-            for case in cases:
-                expected = logsumexp(case, axis=-1, keepdims=True)
-                assert np.array_equal(_logsumexp(case), expected)
-
-    def test_infinite_entries_match_scipy(self):
-        a = np.array([
-            [0.5, -np.inf],  # a zero mixing weight
-            [-np.inf, -np.inf],  # every weight zero
-            [3.0, 3.0],
-            [np.inf, 1.0],
-            [-2.0, -np.inf],
-        ])
-        with np.errstate(divide="ignore"):
-            expected = logsumexp(a, axis=-1, keepdims=True)
-        assert np.array_equal(_logsumexp(a), expected)
-        assert _logsumexp(a)[1, 0] == -np.inf
 
 
 class TestGlobalProposals:
