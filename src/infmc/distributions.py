@@ -1,9 +1,9 @@
 """Samplers and log-density evaluators for the distributions the experiments need.
 
 Every density works in log space; ``log_density`` returns ``-inf`` outside the
-support and never raises for out-of-support points.  Univariate families also
-expose ``log_density_each`` which maps an array of points to an array of
-per-point log densities (used by the vectorized inflation path).
+support and never raises for out-of-support points.  Block densities also draw
+a batch stacked along a first axis (``sample_batch``) and map such an array to
+per-point log densities (``log_density_each``), one call per block's draws.
 """
 from __future__ import annotations
 
@@ -37,13 +37,17 @@ class Density:
     def log_density(self, x) -> float:
         raise NotImplementedError
 
+    def sample_batch(self, rng: RandomSource, count: int) -> np.ndarray:
+        """``count`` draws stacked along axis 0, using ``rng`` as ``count`` calls of :meth:`sample` do."""
+        return np.array([self.sample(rng) for _ in range(count)])
+
     def sample_with_log_density(self, rng: RandomSource):
         """A draw and its log density; subclasses may share work between the two."""
         x = self.sample(rng)
         return x, self.log_density(x)
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
-        """Per-point log densities for an array of univariate points."""
+        """Per-point log densities of points stacked along the first axis."""
         raise NotImplementedError(f"{type(self).__name__} has no elementwise form")
 
 
@@ -75,6 +79,10 @@ class DiagGaussian(Density):
             return float(self.mean + self._sd * rng.generator.standard_normal())
         return self.mean + self._sd * rng.generator.standard_normal(self._shape)
 
+    def sample_batch(self, rng: RandomSource, count: int) -> np.ndarray:
+        # one generator call gives the same bits as ``count`` calls of ``sample``
+        return self.mean + self._sd * rng.generator.standard_normal((count, *self._shape))
+
     def log_density(self, x) -> float:
         x = np.asarray(x, dtype=float)
         if x.shape != self._shape and x.shape != np.broadcast_shapes(x.shape, self.mean.shape, self.var.shape):
@@ -89,16 +97,17 @@ class DiagGaussian(Density):
         return -0.5 * (self._log_norm + (xs - self.mean) ** 2 / self.var)
 
 
-def student_t_logpdf(x, loc, scale, df):
-    """Elementwise Student-t log density with location, scale and degrees of freedom."""
+def _student_t_log_norm(scale, df):
+    return gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * np.pi) - np.log(scale)
+
+
+def student_t_logpdf(x, loc, scale, df, log_norm=None):
+    """Elementwise Student-t log density with location, scale and degrees of
+    freedom; ``log_norm``, its x-free part, may be passed in precomputed."""
+    if log_norm is None:
+        log_norm = _student_t_log_norm(scale, df)
     z = (x - loc) / scale
-    return (
-        gammaln((df + 1.0) / 2.0)
-        - gammaln(df / 2.0)
-        - 0.5 * np.log(df * np.pi)
-        - np.log(scale)
-        - (df + 1.0) / 2.0 * np.log1p(z * z / df)
-    )
+    return log_norm - (df + 1.0) / 2.0 * np.log1p(z * z / df)
 
 
 class StudentT(Density):
@@ -108,24 +117,26 @@ class StudentT(Density):
         self.loc = float(loc)
         self.scale = float(_positive(scale, "scale"))
         self.df = float(_positive(df, "df"))
+        self._log_norm = _student_t_log_norm(self.scale, self.df)
 
     def sample(self, rng: RandomSource) -> float:
         return self.loc + self.scale * float(rng.generator.standard_t(self.df))
 
     def log_density(self, x) -> float:
-        return float(student_t_logpdf(float(x), self.loc, self.scale, self.df))
+        return float(student_t_logpdf(float(x), self.loc, self.scale, self.df, self._log_norm))
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
-        return student_t_logpdf(np.asarray(xs, dtype=float), self.loc, self.scale, self.df)
+        return student_t_logpdf(np.asarray(xs, dtype=float), self.loc, self.scale, self.df, self._log_norm)
 
 
 class Dirichlet(Density):
     """Dirichlet over the probability simplex."""
 
     def __init__(self, concentration):
-        self.concentration = np.atleast_1d(_positive(concentration, "concentration"))
-        if self.concentration.size < 2:
+        self.concentration = a = np.atleast_1d(_positive(concentration, "concentration"))
+        if a.size < 2:
             raise ValueError("Dirichlet needs at least two components")
+        self._nonunit, self._gammaln_total, self._gammaln_sum = a != 1.0, gammaln(a.sum()), np.sum(gammaln(a))
 
     def sample(self, rng: RandomSource) -> np.ndarray:
         draw = rng.generator.dirichlet(self.concentration)
@@ -140,11 +151,11 @@ class Dirichlet(Density):
             raise ValueError(f"dimension mismatch: point {x.shape}, density {a.shape}")
         if np.any(x < 0.0) or abs(float(x.sum()) - 1.0) > 1e-9:
             return -np.inf
-        nonunit = a != 1.0
+        nonunit = self._nonunit
         if np.any(nonunit & (x == 0.0)):
             return -np.inf  # simplex boundary: zero density (a>1) or excluded by convention (a<1)
         terms = np.sum((a[nonunit] - 1.0) * np.log(x[nonunit]))
-        return float(terms + gammaln(a.sum()) - np.sum(gammaln(a)))
+        return float(terms + self._gammaln_total - self._gammaln_sum)
 
 
 class Gamma(Density):
@@ -153,6 +164,7 @@ class Gamma(Density):
     def __init__(self, shape: float, scale: float):
         self.shape = float(_positive(shape, "shape"))
         self.scale = float(_positive(scale, "scale"))
+        self._log_norm = -gammaln(self.shape) - self.shape * np.log(self.scale)
 
     def sample(self, rng: RandomSource) -> float:
         return float(rng.generator.gamma(self.shape, self.scale))
@@ -162,12 +174,11 @@ class Gamma(Density):
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        base = -gammaln(self.shape) - self.shape * np.log(self.scale)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = base + (self.shape - 1.0) * np.log(xs) - xs / self.scale
+            out = self._log_norm + (self.shape - 1.0) * np.log(xs) - xs / self.scale
         out = np.where(xs > 0.0, out, -np.inf)
         if self.shape == 1.0:  # Exp(1/scale): the boundary x=0 has finite density
-            out = np.where(xs == 0.0, base, out)
+            out = np.where(xs == 0.0, self._log_norm, out)
         return out
 
 
@@ -183,6 +194,7 @@ class ScalarInverseWishart(Density):
         self.df = float(_positive(df, "df"))
         self._shape = self.df / 2.0
         self._rate = self.scale_sq / 2.0
+        self._log_norm = self._shape * np.log(self._rate) - gammaln(self._shape)
 
     def sample(self, rng: RandomSource) -> float:
         return self._rate / float(rng.generator.gamma(self._shape, 1.0))
@@ -192,9 +204,8 @@ class ScalarInverseWishart(Density):
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        base = self._shape * np.log(self._rate) - gammaln(self._shape)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = base - (self._shape + 1.0) * np.log(xs) - self._rate / xs
+            out = self._log_norm - (self._shape + 1.0) * np.log(xs) - self._rate / xs
         return np.where(xs > 0.0, out, -np.inf)
 
 
@@ -210,6 +221,11 @@ class TupleDensity(Density):
         return tuple(part.sample(rng) for part in self.parts)
 
     def log_density(self, x) -> float:
-        if len(x) != len(self.parts):
-            raise ValueError(f"dimension mismatch: {len(x)} values for {len(self.parts)} parts")
-        return float(sum(part.log_density(v) for part, v in zip(self.parts, x)))
+        return float(self.log_density_each(x))
+
+    def log_density_each(self, xs: np.ndarray) -> np.ndarray:
+        """Per-row log densities of an ``(n, parts)`` array, or of one row."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.shape[-1:] != (len(self.parts),):
+            raise ValueError(f"dimension mismatch: {xs.shape[-1:]} values for {len(self.parts)} parts")
+        return sum(part.log_density_each(xs[..., i]) for i, part in enumerate(self.parts))

@@ -528,13 +528,13 @@ def _random_small_instance(rng: RandomSource):
 
     def make_lik(j):
         obs = data[j]
-        return lambda phi, gamma: float(-0.5 * np.sum((obs - (phi * shift + gamma)) ** 2))
+        return lambda phi, gamma: -0.5 * np.sum((obs - (phi * shift + np.asarray(gamma)[..., None])) ** 2, axis=-1)
 
     prior = DiagGaussian(0.0, 1.0)
     model = FactorizedModel(
         num_blocks=k,
         global_log_prior=prior.log_density,
-        block_log_priors=(prior.log_density,) * k,
+        block_log_priors=(prior.log_density_each,) * k,
         block_log_likelihoods=tuple(make_lik(j) for j in range(k)),
         log_evidence_offset=float(g.normal()),
     )

@@ -61,9 +61,8 @@ class FactorizedModel:
     blocks for a fixed global value.
 
     For models without a global block, pass evaluators that accept ``None``.
-    Block evaluators used on the array path (:func:`block_contributions`,
-    :func:`grouped_inflate`) must additionally accept arrays of block values
-    elementwise.
+    Block evaluators accept one block value or an array of values stacked
+    along the first axis, and then return one term per value.
     """
 
     num_blocks: int
@@ -141,11 +140,6 @@ class EvalCounter:
     joint_samples_emitted: int = 0
 
 
-def _check_proposal_support(log_q: float, what: str) -> None:
-    if log_q == -np.inf:
-        raise RuntimeError(f"proposal density is zero at its own draw ({what})")
-
-
 def _draw_global(model: FactorizedModel, prop: FactorizedProposal, rng: RandomSource):
     """Returns (global value, base log-weight term for that draw)."""
     if prop.global_proposal is None:
@@ -154,9 +148,44 @@ def _draw_global(model: FactorizedModel, prop: FactorizedProposal, rng: RandomSo
     else:
         global_value, log_q_global = prop.global_proposal.sample_with_log_density(rng)
         log_q_global = float(log_q_global)
-        _check_proposal_support(log_q_global, "global block")
+        if log_q_global == -np.inf:
+            raise RuntimeError("proposal density is zero at its own draw (global block)")
     base = float(model.global_log_prior(global_value)) + model.log_evidence_offset - log_q_global
     return global_value, base
+
+
+def _block_terms(model: FactorizedModel, prop: FactorizedProposal, j: int, global_value, values) -> np.ndarray:
+    """``(prior_j(x) + lik_j(global, x)) - log q_j(x)`` for an array of block
+    ``j``'s values: the one place a block's weight terms are computed."""
+    if prop.num_blocks != model.num_blocks:
+        raise ValueError("proposal and model disagree on the number of blocks")
+    log_q = prop.block_proposals[j].log_density_each(values)
+    if (log_q == -np.inf).any():
+        raise RuntimeError(f"proposal density is zero at a value of block {j}")
+    return (
+        np.asarray(model.block_log_priors[j](values), dtype=float)
+        + np.asarray(model.block_log_likelihoods[j](global_value, values), dtype=float)
+        - log_q
+    )
+
+
+def _along_block(j: int, k: int, column: np.ndarray) -> np.ndarray:
+    """A ``(groups, n)`` block column shaped to broadcast along block ``j``'s
+    axis of the ``(groups, n, ..., n)`` combination grid."""
+    shape = [column.shape[0]] + [1] * k
+    shape[1 + j] = column.shape[1]
+    return column.reshape(shape)
+
+
+def _weight_grid(base, contrib: np.ndarray) -> np.ndarray:
+    """Log weights ``((base + c_1) + c_2) + ...`` of every combination within
+    each group, flattened in lexicographic (C) order over ``(group, c_1, ...,
+    c_K)``; ``contrib`` is ``(groups, K, n)``, ``base`` a scalar or per group."""
+    k = contrib.shape[1]
+    grid = np.reshape(base, (-1,) + (1,) * k) + _along_block(0, k, contrib[:, 0])
+    for j in range(1, k):
+        grid = grid + _along_block(j, k, contrib[:, j])
+    return grid.reshape(-1)
 
 
 def recombine(
@@ -169,12 +198,12 @@ def recombine(
     """The recombining sampler behind every object-path draw.
 
     Per proposal, make one global draw and ``inner_draws`` draws per block,
-    cache each block's prior-plus-likelihood factor and proposal density
-    once, then emit every cross-combination of block indices, in
-    lexicographic order, with
+    compute each block's terms once per value with :func:`_block_terms`,
+    then emit every cross-combination of block indices, in lexicographic
+    order, with
 
         log w = global prior + offset - log q_global
-                + sum_j (cached_factor[j][c_j] - cached_log_q[j][c_j])
+                + sum_j (prior_j + lik_j - log q_j)[c_j]
 
     One inner draw is plain importance sampling.  ``proposals`` is consumed
     lazily, one proposal per global draw, so a generator may draw from
@@ -183,38 +212,25 @@ def recombine(
     combinations would take the total beyond ``MAX_UNCAPPED_COMBINATIONS``.
     """
     k = model.num_blocks
+    per_draw = inner_draws**k
     points: list[FactorizedPoint] = []
-    log_weights: list[float] = []
+    bases, terms = [], []
     for prop in proposals:
-        if len(points) + inner_draws**k > MAX_UNCAPPED_COMBINATIONS:
+        if len(points) + per_draw > MAX_UNCAPPED_COMBINATIONS:
             raise InflationBudgetError(
                 f"{len(points)} + {inner_draws}^{k} combinations exceed {MAX_UNCAPPED_COMBINATIONS}"
             )
         global_value, base = _draw_global(model, prop, rng)
-        block_values: list[list] = []
-        contrib = np.empty((k, inner_draws))
-        for j in range(k):
-            values_j = []
-            for i in range(inner_draws):
-                value = prop.block_proposals[j].sample(rng)
-                log_q = float(prop.block_proposals[j].log_density(value))
-                _check_proposal_support(log_q, f"block {j}")
-                factor = float(model.block_log_priors[j](value)) + float(
-                    model.block_log_likelihoods[j](global_value, value)
-                )
-                counter.block_likelihood_evals += 1
-                contrib[j, i] = factor - log_q
-                values_j.append(value)
-            block_values.append(values_j)
-        for combo in itertools.product(range(inner_draws), repeat=k):
-            log_w = base
-            for j, c in enumerate(combo):
-                log_w += contrib[j, c]
-            points.append(
-                FactorizedPoint(global_value, tuple(block_values[j][c] for j, c in enumerate(combo)))
-            )
-            log_weights.append(log_w)
+        bases.append(base)
+        block_values = []
+        for j, block_prop in enumerate(prop.block_proposals):
+            drawn = block_prop.sample_batch(rng, inner_draws)
+            terms.append(_block_terms(model, prop, j, global_value, drawn))
+            block_values.append(drawn.tolist() if drawn.ndim == 1 else list(map(tuple, drawn.tolist())))
+        points.extend(map(FactorizedPoint, itertools.repeat(global_value), itertools.product(*block_values)))
+    counter.block_likelihood_evals += len(bases) * inner_draws * k
     counter.joint_samples_emitted += len(points)
+    log_weights = _weight_grid(np.array(bases), np.reshape(terms, (len(bases), k, inner_draws)))
     return SampleSet(np.fromiter(points, dtype=object, count=len(points)), log_weights)
 
 
@@ -244,8 +260,6 @@ def inflate(
     The block likelihood is invoked exactly ``outer_draws * inner_draws *
     num_blocks`` times.
     """
-    if prop.num_blocks != model.num_blocks:
-        raise ValueError("proposal and model disagree on the number of blocks")
     if counter is None:
         counter = EvalCounter()
     return recombine(model, itertools.repeat(prop, cfg.outer_draws), cfg.inner_draws, rng, counter), counter
@@ -259,29 +273,17 @@ def block_contributions(
     """Log-weight terms of an ``(n, K)`` array of scalar block values.
 
     Returns the base term (global prior plus offset) and the ``(n, K)``
-    per-block contributions, prior plus likelihood minus proposal density,
-    so that row ``i``'s log weight is ``base + sum_j contrib[i, j]``.  Only
-    models with an empty global block are supported on this path, and the
-    block evaluators are applied to whole columns at once, so they must be
-    array-capable.
+    per-block contributions, :func:`_block_terms` of each column, so that
+    row ``i``'s log weight is ``base + sum_j contrib[i, j]``.  Only models
+    with an empty global block are supported on this path.
     """
     if prop.global_proposal is not None:
         raise ValueError("array-path weights require an empty global block")
-    if prop.num_blocks != model.num_blocks:
-        raise ValueError("proposal and model disagree on the number of blocks")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != model.num_blocks:
         raise ValueError(f"points must be (n, {model.num_blocks}), got {pts.shape}")
     base = float(model.global_log_prior(None)) + model.log_evidence_offset
-    contrib = np.empty_like(pts)
-    for j in range(model.num_blocks):
-        col = pts[:, j]
-        contrib[:, j] = (
-            np.asarray(model.block_log_priors[j](col), dtype=float)
-            + np.asarray(model.block_log_likelihoods[j](None, col), dtype=float)
-            - prop.block_proposals[j].log_density_each(col)
-        )
-    return base, contrib
+    return base, np.column_stack([_block_terms(model, prop, j, None, pts[:, j]) for j in range(model.num_blocks)])
 
 
 def grouped_inflate(
@@ -299,27 +301,15 @@ def grouped_inflate(
     :func:`block_contributions`, with its restrictions.
     """
     base, contrib = block_contributions(model, prop, points)
-    pts = np.asarray(points, dtype=float)
-    n, k = pts.shape
+    n, k = contrib.shape
     if group_size < 1 or n % group_size != 0:
         raise ValueError(f"{n} samples do not divide into groups of {group_size}")
     num_groups = n // group_size
     total = num_groups * group_size**k
     if total > MAX_UNCAPPED_COMBINATIONS:
         raise InflationBudgetError(f"refusing to emit {total} recombined samples")
-
-    def along_block(j: int, column: np.ndarray) -> np.ndarray:
-        shape = [num_groups] + [1] * k
-        shape[1 + j] = group_size
-        return column.reshape(shape)
-
-    # C order over (group, c_1, ..., c_K) is the lexicographic combination
-    # order; each weight is ((base + c_1) + c_2) + ..., written once
-    weight_grid = base + along_block(0, contrib[:, 0])
-    for j in range(1, k):
-        weight_grid = weight_grid + along_block(j, contrib[:, j])
-    out_points = np.empty((total, k))
-    point_grid = out_points.reshape(weight_grid.shape + (k,))
-    for j in range(k):
-        point_grid[..., j] = along_block(j, pts[:, j])
-    return SampleSet(out_points, weight_grid.reshape(total))
+    log_weights = _weight_grid(base, contrib.reshape(num_groups, group_size, k).transpose(0, 2, 1))
+    grouped = np.asarray(points, dtype=float).reshape(num_groups, group_size, k)
+    grid_shape = (num_groups,) + (group_size,) * k
+    point_grid = [np.broadcast_to(_along_block(j, k, grouped[..., j]), grid_shape) for j in range(k)]
+    return SampleSet(np.stack(point_grid, axis=-1).reshape(total, k), log_weights)

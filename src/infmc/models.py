@@ -9,6 +9,7 @@ block.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,19 +132,23 @@ class DmmSpec:
         )
 
     def component_log_density_each(self, obs: np.ndarray, params) -> np.ndarray:
-        """Per-observation log likelihood under one component's parameters."""
+        """Per-observation log likelihood of a 1-d ``obs``, broadcast over the
+        leading axes of ``params``: ``(...)`` for the gaussian family, ``(...,
+        3)`` (mean, variance, df) for student-t.  The result is ``(...,
+        len(obs))``, and ``-inf`` where a variance or df is not positive."""
         obs = np.asarray(obs, dtype=float)
+        params = np.asarray(params, dtype=float)
         if self.component_family == GAUSSIAN:
-            mean = float(params)
-            return -0.5 * (LOG_TWO_PI + (obs - mean) ** 2)
-        mean, var, df = params
-        if var <= 0.0 or df <= 0.0:
-            return np.full(obs.shape, -np.inf)
-        return student_t_logpdf(obs, float(mean), float(np.sqrt(var)), float(df))
-
-    def component_log_density(self, obs: np.ndarray, params) -> float:
-        """Log likelihood of ``obs`` under one component's parameters."""
-        return float(np.sum(self.component_log_density_each(obs, params)))
+            return -0.5 * (LOG_TWO_PI + (obs - params[..., None]) ** 2)
+        if params.size == 3:  # one parameter set: float arithmetic is much cheaper
+            mean, var, df = params.ravel().tolist()
+            if var <= 0.0 or df <= 0.0:
+                return np.full(params.shape[:-1] + obs.shape, -np.inf)
+            return student_t_logpdf(obs, mean, math.sqrt(var), df).reshape(params.shape[:-1] + obs.shape)
+        mean, var, df = (params[..., i, None] for i in range(3))
+        with np.errstate(divide="ignore", invalid="ignore"):  # masked just below
+            comp = student_t_logpdf(obs, mean, np.sqrt(var), df)
+        return np.where((var <= 0.0) | (df <= 0.0), -np.inf, comp)
 
     def marginal_data_log_likelihood(self, weights, block_params):
         """Mixture log likelihood of the data with assignments summed out.
@@ -154,15 +159,7 @@ class DmmSpec:
         the result has the batch shape.
         """
         weights = np.asarray(weights, dtype=float)
-        params = np.asarray(block_params, dtype=float)
-        obs = self.data[:, None]
-        if self.component_family == GAUSSIAN:
-            comp = -0.5 * (LOG_TWO_PI + (obs - params[..., None, :]) ** 2)
-        else:
-            mean, var, df = (params[..., None, :, i] for i in range(3))
-            with np.errstate(divide="ignore", invalid="ignore"):  # masked just below
-                comp = student_t_logpdf(obs, mean, np.sqrt(var), df)
-            comp = np.where((var <= 0.0) | (df <= 0.0), -np.inf, comp)
+        comp = np.swapaxes(self.component_log_density_each(self.data, block_params), -1, -2)
         with np.errstate(divide="ignore"):
             comp = comp + np.log(weights)[..., None, :]
         return np.sum(log_sum_exp(comp, -1)[0][..., 0], axis=-1)
@@ -217,10 +214,7 @@ class MixtureAssignmentProposal(Density):
     def __init__(self, spec: DmmSpec, reference_params):
         self.spec = spec
         self.mixing_prior = Dirichlet(spec.mixing_concentration)
-        self.reference_params = tuple(reference_params)
-        self._ref_each = np.stack(
-            [spec.component_log_density_each(spec.data, p) for p in self.reference_params], axis=1
-        )
+        self._ref_each = np.ascontiguousarray(spec.component_log_density_each(spec.data, reference_params).T)
 
     def _assignment_log_probs(self, weights) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -281,19 +275,17 @@ def dmm_model(spec: DmmSpec) -> FactorizedModel:
         return _mixing_log_prob(mixing_prior, weights, labels, spec.num_components)
 
     def make_likelihood(j: int):
-        def block_log_likelihood(phi, params) -> float:
+        def block_log_likelihood(phi, params):
             _, labels = phi
             obs = spec.data[np.asarray(labels) == j]
-            if obs.size == 0:
-                return 0.0
-            return spec.component_log_density(obs, params)
+            return np.sum(spec.component_log_density_each(obs, params), axis=-1)
 
         return block_log_likelihood
 
     return FactorizedModel(
         num_blocks=spec.num_components,
         global_log_prior=global_log_prior,
-        block_log_priors=(prior.log_density,) * spec.num_components,
+        block_log_priors=(prior.log_density_each,) * spec.num_components,
         block_log_likelihoods=tuple(make_likelihood(j) for j in range(spec.num_components)),
     )
 

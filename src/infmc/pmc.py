@@ -191,8 +191,6 @@ def run_pmc(
     makes ``population_size / inner_draws`` outer draws, so its
     block-likelihood evaluation count equals the plain run's.
     """
-    if init.num_blocks != model.num_blocks:
-        raise ValueError("initial proposal and model disagree on the number of blocks")
     outer = cfg.population_size // cfg.inner_draws
     generations: list[Generation] = []
     all_sets: list[SampleSet] = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import gammaln
 
 from infmc.distributions import (
     LOG_TWO_PI,
@@ -147,6 +148,44 @@ class TestSampleWithLogDensity:
         assert fused.generator.bit_generator.state == separate.generator.bit_generator.state
 
 
+DMM_T_PRIOR = TupleDensity([StudentT(0.0, 1.0, 1.0), ScalarInverseWishart(5.0, 1.0), Gamma(1.0, 1.0)])
+
+
+class TestSampleBatch:
+    @pytest.mark.parametrize(
+        "density",
+        [DiagGaussian(0.5, 2.0), DiagGaussian([0.0, 1.0], [1.0, 4.0]), DMM_T_PRIOR, Gamma(1.0 / 0.09, 4.0 * 0.09)],
+        ids=["gaussian", "gaussian-vector", "dmm-t-prior", "gamma-kernel"],
+    )
+    def test_equals_count_calls_of_sample(self, density):
+        batched, single = RandomSource(23), RandomSource(23)
+        drawn = density.sample_batch(batched, 7)
+        expected = np.array([density.sample(single) for _ in range(7)])
+        assert drawn.shape == expected.shape and np.array_equal(drawn, expected)
+        assert batched.generator.bit_generator.state == single.generator.bit_generator.state
+
+
+class TestNormalizersFixedAtConstruction:
+    """Normalizers computed once per density keep every bit of the per-call formula."""
+
+    XS = np.array([0.01, 0.3, 1.0, 2.5, 40.0])
+
+    def test_student_t(self):
+        d = StudentT(0.3, 1.7, 5.0)
+        z = (self.XS - 0.3) / 1.7
+        expected = (
+            gammaln(3.0) - gammaln(2.5) - 0.5 * np.log(5.0 * np.pi) - np.log(1.7) - 3.0 * np.log1p(z * z / 5.0)
+        )
+        assert np.array_equal(d.log_density_each(self.XS), expected)
+        assert [d.log_density(x) for x in self.XS] == expected.tolist()
+
+    def test_gamma_and_inverse_wishart(self):
+        gamma = -gammaln(2.5) - 2.5 * np.log(0.4) + 1.5 * np.log(self.XS) - self.XS / 0.4
+        assert np.array_equal(Gamma(2.5, 0.4).log_density_each(self.XS), gamma)
+        wishart = 3.0 * np.log(2.5) - gammaln(3.0) - 4.0 * np.log(self.XS) - 2.5 / self.XS
+        assert np.array_equal(ScalarInverseWishart(5.0, 6.0).log_density_each(self.XS), wishart)
+
+
 class TestStudentT:
     def test_matches_scipy(self):
         d = StudentT(0.3, 1.7, 5.0)
@@ -232,6 +271,16 @@ class TestTupleDensity:
         assert d.log_density(value) == pytest.approx(expected, abs=1e-12)
         drawn = d.sample(RandomSource(4))
         assert len(drawn) == 2
+
+    def test_log_density_each_equals_per_row_sum_of_parts_bitwise(self):
+        rows = DMM_T_PRIOR.sample_batch(RandomSource(9), 25)
+        rows[3, 1] = -1.0  # a variance outside the support
+        each = DMM_T_PRIOR.log_density_each(rows)
+        expected = [sum(part.log_density(v) for part, v in zip(DMM_T_PRIOR.parts, row)) for row in rows]
+        assert each.shape == (25,) and each.tolist() == expected
+        assert [DMM_T_PRIOR.log_density(tuple(row)) for row in rows] == expected
+        with pytest.raises(ValueError):
+            DMM_T_PRIOR.log_density_each(rows[:, :2])
 
 
 def _grid_mass_1d(density, lo, hi, n=200001):

@@ -17,6 +17,7 @@ from infmc.factorized import (
     plain_factorized_sampler,
 )
 from infmc.models import GaussianToy
+from infmc.pmc import GaussianKernel, PmcConfig, run_pmc
 from infmc.rng import RandomSource
 
 
@@ -38,12 +39,12 @@ def two_block_data_model(shift=0.5):
 
     def make_lik(j):
         obs = data[j]
-        return lambda phi, g: float(-0.5 * np.sum((obs - (phi * shift + g)) ** 2))
+        return lambda phi, g: -0.5 * np.sum((obs - (phi * shift + np.asarray(g)[..., None])) ** 2, axis=-1)
 
     return FactorizedModel(
         num_blocks=2,
         global_log_prior=prior.log_density,
-        block_log_priors=(prior.log_density,) * 2,
+        block_log_priors=(prior.log_density_each,) * 2,
         block_log_likelihoods=tuple(make_lik(j) for j in range(2)),
         log_evidence_offset=-3.25,
     )
@@ -164,12 +165,12 @@ class TestInflate:
 
         def make_lik(j):
             obs = data[j]
-            return lambda phi, gam: float(-0.5 * np.sum((obs - (phi * shift + gam)) ** 2))
+            return lambda phi, gam: -0.5 * np.sum((obs - (phi * shift + np.asarray(gam)[..., None])) ** 2, axis=-1)
 
         model = FactorizedModel(
             num_blocks=k,
             global_log_prior=prior.log_density,
-            block_log_priors=(prior.log_density,) * k,
+            block_log_priors=(prior.log_density_each,) * k,
             block_log_likelihoods=tuple(make_lik(j) for j in range(k)),
             log_evidence_offset=float(g.normal()),
         )
@@ -252,13 +253,19 @@ class TestGroupedInflate:
 
     @pytest.mark.parametrize("num_blocks", [1, 3])
     def test_proposal_block_count_must_match_model(self, num_blocks):
+        """Every caller of the shared block-term function refuses the mismatch."""
         toy = GaussianToy()
         pts = toy.sample_proposal(4, RandomSource(0))
-        prop = gaussian_proposal(num_blocks)
-        with pytest.raises(ValueError):
-            block_contributions(toy.model(), prop, pts)
-        with pytest.raises(ValueError):
-            grouped_inflate(pts, 2, toy.model(), prop)
+        model, prop = toy.model(), gaussian_proposal(num_blocks)
+        calls = [
+            lambda: block_contributions(model, prop, pts),
+            lambda: grouped_inflate(pts, 2, model, prop),
+            lambda: inflate(model, prop, InflationConfig(2, 2), RandomSource(0)),
+            lambda: run_pmc(model, prop, PmcConfig(4, 1, GaussianKernel()), RandomSource(0)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="disagree on the number of blocks"):
+                call()
 
     def test_global_block_not_supported(self):
         model = two_block_data_model()

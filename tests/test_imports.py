@@ -7,6 +7,7 @@ from pathlib import Path
 import infmc
 
 PACKAGE_DIR = Path(infmc.__file__).parent
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def _private_sibling_imports(source: str) -> list[str]:
@@ -67,3 +68,34 @@ def test_no_module_uses_scipys_logsumexp():
             if imported or (isinstance(node, ast.Attribute) and node.attr == "logsumexp"):
                 users.append(path.name)
     assert users == []
+
+
+def _dotted(node: ast.AST) -> list[str] | None:
+    """``a.b.c`` as ``["a", "b", "c"]``; None for anything but names and attributes."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute) and (base := _dotted(node.value)) is not None:
+        return base + [node.attr]
+    return None
+
+
+def test_every_name_the_benchmark_traces_exists():
+    """``perfbench/spans.py`` wraps package names by attribute; a renamed or
+    deleted one would only fail a traced benchmark run."""
+    modules = {name: importlib.import_module(f"infmc.{name}") for name in
+               ("distributions", "estimators", "experiments", "factorized", "models", "pmc")}
+    missing, seen = [], 0
+    for node in ast.walk(ast.parse(SPANS.read_text())):
+        chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+        if chain and chain[0] in modules:
+            seen += 1
+            target = modules[chain[0]]
+            for attr in chain[1:]:
+                if not hasattr(target, attr):
+                    missing.append(".".join(chain))
+                    break
+                target = getattr(target, attr)
+        if isinstance(node, ast.Assign) and _dotted(node.targets[0]) == ["DENSITY_METHODS"]:
+            # wrapped on every Density subclass that defines them, by name
+            missing += [k.value for k in node.value.keys if not hasattr(modules["distributions"].Density, k.value)]
+    assert seen > 20 and missing == []

@@ -114,8 +114,8 @@ class TestDmmModel:
             np.sum(np.log(weights[labels]))
             + prior.log_density(blocks[0])
             + prior.log_density(blocks[1])
-            + spec.component_log_density(spec.data[:2], blocks[0])
-            + spec.component_log_density(spec.data[2:], blocks[1])
+            + np.sum(spec.component_log_density_each(spec.data[:2], blocks[0]))
+            + np.sum(spec.component_log_density_each(spec.data[2:], blocks[1]))
         )
         assert value == pytest.approx(expected, abs=1e-12)
 
@@ -153,10 +153,15 @@ class TestDmmModel:
             params[5, 1, 1] = 0.0  # variance outside the support
             params[6, 0, 1] = -1.0
             params[7, 0, 2] = 0.0  # degrees of freedom outside the support
+            params[8, 1, 2] = -3.0
+            params[9, :, 1] = (-0.5, 0.0)  # no component explains the data
+            params[10, 0, 1:] = (-2.0, -1.0)
         expected = []
         for w, p in zip(weights, params):
             block_params = p if family == "gaussian" else [tuple(c) for c in p]
             comp = np.stack([spec.component_log_density_each(spec.data, c) for c in block_params], axis=1)
+            # one call over both components is the per-component stack, bit for bit
+            assert np.array_equal(spec.component_log_density_each(spec.data, p).T, comp)
             with np.errstate(divide="ignore"):
                 comp = comp + np.log(w)[None, :]
             expected.append(float(np.sum(logsumexp(comp, axis=1))))
@@ -164,7 +169,8 @@ class TestDmmModel:
         assert batched.shape == (30,)
         assert np.array_equal(batched, expected)
         if family == "student-t":
-            assert np.all(np.isfinite(batched[5:8]))  # the other component still explains the data
+            # the other component still explains the data
+            assert np.all(np.isfinite(batched[[5, 6, 7, 8, 10]])) and batched[9] == -np.inf
 
 
 class TestGlobalProposals:
