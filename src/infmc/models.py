@@ -146,9 +146,12 @@ class DmmSpec:
                 return np.full(params.shape[:-1] + obs.shape, -np.inf)
             return student_t_logpdf(obs, mean, math.sqrt(var), df).reshape(params.shape[:-1] + obs.shape)
         mean, var, df = (params[..., i, None] for i in range(3))
+        outside = (var <= 0.0) | (df <= 0.0)
+        if not outside.any():  # the usual case skips the masking below
+            return student_t_logpdf(obs, mean, np.sqrt(var), df)
         with np.errstate(divide="ignore", invalid="ignore"):  # masked just below
             comp = student_t_logpdf(obs, mean, np.sqrt(var), df)
-        return np.where((var <= 0.0) | (df <= 0.0), -np.inf, comp)
+        return np.where(outside, -np.inf, comp)
 
     def marginal_data_log_likelihood(self, weights, block_params):
         """Mixture log likelihood of the data with assignments summed out.

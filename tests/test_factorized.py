@@ -63,7 +63,7 @@ class TestPlainSampler:
         model = FactorizedModel(
             num_blocks=2,
             global_log_prior=lambda phi: 0.0,
-            block_log_priors=(density.log_density,) * 2,
+            block_log_priors=(density.log_density_each,) * 2,
             block_log_likelihoods=(lambda phi, g: 0.0,) * 2,
         )
         prop = FactorizedProposal(block_proposals=(density, density))

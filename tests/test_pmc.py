@@ -105,7 +105,7 @@ class TestRunPmc:
         model = FactorizedModel(
             num_blocks=1,
             global_log_prior=lambda phi: 0.0,
-            block_log_priors=(density.log_density,) * 1,
+            block_log_priors=(density.log_density_each,) * 1,
             block_log_likelihoods=(lambda phi, g: 0.0,) * 1,
         )
         init = FactorizedProposal(block_proposals=(density,))
