@@ -97,15 +97,11 @@ class DiagGaussian(Density):
         return -0.5 * (self._log_norm + (xs - self.mean) ** 2 / self.var)
 
 
-def _student_t_log_norm(scale, df):
-    return gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * np.pi) - np.log(scale)
-
-
 def student_t_logpdf(x, loc, scale, df, log_norm=None):
     """Elementwise Student-t log density with location, scale and degrees of
     freedom; ``log_norm``, its x-free part, may be passed in precomputed."""
     if log_norm is None:
-        log_norm = _student_t_log_norm(scale, df)
+        log_norm = gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * np.pi) - np.log(scale)
     z = (x - loc) / scale
     return log_norm - (df + 1.0) / 2.0 * np.log1p(z * z / df)
 
@@ -117,7 +113,7 @@ class StudentT(Density):
         self.loc = float(loc)
         self.scale = float(_positive(scale, "scale"))
         self.df = float(_positive(df, "df"))
-        self._log_norm = _student_t_log_norm(self.scale, self.df)
+        self._log_norm = student_t_logpdf(self.loc, self.loc, self.scale, self.df)  # at z = 0 it is the x-free part
 
     def sample(self, rng: RandomSource) -> float:
         return self.loc + self.scale * float(rng.generator.standard_t(self.df))

@@ -162,11 +162,7 @@ def _block_terms(model: FactorizedModel, prop: FactorizedProposal, j: int, globa
     log_q = prop.block_proposals[j].log_density_each(values)
     if (log_q == -np.inf).any():
         raise RuntimeError(f"proposal density is zero at a value of block {j}")
-    return (
-        np.asarray(model.block_log_priors[j](values), dtype=float)
-        + np.asarray(model.block_log_likelihoods[j](global_value, values), dtype=float)
-        - log_q
-    )
+    return (model.block_log_priors[j](values) + model.block_log_likelihoods[j](global_value, values)) - log_q
 
 
 def _along_block(j: int, k: int, column: np.ndarray) -> np.ndarray:
@@ -225,7 +221,8 @@ def recombine(
         block_values = []
         for j, block_prop in enumerate(prop.block_proposals):
             drawn = block_prop.sample_batch(rng, inner_draws)
-            terms.append(_block_terms(model, prop, j, global_value, drawn))
+            # a lone value goes in as one value: scalar arithmetic is far cheaper than 1-element arrays
+            terms.append(_block_terms(model, prop, j, global_value, drawn if inner_draws > 1 else drawn[0]))
             block_values.append(drawn.tolist() if drawn.ndim == 1 else list(map(tuple, drawn.tolist())))
         points.extend(map(FactorizedPoint, itertools.repeat(global_value), itertools.product(*block_values)))
     counter.block_likelihood_evals += len(bases) * inner_draws * k

@@ -140,11 +140,11 @@ class DmmSpec:
         params = np.asarray(params, dtype=float)
         if self.component_family == GAUSSIAN:
             return -0.5 * (LOG_TWO_PI + (obs - params[..., None]) ** 2)
-        if params.size == 3:  # one parameter set: float arithmetic is much cheaper
-            mean, var, df = params.ravel().tolist()
+        if params.ndim == 1:  # one parameter set: float arithmetic is much cheaper
+            mean, var, df = params.tolist()
             if var <= 0.0 or df <= 0.0:
-                return np.full(params.shape[:-1] + obs.shape, -np.inf)
-            return student_t_logpdf(obs, mean, math.sqrt(var), df).reshape(params.shape[:-1] + obs.shape)
+                return np.full(obs.shape, -np.inf)
+            return student_t_logpdf(obs, mean, math.sqrt(var), df)
         mean, var, df = (params[..., i, None] for i in range(3))
         outside = (var <= 0.0) | (df <= 0.0)
         if not outside.any():  # the usual case skips the masking below
