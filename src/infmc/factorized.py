@@ -221,9 +221,10 @@ def recombine(
         block_values = []
         for j, block_prop in enumerate(prop.block_proposals):
             drawn = block_prop.sample_batch(rng, inner_draws)
-            # a lone value goes in as one value: scalar arithmetic is far cheaper than 1-element arrays
-            terms.append(_block_terms(model, prop, j, global_value, drawn if inner_draws > 1 else drawn[0]))
             block_values.append(drawn.tolist() if drawn.ndim == 1 else list(map(tuple, drawn.tolist())))
+            # a lone draw goes in as its one value: scalar arithmetic is far cheaper than 1-element arrays
+            values = drawn if inner_draws > 1 else block_values[j][0]
+            terms.append(_block_terms(model, prop, j, global_value, values))
         points.extend(map(FactorizedPoint, itertools.repeat(global_value), itertools.product(*block_values)))
     counter.block_likelihood_evals += len(bases) * inner_draws * k
     counter.joint_samples_emitted += len(points)
