@@ -155,8 +155,8 @@ def _draw_global(model: FactorizedModel, prop: FactorizedProposal, rng: RandomSo
 
 
 def _block_terms(model: FactorizedModel, prop: FactorizedProposal, j: int, global_value, values) -> np.ndarray:
-    """``(prior_j(x) + lik_j(global, x)) - log q_j(x)`` for an array of block
-    ``j``'s values: the one place a block's weight terms are computed."""
+    """``(prior_j(x) + lik_j(global, x)) - log q_j(x)`` for one value or an
+    array of block ``j``'s values: the one place block weight terms are formed."""
     if prop.num_blocks != model.num_blocks:
         raise ValueError("proposal and model disagree on the number of blocks")
     log_q = prop.block_proposals[j].log_density_each(values)
@@ -194,9 +194,9 @@ def recombine(
     """The recombining sampler behind every object-path draw.
 
     Per proposal, make one global draw and ``inner_draws`` draws per block,
-    compute each block's terms once per value with :func:`_block_terms`,
-    then emit every cross-combination of block indices, in lexicographic
-    order, with
+    score each block's draws with one call of :func:`_block_terms`, then
+    emit every cross-combination of block indices, in lexicographic order,
+    with
 
         log w = global prior + offset - log q_global
                 + sum_j (prior_j + lik_j - log q_j)[c_j]
