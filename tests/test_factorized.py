@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infmc.distributions import DiagGaussian
+from infmc.distributions import DiagGaussian, Gamma
 from infmc.estimators import SampleSet, TestFunction, decomposition_residual
 from infmc.factorized import (
     EvalCounter,
@@ -190,6 +190,17 @@ class TestInflate:
         model = priors_only_model(2)
         with pytest.raises(InflationBudgetError):
             inflate(model, gaussian_proposal(2), InflationConfig(1, 100000), RandomSource(0))
+
+    @pytest.mark.parametrize("inner_draws", [1, 2])
+    def test_block_value_outside_its_proposal_is_refused(self, inner_draws):
+        class DrawsZero(Gamma):  # a gamma with shape 2 has zero density at 0
+            def sample(self, rng):
+                return 0.0
+
+        model = priors_only_model(2)
+        prop = FactorizedProposal(block_proposals=(DiagGaussian(0.0, 1.0), DrawsZero(2.0, 1.0)))
+        with pytest.raises(RuntimeError, match="block 1"):
+            inflate(model, prop, InflationConfig(2, inner_draws), RandomSource(0))
 
     def test_index_tuple_partition_satisfies_union_decomposition(self):
         # samples sharing a combination index form one iid set per index
