@@ -129,10 +129,9 @@ class Dirichlet(Density):
     """Dirichlet over the probability simplex."""
 
     def __init__(self, concentration):
-        self.concentration = a = np.atleast_1d(_positive(concentration, "concentration"))
-        if a.size < 2:
+        self.concentration = np.atleast_1d(_positive(concentration, "concentration"))
+        if self.concentration.size < 2:
             raise ValueError("Dirichlet needs at least two components")
-        self._nonunit, self._gammaln_total, self._gammaln_sum = a != 1.0, gammaln(a.sum()), np.sum(gammaln(a))
 
     def sample(self, rng: RandomSource) -> np.ndarray:
         draw = rng.generator.dirichlet(self.concentration)
@@ -147,11 +146,11 @@ class Dirichlet(Density):
             raise ValueError(f"dimension mismatch: point {x.shape}, density {a.shape}")
         if np.any(x < 0.0) or abs(float(x.sum()) - 1.0) > 1e-9:
             return -np.inf
-        nonunit = self._nonunit
+        nonunit = a != 1.0
         if np.any(nonunit & (x == 0.0)):
             return -np.inf  # simplex boundary: zero density (a>1) or excluded by convention (a<1)
         terms = np.sum((a[nonunit] - 1.0) * np.log(x[nonunit]))
-        return float(terms + self._gammaln_total - self._gammaln_sum)
+        return float(terms + gammaln(a.sum()) - np.sum(gammaln(a)))
 
 
 class Gamma(Density):

@@ -162,7 +162,10 @@ def _block_terms(model: FactorizedModel, prop: FactorizedProposal, j: int, globa
     log_q = prop.block_proposals[j].log_density_each(values)
     if (log_q == -np.inf).any():
         raise RuntimeError(f"proposal density is zero at a value of block {j}")
-    return (model.block_log_priors[j](values) + model.block_log_likelihoods[j](global_value, values)) - log_q
+    prior, lik = model.block_log_priors[j](values), model.block_log_likelihoods[j](global_value, values)
+    if np.shape(prior) != np.shape(log_q) or np.shape(lik) != np.shape(log_q):
+        raise ValueError(f"block {j}'s prior and likelihood must return one term per value, as log q does")
+    return (prior + lik) - log_q
 
 
 def _along_block(j: int, k: int, column: np.ndarray) -> np.ndarray:

@@ -80,7 +80,7 @@ class GaussianToy:
             num_blocks=self.dimension,
             global_log_prior=lambda phi: 0.0,
             block_log_priors=(density.log_density_each,) * self.dimension,
-            block_log_likelihoods=(lambda phi, g: 0.0,) * self.dimension,
+            block_log_likelihoods=(lambda phi, g: np.zeros(np.shape(g)),) * self.dimension,
             log_evidence_offset=self.log_evidence_offset,
         )
 
@@ -147,8 +147,6 @@ class DmmSpec:
             return student_t_logpdf(obs, mean, math.sqrt(var), df)
         mean, var, df = (params[..., i, None] for i in range(3))
         outside = (var <= 0.0) | (df <= 0.0)
-        if not outside.any():  # the usual case skips the masking below
-            return student_t_logpdf(obs, mean, np.sqrt(var), df)
         with np.errstate(divide="ignore", invalid="ignore"):  # masked just below
             comp = student_t_logpdf(obs, mean, np.sqrt(var), df)
         return np.where(outside, -np.inf, comp)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ def priors_only_model(num_blocks=2, offset=0.0):
         num_blocks=num_blocks,
         global_log_prior=lambda phi: 0.0,
         block_log_priors=(density.log_density_each,) * num_blocks,
-        block_log_likelihoods=(lambda phi, g: 0.0,) * num_blocks,
+        block_log_likelihoods=(lambda phi, g: np.zeros(np.shape(g)),) * num_blocks,
         log_evidence_offset=offset,
     )
 
@@ -64,7 +66,7 @@ class TestPlainSampler:
             num_blocks=2,
             global_log_prior=lambda phi: 0.0,
             block_log_priors=(density.log_density_each,) * 2,
-            block_log_likelihoods=(lambda phi, g: 0.0,) * 2,
+            block_log_likelihoods=(lambda phi, g: np.zeros(np.shape(g)),) * 2,
         )
         prop = FactorizedProposal(block_proposals=(density, density))
         drawn = plain_factorized_sampler(model, prop, 20, RandomSource(5))
@@ -201,6 +203,20 @@ class TestInflate:
         prop = FactorizedProposal(block_proposals=(DiagGaussian(0.0, 1.0), DrawsZero(2.0, 1.0)))
         with pytest.raises(RuntimeError, match="block 1"):
             inflate(model, prop, InflationConfig(2, inner_draws), RandomSource(0))
+
+    @pytest.mark.parametrize("summed", ["prior", "likelihood"])
+    def test_evaluator_summing_over_the_values_is_refused(self, summed):
+        # a summed term would broadcast to every inner draw and miss the joint density
+        model = priors_only_model(2)
+        if summed == "prior":
+            model = dataclasses.replace(model, block_log_priors=(DiagGaussian(0.0, 1.0).log_density,) * 2)
+        else:
+            model = dataclasses.replace(model, block_log_likelihoods=(lambda phi, g: float(np.sum(g)),) * 2)
+        prop = gaussian_proposal(2)
+        with pytest.raises(ValueError, match="one term per value"):
+            inflate(model, prop, InflationConfig(1, 2), RandomSource(1))
+        with pytest.raises(ValueError, match="one term per value"):
+            grouped_inflate(np.zeros((4, 2)), 2, model, prop)
 
     def test_index_tuple_partition_satisfies_union_decomposition(self):
         # samples sharing a combination index form one iid set per index

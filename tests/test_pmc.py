@@ -33,7 +33,7 @@ def scalar_block_model(log_density_each, num_blocks=1):
         num_blocks=num_blocks,
         global_log_prior=lambda phi: 0.0,
         block_log_priors=(log_density_each,) * num_blocks,
-        block_log_likelihoods=(lambda phi, g: 0.0,) * num_blocks,
+        block_log_likelihoods=(lambda phi, g: np.zeros(np.shape(g)),) * num_blocks,
     )
 
 
@@ -106,7 +106,7 @@ class TestRunPmc:
             num_blocks=1,
             global_log_prior=lambda phi: 0.0,
             block_log_priors=(density.log_density_each,) * 1,
-            block_log_likelihoods=(lambda phi, g: 0.0,) * 1,
+            block_log_likelihoods=(lambda phi, g: np.zeros(np.shape(g)),) * 1,
         )
         init = FactorizedProposal(block_proposals=(density,))
         cfg = PmcConfig(population_size=200, generations=1, kernel=GaussianKernel(0.3))
@@ -161,8 +161,8 @@ class TestRunPmc:
         model = FactorizedModel(
             num_blocks=1,
             global_log_prior=lambda phi: 0.0,
-            block_log_priors=(lambda g: -np.inf,),
-            block_log_likelihoods=(lambda phi, g: 0.0,),
+            block_log_priors=(lambda g: np.full(np.shape(g), -np.inf),),
+            block_log_likelihoods=(lambda phi, g: np.zeros(np.shape(g)),),
         )
         init = FactorizedProposal(block_proposals=(density,))
         cfg = PmcConfig(population_size=10, generations=2, kernel=GaussianKernel(0.3))
