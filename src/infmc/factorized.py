@@ -62,7 +62,7 @@ class FactorizedModel:
 
     For models without a global block, pass evaluators that accept ``None``.
     Block evaluators accept one block value or an array of values stacked
-    along the first axis, and then return one term per value.
+    along the first axis, and must return one term per value.
     """
 
     num_blocks: int
@@ -163,7 +163,7 @@ def _block_terms(model: FactorizedModel, prop: FactorizedProposal, j: int, globa
     if (log_q == -np.inf).any():
         raise RuntimeError(f"proposal density is zero at a value of block {j}")
     prior, lik = model.block_log_priors[j](values), model.block_log_likelihoods[j](global_value, values)
-    if np.shape(prior) != np.shape(log_q) or np.shape(lik) != np.shape(log_q):
+    if not np.shape(prior) == np.shape(lik) == np.shape(log_q):
         raise ValueError(f"block {j}'s prior and likelihood must return one term per value, as log q does")
     return (prior + lik) - log_q
 
