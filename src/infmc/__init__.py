@@ -25,12 +25,10 @@ from .estimators import (
     standard_estimate,
 )
 from .factorized import (
-    EvalCounter,
     FactorizedModel,
     FactorizedPoint,
     FactorizedProposal,
     InflationBudgetError,
-    InflationConfig,
     grouped_inflate,
     inflate,
     plain_factorized_sampler,

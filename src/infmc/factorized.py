@@ -24,8 +24,6 @@ __all__ = [
     "FactorizedPoint",
     "FactorizedModel",
     "FactorizedProposal",
-    "InflationConfig",
-    "EvalCounter",
     "recombine",
     "plain_factorized_sampler",
     "inflate",
@@ -119,27 +117,6 @@ class FactorizedProposal:
         return total
 
 
-@dataclass(frozen=True)
-class InflationConfig:
-    """How many independent global draws to make and how many block draws to
-    recombine per global draw."""
-
-    outer_draws: int
-    inner_draws: int
-
-    def __post_init__(self):
-        if self.outer_draws < 1 or self.inner_draws < 1:
-            raise ValueError("outer_draws and inner_draws must be >= 1")
-
-
-@dataclass
-class EvalCounter:
-    """Running account of block-likelihood evaluations and emitted samples."""
-
-    block_likelihood_evals: int = 0
-    joint_samples_emitted: int = 0
-
-
 def _draw_global(model: FactorizedModel, prop: FactorizedProposal, rng: RandomSource):
     """Returns (global value, base log-weight term for that draw)."""
     if prop.global_proposal is None:
@@ -192,7 +169,6 @@ def recombine(
     proposals: Iterable[FactorizedProposal],
     inner_draws: int,
     rng: RandomSource,
-    counter: EvalCounter,
 ) -> SampleSet:
     """The recombining sampler behind every object-path draw.
 
@@ -210,6 +186,8 @@ def recombine(
     :class:`InflationBudgetError`, before its draws, for a global draw whose
     combinations would take the total beyond ``MAX_UNCAPPED_COMBINATIONS``.
     """
+    if inner_draws < 1:
+        raise ValueError("inner_draws must be >= 1")
     k = model.num_blocks
     per_draw = inner_draws**k
     points: list[FactorizedPoint] = []
@@ -229,8 +207,6 @@ def recombine(
             values = drawn if inner_draws > 1 else block_values[j][0]
             terms.append(_block_terms(model, prop, j, global_value, values))
         points.extend(map(FactorizedPoint, itertools.repeat(global_value), itertools.product(*block_values)))
-    counter.block_likelihood_evals += len(bases) * inner_draws * k
-    counter.joint_samples_emitted += len(points)
     log_weights = _weight_grid(np.array(bases), np.reshape(terms, (len(bases), k, inner_draws)))
     return SampleSet(np.fromiter(points, dtype=object, count=len(points)), log_weights)
 
@@ -240,30 +216,29 @@ def plain_factorized_sampler(
     prop: FactorizedProposal,
     count: int,
     rng: RandomSource,
-    counter: EvalCounter | None = None,
 ) -> SampleSet:
     """Independent joint draws weighted by model density over joint proposal
     density: :func:`inflate` with one inner draw.  Each draw costs one
     likelihood evaluation per block."""
-    return inflate(model, prop, InflationConfig(count, 1), rng, counter)[0]
+    return inflate(model, prop, count, 1, rng)
 
 
 def inflate(
     model: FactorizedModel,
     prop: FactorizedProposal,
-    cfg: InflationConfig,
+    outer_draws: int,
+    inner_draws: int,
     rng: RandomSource,
-    counter: EvalCounter | None = None,
-) -> tuple[SampleSet, EvalCounter]:
+) -> SampleSet:
     """:func:`recombine` over ``outer_draws`` global draws from ``prop``.
 
     Every global draw emits all ``inner_draws**num_blocks`` combinations.
-    The block likelihood is invoked exactly ``outer_draws * inner_draws *
-    num_blocks`` times.
+    The block likelihoods score ``outer_draws * inner_draws * num_blocks``
+    values in all.
     """
-    if counter is None:
-        counter = EvalCounter()
-    return recombine(model, itertools.repeat(prop, cfg.outer_draws), cfg.inner_draws, rng, counter), counter
+    if outer_draws < 1:
+        raise ValueError("outer_draws must be >= 1")
+    return recombine(model, itertools.repeat(prop, outer_draws), inner_draws, rng)
 
 
 def block_contributions(

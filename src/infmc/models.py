@@ -48,6 +48,9 @@ __all__ = [
 GAUSSIAN = "gaussian"
 STUDENT_T = "student-t"
 SYNTHETIC_T_DF = 30.0
+NUM_COMPONENTS = 2
+# one prior on the mixing weights, shared by the model and both global proposals
+MIXING_PRIOR = Dirichlet((1.0,) * NUM_COMPONENTS)
 
 
 @dataclass(frozen=True)
@@ -112,17 +115,11 @@ class DmmSpec:
 
     data: np.ndarray
     component_family: str = GAUSSIAN
-    num_components: int = 2
-    mixing_concentration: tuple[float, ...] = (1.0, 1.0)
 
     def __post_init__(self):
         object.__setattr__(self, "data", np.asarray(self.data, dtype=float).reshape(-1))
         if self.component_family not in (GAUSSIAN, STUDENT_T):
             raise ValueError(f"unknown component family {self.component_family!r}")
-        if self.num_components < 1:
-            raise ValueError("need at least one component")
-        if len(self.mixing_concentration) != self.num_components:
-            raise ValueError("one concentration parameter per component required")
 
     def component_prior(self) -> Density:
         if self.component_family == GAUSSIAN:
@@ -166,15 +163,15 @@ class DmmSpec:
         return np.sum(log_sum_exp(comp, -1)[0][..., 0], axis=-1)
 
 
-def _mixing_log_prob(prior: Dirichlet, weights, labels, num_components: int) -> float:
+def _mixing_log_prob(weights, labels) -> float:
     """Shared Dirichlet-plus-assignments term, used by both the model prior
     and the assignment proposal so the two cancel exactly in weights."""
     weights = np.asarray(weights, dtype=float)
     labels = np.asarray(labels)
-    total = prior.log_density(weights)
+    total = MIXING_PRIOR.log_density(weights)
     if total == -np.inf:
         return -np.inf
-    if labels.size and (labels.min() < 0 or labels.max() >= num_components):
+    if labels.size and (labels.min() < 0 or labels.max() >= NUM_COMPONENTS):
         return -np.inf
     probs = weights[labels]
     if np.any(probs <= 0.0):
@@ -188,16 +185,15 @@ class MixtureGlobalProposal(Density):
 
     def __init__(self, spec: DmmSpec):
         self.spec = spec
-        self.mixing_prior = Dirichlet(spec.mixing_concentration)
 
     def sample(self, rng: RandomSource):
-        weights = self.mixing_prior.sample(rng)
-        labels = rng.generator.choice(self.spec.num_components, size=self.spec.data.size, p=weights)
+        weights = MIXING_PRIOR.sample(rng)
+        labels = rng.generator.choice(NUM_COMPONENTS, size=self.spec.data.size, p=weights)
         return weights, labels
 
     def log_density(self, x) -> float:
         weights, labels = x
-        return _mixing_log_prob(self.mixing_prior, weights, labels, self.spec.num_components)
+        return _mixing_log_prob(weights, labels)
 
 
 class MixtureAssignmentProposal(Density):
@@ -214,7 +210,6 @@ class MixtureAssignmentProposal(Density):
 
     def __init__(self, spec: DmmSpec, reference_params):
         self.spec = spec
-        self.mixing_prior = Dirichlet(spec.mixing_concentration)
         self._ref_each = np.ascontiguousarray(spec.component_log_density_each(spec.data, reference_params).T)
 
     def _assignment_log_probs(self, weights) -> np.ndarray:
@@ -223,10 +218,10 @@ class MixtureAssignmentProposal(Density):
         return scores - log_sum_exp(scores, -1)[0]
 
     def _log_density(self, weights, labels: np.ndarray, log_probs) -> float:
-        base = self.mixing_prior.log_density(weights)
+        base = MIXING_PRIOR.log_density(weights)
         if base == -np.inf:
             return -np.inf
-        if labels.size and (labels.min() < 0 or labels.max() >= self.spec.num_components):
+        if labels.size and (labels.min() < 0 or labels.max() >= NUM_COMPONENTS):
             return -np.inf
         if log_probs is None:
             log_probs = self._assignment_log_probs(weights)
@@ -242,11 +237,11 @@ class MixtureAssignmentProposal(Density):
     def sample_with_log_density(self, rng: RandomSource):
         """One computation of the assignment probabilities serves the draw
         and its density."""
-        weights = self.mixing_prior.sample(rng)
+        weights = MIXING_PRIOR.sample(rng)
         log_probs = self._assignment_log_probs(weights)
         cdf = np.cumsum(np.exp(log_probs), axis=1)
         u = rng.generator.random(self.spec.data.size)
-        labels = np.minimum((u[:, None] > cdf).sum(axis=1), self.spec.num_components - 1)
+        labels = np.minimum((u[:, None] > cdf).sum(axis=1), NUM_COMPONENTS - 1)
         return (weights, labels), self._log_density(weights, labels, log_probs)
 
 
@@ -268,12 +263,11 @@ def dmm_model(spec: DmmSpec) -> FactorizedModel:
     exactly the observations currently assigned to component ``j`` (an empty
     component contributes an empty product, i.e. zero).
     """
-    mixing_prior = Dirichlet(spec.mixing_concentration)
     prior = spec.component_prior()
 
     def global_log_prior(phi) -> float:
         weights, labels = phi
-        return _mixing_log_prob(mixing_prior, weights, labels, spec.num_components)
+        return _mixing_log_prob(weights, labels)
 
     def make_likelihood(j: int):
         def block_log_likelihood(phi, params):
@@ -284,10 +278,10 @@ def dmm_model(spec: DmmSpec) -> FactorizedModel:
         return block_log_likelihood
 
     return FactorizedModel(
-        num_blocks=spec.num_components,
+        num_blocks=NUM_COMPONENTS,
         global_log_prior=global_log_prior,
-        block_log_priors=(prior.log_density_each,) * spec.num_components,
-        block_log_likelihoods=tuple(make_likelihood(j) for j in range(spec.num_components)),
+        block_log_priors=(prior.log_density_each,) * NUM_COMPONENTS,
+        block_log_likelihoods=tuple(make_likelihood(j) for j in range(NUM_COMPONENTS)),
     )
 
 
@@ -295,7 +289,7 @@ def dmm_init_proposal(spec: DmmSpec) -> FactorizedProposal:
     """Prior-based proposal: assignments from the mixing proposal, component
     parameters from their priors."""
     return FactorizedProposal(
-        block_proposals=(spec.component_prior(),) * spec.num_components,
+        block_proposals=(spec.component_prior(),) * NUM_COMPONENTS,
         global_proposal=MixtureGlobalProposal(spec),
     )
 
@@ -306,7 +300,7 @@ def component_means_function(spec: DmmSpec) -> TestFunction:
         extract = lambda point: point.block_values
     else:
         extract = lambda point: [v[0] for v in point.block_values]
-    return TestFunction(lambda pts: np.array([extract(p) for p in pts], dtype=float), spec.num_components)
+    return TestFunction(lambda pts: np.array([extract(p) for p in pts], dtype=float), NUM_COMPONENTS)
 
 
 @dataclass(frozen=True)

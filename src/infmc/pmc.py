@@ -26,7 +26,6 @@ from .estimators import (
     self_normalized_estimate,
 )
 from .factorized import (
-    EvalCounter,
     FactorizedModel,
     FactorizedPoint,
     FactorizedProposal,
@@ -192,12 +191,12 @@ def run_pmc(
     block-likelihood evaluation count equals the plain run's.
     """
     outer = cfg.population_size // cfg.inner_draws
+    block_evals = cfg.population_size * model.num_blocks  # outer * inner_draws values per block
     generations: list[Generation] = []
     all_sets: list[SampleSet] = []
     prev_resampled: list | None = None
 
     for t in range(1, cfg.generations + 1):
-        counter = EvalCounter()
         if t == 1:
             proposals = itertools.repeat(init, outer)
         else:
@@ -208,7 +207,7 @@ def run_pmc(
                 )
                 for _ in range(outer)
             )
-        gen_set = recombine(model, proposals, cfg.inner_draws, rng, counter)
+        gen_set = recombine(model, proposals, cfg.inner_draws, rng)
         if gen_set.log_weight_sum == -np.inf:
             raise DegenerateGenerationError(t)
         all_sets.append(gen_set)
@@ -220,9 +219,7 @@ def run_pmc(
             model.data_log_likelihood(p.global_value, p.block_values) for p in gen_set.points
         )
         resampled = resample(gen_set, cfg.population_size, rng)
-        generations.append(
-            Generation(t, gen_set, resampled, cum_est, best, counter.block_likelihood_evals)
-        )
+        generations.append(Generation(t, gen_set, resampled, cum_est, best, block_evals))
         prev_resampled = resampled
     return generations
 

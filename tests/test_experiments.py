@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from infmc import factorized
 from infmc.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -270,6 +271,21 @@ class TestTheoremSuite:
         report = run_theorem_suite(seed=6, instances=10, inflation_instances=5)
         adv = next(c for c in report.checks if "600" in c.name)
         assert adv.worst < 1e-8
+
+    def test_eval_count_check_counts_likelihood_calls(self, monkeypatch):
+        # a second scoring of every block leaves the weights alone but doubles the cost
+        original = factorized._block_terms
+
+        def scored_twice(*args):
+            original(*args)
+            return original(*args)
+
+        monkeypatch.setattr(factorized, "_block_terms", scored_twice)
+        report = run_theorem_suite(seed=7, instances=1, inflation_instances=5)
+        checks = {c.name: c for c in report.checks}
+        assert checks["recombination-cache-vs-oracle"].passed
+        assert not checks["recombination-eval-count"].passed
+        assert checks["recombination-eval-count"].worst == 5.0
 
     def test_instance_counts_floor(self):
         for counts in (dict(instances=0), dict(inflation_instances=0)):

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from infmc.distributions import DiagGaussian, Gamma
 from infmc.estimators import SampleSet, TestFunction, decomposition_residual
+from infmc.experiments import _counting_likelihoods
 from infmc.factorized import (
-    EvalCounter,
     FactorizedModel,
     FactorizedProposal,
     InflationBudgetError,
-    InflationConfig,
     block_contributions,
     grouped_inflate,
     inflate,
@@ -107,10 +106,10 @@ class TestPlainSampler:
             assert lw == pytest.approx(joint - log_q, abs=1e-12)
 
     def test_counts_block_evaluations(self):
-        counter = EvalCounter()
-        plain_factorized_sampler(two_block_data_model(), gaussian_proposal(2, True), 7, RandomSource(1), counter)
-        assert counter.block_likelihood_evals == 7 * 2
-        assert counter.joint_samples_emitted == 7
+        model, counts = _counting_likelihoods(two_block_data_model())
+        drawn = plain_factorized_sampler(model, gaussian_proposal(2, True), 7, RandomSource(1))
+        assert sum(counts) == 7 * 2
+        assert len(drawn) == 7
 
 
 class TestInflate:
@@ -118,18 +117,18 @@ class TestInflate:
         model = two_block_data_model()
         prop = gaussian_proposal(2, with_global=True)
         plain = plain_factorized_sampler(model, prop, 6, RandomSource(77))
-        inflated, counter = inflate(model, prop, InflationConfig(6, 1), RandomSource(77))
-        assert counter.joint_samples_emitted == 6
+        inflated = inflate(model, prop, 6, 1, RandomSource(77))
+        assert len(inflated) == 6
         for a, b in zip(plain.points, inflated.points):
             assert a == b
         assert np.array_equal(plain.log_weights, inflated.log_weights)
 
     def test_two_by_two_emits_four_lexicographic_combinations(self):
-        model = priors_only_model(2)
+        model, counts = _counting_likelihoods(priors_only_model(2))
         prop = gaussian_proposal(2)
-        drawn, counter = inflate(model, prop, InflationConfig(1, 2), RandomSource(3))
+        drawn = inflate(model, prop, 1, 2, RandomSource(3))
         assert len(drawn) == 4
-        assert counter.block_likelihood_evals == 4
+        assert counts == [2, 2]  # one call per block, on both of its inner draws
         b0 = [p.block_values[0] for p in drawn.points]
         b1 = [p.block_values[1] for p in drawn.points]
         # lexicographic index order: (0,0), (0,1), (1,0), (1,1)
@@ -137,22 +136,21 @@ class TestInflate:
         assert b1[0] == b1[2] and b1[1] == b1[3] and b1[0] != b1[1]
 
     def test_sample_and_eval_counts(self):
-        model = priors_only_model(2)
-        drawn, counter = inflate(model, gaussian_proposal(2), InflationConfig(5, 3), RandomSource(0))
+        model, counts = _counting_likelihoods(priors_only_model(2))
+        drawn = inflate(model, gaussian_proposal(2), 5, 3, RandomSource(0))
         assert len(drawn) == 5 * 3**2 == 45
-        assert counter.block_likelihood_evals == 5 * 3 * 2 == 30
-        assert counter.joint_samples_emitted == 45
+        assert sum(counts) == 5 * 3 * 2 == 30
 
     def test_eval_budget_sample_multiplier(self):
         # at the same block-eval budget the recombining sampler emits
         # inner_draws**(num_blocks-1) times more samples
-        model = two_block_data_model()
         prop = gaussian_proposal(2, with_global=True)
         budget = 24
-        plain_counter = EvalCounter()
-        plain = plain_factorized_sampler(model, prop, budget // 2, RandomSource(4), plain_counter)
-        inflated, infl_counter = inflate(model, prop, InflationConfig(budget // (2 * 3), 3), RandomSource(4))
-        assert plain_counter.block_likelihood_evals == infl_counter.block_likelihood_evals == budget
+        plain_model, plain_counts = _counting_likelihoods(two_block_data_model())
+        infl_model, infl_counts = _counting_likelihoods(two_block_data_model())
+        plain = plain_factorized_sampler(plain_model, prop, budget // 2, RandomSource(4))
+        inflated = inflate(infl_model, prop, budget // (2 * 3), 3, RandomSource(4))
+        assert sum(plain_counts) == sum(infl_counts) == budget
         assert len(inflated) == len(plain) * 3 ** (2 - 1)
 
     @settings(max_examples=60, deadline=None)
@@ -169,20 +167,22 @@ class TestInflate:
             obs = data[j]
             return lambda phi, gam: -0.5 * np.sum((obs - (phi * shift + np.asarray(gam)[..., None])) ** 2, axis=-1)
 
-        model = FactorizedModel(
-            num_blocks=k,
-            global_log_prior=prior.log_density,
-            block_log_priors=(prior.log_density_each,) * k,
-            block_log_likelihoods=tuple(make_lik(j) for j in range(k)),
-            log_evidence_offset=float(g.normal()),
+        model, counts = _counting_likelihoods(
+            FactorizedModel(
+                num_blocks=k,
+                global_log_prior=prior.log_density,
+                block_log_priors=(prior.log_density_each,) * k,
+                block_log_likelihoods=tuple(make_lik(j) for j in range(k)),
+                log_evidence_offset=float(g.normal()),
+            )
         )
         prop = FactorizedProposal(
             block_proposals=tuple(DiagGaussian(float(g.normal()), 2.0) for _ in range(k)),
             global_proposal=DiagGaussian(0.0, 2.0),
         )
-        cfg = InflationConfig(int(g.integers(1, 4)), int(g.integers(1, 4)))
-        drawn, counter = inflate(model, prop, cfg, rng)
-        assert counter.block_likelihood_evals == cfg.outer_draws * cfg.inner_draws * k
+        outer, inner = int(g.integers(1, 4)), int(g.integers(1, 4))
+        drawn = inflate(model, prop, outer, inner, rng)
+        assert sum(counts) == outer * inner * k
         for point, lw in zip(drawn.points, drawn.log_weights):
             oracle = model.joint_log_density(point.global_value, point.block_values)
             oracle -= prop.joint_log_density(point)
@@ -191,7 +191,15 @@ class TestInflate:
     def test_refuses_huge_uncapped_enumeration(self):
         model = priors_only_model(2)
         with pytest.raises(InflationBudgetError):
-            inflate(model, gaussian_proposal(2), InflationConfig(1, 100000), RandomSource(0))
+            inflate(model, gaussian_proposal(2), 1, 100000, RandomSource(0))
+
+    @pytest.mark.parametrize(
+        "outer_draws, inner_draws, refused",
+        [(1, 0, "inner_draws"), (1, -1, "inner_draws"), (0, 1, "outer_draws"), (-1, 2, "outer_draws")],
+    )
+    def test_draw_counts_below_one_are_refused(self, outer_draws, inner_draws, refused):
+        with pytest.raises(ValueError, match=f"{refused} must be >= 1"):
+            inflate(priors_only_model(2), gaussian_proposal(2), outer_draws, inner_draws, RandomSource(0))
 
     @pytest.mark.parametrize("inner_draws", [1, 2])
     def test_block_value_outside_its_proposal_is_refused(self, inner_draws):
@@ -202,7 +210,7 @@ class TestInflate:
         model = priors_only_model(2)
         prop = FactorizedProposal(block_proposals=(DiagGaussian(0.0, 1.0), DrawsZero(2.0, 1.0)))
         with pytest.raises(RuntimeError, match="block 1"):
-            inflate(model, prop, InflationConfig(2, inner_draws), RandomSource(0))
+            inflate(model, prop, 2, inner_draws, RandomSource(0))
 
     @pytest.mark.parametrize("summed", ["prior", "likelihood"])
     def test_evaluator_summing_over_the_values_is_refused(self, summed):
@@ -214,7 +222,7 @@ class TestInflate:
             model = dataclasses.replace(model, block_log_likelihoods=(lambda phi, g: float(np.sum(g)),) * 2)
         prop = gaussian_proposal(2)
         with pytest.raises(ValueError, match="one term per value"):
-            inflate(model, prop, InflationConfig(1, 2), RandomSource(1))
+            inflate(model, prop, 1, 2, RandomSource(1))
         with pytest.raises(ValueError, match="one term per value"):
             grouped_inflate(np.zeros((4, 2)), 2, model, prop)
 
@@ -223,7 +231,7 @@ class TestInflate:
         model = two_block_data_model()
         prop = gaussian_proposal(2, with_global=True)
         m, inner = 12, 2
-        drawn, _ = inflate(model, prop, InflationConfig(m, inner), RandomSource(5))
+        drawn = inflate(model, prop, m, inner, RandomSource(5))
         per_draw = inner**2
         h = TestFunction.from_pointwise(lambda p: [p.block_values[0], p.block_values[1]], 2)
         first = np.arange(m) * per_draw
@@ -287,7 +295,7 @@ class TestGroupedInflate:
         calls = [
             lambda: block_contributions(model, prop, pts),
             lambda: grouped_inflate(pts, 2, model, prop),
-            lambda: inflate(model, prop, InflationConfig(2, 2), RandomSource(0)),
+            lambda: inflate(model, prop, 2, 2, RandomSource(0)),
             lambda: run_pmc(model, prop, PmcConfig(4, 1, GaussianKernel()), RandomSource(0)),
         ]
         for call in calls:

@@ -1,13 +1,11 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from infmc import factorized
+from infmc import factorized, pmc
 from infmc.distributions import DiagGaussian, Gamma, ScalarInverseWishart
 from infmc.estimators import SampleSet, TestFunction, self_normalized_estimate
+from infmc.experiments import _counting_likelihoods
 from infmc.factorized import (
-    EvalCounter,
     FactorizedModel,
     FactorizedProposal,
     InflationBudgetError,
@@ -170,18 +168,30 @@ class TestRunPmc:
             run_pmc(model, init, cfg, RandomSource(0))
         assert excinfo.value.generation == 1
 
-    def test_inflated_generations_match_plain_eval_budget(self):
+    def test_inflated_generations_match_plain_eval_budget(self, monkeypatch):
         ds = make_synthetic("gaussian", (-2.0, 2.0), 7, count=40)
         spec = DmmSpec(ds.observations)
-        model, init = dmm_model(spec), dmm_init_proposal(spec)
+        model, counts = _counting_likelihoods(dmm_model(spec))
+        init = dmm_init_proposal(spec)
         h = component_means_function(spec)
+        # values scored by each generation's draws; the best-log-likelihood
+        # diagnostic evaluates the likelihoods again outside the budget
+        sampled = []
+
+        def tallied(*args):
+            before = sum(counts)
+            drawn = factorized.recombine(*args)
+            sampled.append(sum(counts) - before)
+            return drawn
+
+        monkeypatch.setattr(pmc, "recombine", tallied)
         plain_cfg = PmcConfig(population_size=40, generations=2, kernel=GaussianKernel(0.25))
         infl_cfg = PmcConfig(population_size=40, generations=2, kernel=GaussianKernel(0.25),
                              inner_draws=2)
         plain = run_pmc(model, init, plain_cfg, RandomSource(1), h)
         inflated = run_pmc(model, init, infl_cfg, RandomSource(2), h)
+        assert sampled == [gen.block_evals for gen in plain + inflated] == [40 * 2] * 4
         for gp, gi in zip(plain, inflated):
-            assert gp.block_evals == gi.block_evals == 40 * 2
             assert len(gi.sample_set) == 2 * len(gp.sample_set)  # inner_draws**(blocks-1) more
             assert len(gi.resampled_points) == len(gp.resampled_points) == 40
 
@@ -189,15 +199,8 @@ class TestRunPmc:
     def test_combination_cap_applies_before_any_block_evaluation(self, monkeypatch):
         ds = make_synthetic("gaussian", (-2.0, 2.0), 7, count=20)
         spec = DmmSpec(ds.observations)
-        model, init = dmm_model(spec), dmm_init_proposal(spec)
-        calls = []
-
-        def counted(lik):
-            return lambda phi, gamma: calls.append(1) or lik(phi, gamma)
-
-        model = dataclasses.replace(
-            model, block_log_likelihoods=tuple(counted(lik) for lik in model.block_log_likelihoods)
-        )
+        model, calls = _counting_likelihoods(dmm_model(spec))
+        init = dmm_init_proposal(spec)
         monkeypatch.setattr(factorized, "MAX_UNCAPPED_COMBINATIONS", 10)
         cfg = PmcConfig(population_size=4, generations=1, kernel=GaussianKernel(0.25), inner_draws=4)
         with pytest.raises(InflationBudgetError):
