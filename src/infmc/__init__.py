@@ -28,6 +28,7 @@ from .factorized import (
     FactorizedModel,
     FactorizedPoint,
     FactorizedProposal,
+    GroupedSampleSet,
     InflationBudgetError,
     grouped_inflate,
     inflate,

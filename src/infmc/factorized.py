@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .distributions import Density
-from .estimators import SampleSet
+from .estimators import DegenerateWeightsError, SampleSet, log_sum_exp
 from .rng import RandomSource
 
 __all__ = [
@@ -28,10 +28,11 @@ __all__ = [
     "plain_factorized_sampler",
     "inflate",
     "block_contributions",
+    "GroupedSampleSet",
     "grouped_inflate",
 ]
 
-# enumeration refuses beyond this many emitted combinations
+# enumeration and materialization refuse beyond this many combinations
 MAX_UNCAPPED_COMBINATIONS = 10**8
 
 
@@ -262,30 +263,120 @@ def block_contributions(
     return base, np.column_stack([_block_terms(model, prop, j, None, pts[:, j]) for j in range(model.num_blocks)])
 
 
+class GroupedSampleSet:
+    """Every recombination of pre-drawn scalar block values within each
+    group, held factored instead of enumerated.
+
+    ``contributions`` and ``values`` are ``(groups, K, n)``: block ``j`` of
+    group ``g`` has the ``n`` values ``values[g, j]`` with log-weight terms
+    ``contributions[g, j]``.  The set stands for the ``groups * n**K``
+    combinations that :meth:`materialize` enumerates, combination
+    ``(i_1, ..., i_K)`` of group ``g`` weighing ``base + sum_j
+    contributions[g, j, i_j]``.  Weight sums over a group factor into
+    per-block log-sum-exps, so the weight sum, the evidence and the
+    self-normalized mean cost ``O(groups * K * n)``.  Immutable after
+    construction.
+    """
+
+    __slots__ = ("base", "contributions", "values", "log_weight_sum", "_block_sums", "_group_sums")
+
+    def __init__(self, base: float, contributions: np.ndarray, values: np.ndarray):
+        contributions = np.asarray(contributions, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if contributions.ndim != 3 or values.shape != contributions.shape or 0 in contributions.shape[1:]:
+            raise ValueError("contributions and values must both be (groups, K >= 1, n >= 1)")
+        if not (base < np.inf and contributions.max(initial=-np.inf) < np.inf):
+            raise ValueError("log weights must be finite or -inf; found NaN or +inf")
+        self.base = float(base)
+        self.contributions = contributions
+        self.values = values
+        self._block_sums = log_sum_exp(contributions, 2)[0][..., 0]  # L_gj = lse_i c_gji
+        self._group_sums = self._per_group(self._block_sums)  # W_g, group g's weight sum
+        self.log_weight_sum = float(log_sum_exp(self._group_sums, 0)[0][0]) if len(contributions) else -np.inf
+
+    def _per_group(self, block_terms: np.ndarray) -> np.ndarray:
+        """``((base + t_g1) + t_g2) + ...`` per group, the weight grid's order."""
+        total = np.full(len(block_terms), self.base)
+        for column in block_terms.T:
+            total = total + column
+        return total
+
+    def __len__(self) -> int:
+        groups, k, n = self.contributions.shape
+        return groups * n**k
+
+    def self_normalized_mean(self) -> np.ndarray:
+        """Self-normalized estimate of the identity over every combination:
+        per block ``j``, ``sum_g e^(W_g - L_gj) sum_i e^(c_gji) x_gji / W``
+        with group weight sums ``W_g``, block sums ``L_gj`` and total ``W``,
+        through the sign-tracking :func:`log_sum_exp`."""
+        if len(self) == 0:
+            raise ValueError("estimation requires a non-empty sample set")
+        if self.log_weight_sum == -np.inf:
+            raise DegenerateWeightsError("all weights are zero")
+        block_log_abs, block_sign = log_sum_exp(self.contributions, 2, self.values)
+        group_sums = self._group_sums[:, None]
+        with np.errstate(invalid="ignore"):
+            # a group of zero weight contributes nothing, even where L_gj = -inf
+            terms = np.where(group_sums == -np.inf, -np.inf, group_sums - self._block_sums + block_log_abs[..., 0])
+        log_abs, sign = log_sum_exp(terms, 0, block_sign[..., 0])
+        return sign[0] * np.exp(log_abs[0] - self.log_weight_sum)
+
+    def log_evidence(self) -> float:
+        """Log of the evidence estimate ``(1/len) sum w`` over every
+        combination, as the mean over groups of ``base + sum_j (L_gj - log
+        n)``: unit weights give exactly 0, which ``log_weight_sum -
+        log(len)`` does not."""
+        if len(self) == 0:
+            raise ValueError("estimation requires a non-empty sample set")
+        groups, _, n = self.contributions.shape
+        log_means = self._per_group(self._block_sums - np.log(n))
+        return float(log_sum_exp(log_means, 0)[0][0] - np.log(groups))
+
+    def _refuse_huge(self) -> None:
+        if len(self) > MAX_UNCAPPED_COMBINATIONS:
+            raise InflationBudgetError(f"refusing to materialize {len(self)} recombined samples")
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        """Every combination's log weight, in :meth:`materialize`'s order."""
+        self._refuse_huge()
+        return _weight_grid(self.base, self.contributions)
+
+    @property
+    def points(self) -> np.ndarray:
+        """Every combination as a ``(len, K)`` row, in :meth:`materialize`'s order."""
+        self._refuse_huge()
+        groups, k, n = self.values.shape
+        grid_shape = (groups,) + (n,) * k
+        point_grid = [np.broadcast_to(_along_block(j, k, self.values[:, j]), grid_shape) for j in range(k)]
+        return np.stack(point_grid, axis=-1).reshape(len(self), k)
+
+    def materialize(self) -> SampleSet:
+        """The enumerated set, in lexicographic order over ``(group, i_1, ...,
+        i_K)``; the oracle for the factored sums.  Raises
+        :class:`InflationBudgetError` beyond ``MAX_UNCAPPED_COMBINATIONS``."""
+        return SampleSet(self.points, self.log_weights)
+
+
 def grouped_inflate(
     points,
     group_size: int,
     model: FactorizedModel,
     prop: FactorizedProposal,
-) -> SampleSet:
+) -> GroupedSampleSet:
     """Recombine pre-drawn joint samples within consecutive groups.
 
     ``points`` is an ``(n, K)`` array of scalar block values drawn from
     ``prop``; each group of ``group_size`` rows is treated as that many inner
-    draws per block and expanded to all ``group_size**K`` recombinations, and
-    the groups are concatenated.  Weights come from
-    :func:`block_contributions`, with its restrictions.
+    draws per block and stands for all ``group_size**K`` recombinations.
+    Nothing is enumerated: the result is a :class:`GroupedSampleSet`.
+    Weights come from :func:`block_contributions`, with its restrictions.
     """
     base, contrib = block_contributions(model, prop, points)
     n, k = contrib.shape
     if group_size < 1 or n % group_size != 0:
         raise ValueError(f"{n} samples do not divide into groups of {group_size}")
     num_groups = n // group_size
-    total = num_groups * group_size**k
-    if total > MAX_UNCAPPED_COMBINATIONS:
-        raise InflationBudgetError(f"refusing to emit {total} recombined samples")
-    log_weights = _weight_grid(base, contrib.reshape(num_groups, group_size, k).transpose(0, 2, 1))
-    grouped = np.asarray(points, dtype=float).reshape(num_groups, group_size, k)
-    grid_shape = (num_groups,) + (group_size,) * k
-    point_grid = [np.broadcast_to(_along_block(j, k, grouped[..., j]), grid_shape) for j in range(k)]
-    return SampleSet(np.stack(point_grid, axis=-1).reshape(total, k), log_weights)
+    grouped = np.asarray(points, dtype=float).reshape(num_groups, group_size, k).transpose(0, 2, 1)
+    return GroupedSampleSet(base, contrib.reshape(num_groups, group_size, k).transpose(0, 2, 1), grouped)

@@ -163,15 +163,23 @@ class DmmSpec:
         return np.sum(log_sum_exp(comp, -1)[0][..., 0], axis=-1)
 
 
+def _mixing_prior_term(weights, labels: np.ndarray) -> float:
+    """The Dirichlet term of the mixing weights, or -inf when a label names
+    no component; a finite result means the labels can index per-component
+    arrays.  The model prior and the assignment proposal both start from it."""
+    total = MIXING_PRIOR.log_density(weights)
+    if total == -np.inf or (labels.size and (labels.min() < 0 or labels.max() >= NUM_COMPONENTS)):
+        return -np.inf
+    return total
+
+
 def _mixing_log_prob(weights, labels) -> float:
     """Shared Dirichlet-plus-assignments term, used by both the model prior
     and the assignment proposal so the two cancel exactly in weights."""
     weights = np.asarray(weights, dtype=float)
     labels = np.asarray(labels)
-    total = MIXING_PRIOR.log_density(weights)
+    total = _mixing_prior_term(weights, labels)
     if total == -np.inf:
-        return -np.inf
-    if labels.size and (labels.min() < 0 or labels.max() >= NUM_COMPONENTS):
         return -np.inf
     probs = weights[labels]
     if np.any(probs <= 0.0):
@@ -218,10 +226,8 @@ class MixtureAssignmentProposal(Density):
         return scores - log_sum_exp(scores, -1)[0]
 
     def _log_density(self, weights, labels: np.ndarray, log_probs) -> float:
-        base = MIXING_PRIOR.log_density(weights)
+        base = _mixing_prior_term(weights, labels)
         if base == -np.inf:
-            return -np.inf
-        if labels.size and (labels.min() < 0 or labels.max() >= NUM_COMPONENTS):
             return -np.inf
         if log_probs is None:
             log_probs = self._assignment_log_probs(weights)

@@ -133,7 +133,11 @@ class PmcConfig:
     inner draws per block (1 is plain importance sampling), and optionally a
     per-center builder for the global block's proposal (the default
     re-proposes the global block from the initial proposal every
-    generation)."""
+    generation).
+
+    ``kernel.at`` and ``global_proposal_builder`` must be pure functions of
+    the center: a generation builds one proposal per distinct center and
+    reuses it for every outer draw centered there."""
 
     population_size: int
     generations: int
@@ -165,14 +169,24 @@ class Generation:
     block_evals: int
 
 
-def _kernel_proposal(cfg: PmcConfig, init: FactorizedProposal, center) -> FactorizedProposal:
-    blocks = tuple(cfg.kernel.at(v) for v in center.block_values)
-    if cfg.global_proposal_builder is not None:
-        global_prop = cfg.global_proposal_builder(center)
-    else:
-        # default: the global block is re-proposed from the initial proposal
-        global_prop = init.global_proposal
-    return FactorizedProposal(block_proposals=blocks, global_proposal=global_prop)
+def _kernel_proposals(cfg: PmcConfig, init: FactorizedProposal, centers: list, count: int, rng: RandomSource):
+    """``count`` kernel proposals, each at a center drawn uniformly from
+    ``centers`` just before the draws it centers.  Resampling repeats point
+    objects, so a proposal is built once per distinct center object; the
+    builds draw nothing from ``rng``."""
+    built: dict[int, FactorizedProposal] = {}
+    for _ in range(count):
+        center = centers[int(rng.generator.integers(len(centers)))]
+        prop = built.get(id(center))
+        if prop is None:
+            blocks = tuple(cfg.kernel.at(v) for v in center.block_values)
+            if cfg.global_proposal_builder is not None:
+                global_prop = cfg.global_proposal_builder(center)
+            else:
+                # default: the global block is re-proposed from the initial proposal
+                global_prop = init.global_proposal
+            prop = built[id(center)] = FactorizedProposal(block_proposals=blocks, global_proposal=global_prop)
+        yield prop
 
 
 def run_pmc(
@@ -200,13 +214,7 @@ def run_pmc(
         if t == 1:
             proposals = itertools.repeat(init, outer)
         else:
-            # each center is drawn just before the draws it centers
-            proposals = (
-                _kernel_proposal(
-                    cfg, init, prev_resampled[int(rng.generator.integers(len(prev_resampled)))]
-                )
-                for _ in range(outer)
-            )
+            proposals = _kernel_proposals(cfg, init, prev_resampled, outer, rng)
         gen_set = recombine(model, proposals, cfg.inner_draws, rng)
         if gen_set.log_weight_sum == -np.inf:
             raise DegenerateGenerationError(t)

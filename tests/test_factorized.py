@@ -6,11 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infmc.distributions import DiagGaussian, Gamma
-from infmc.estimators import SampleSet, TestFunction, decomposition_residual
+from infmc.estimators import (
+    DegenerateWeightsError,
+    SampleSet,
+    TestFunction,
+    decomposition_residual,
+    evidence_estimate,
+    self_normalized_estimate,
+)
 from infmc.experiments import _counting_likelihoods
 from infmc.factorized import (
     FactorizedModel,
     FactorizedProposal,
+    GroupedSampleSet,
     InflationBudgetError,
     block_contributions,
     grouped_inflate,
@@ -251,8 +259,8 @@ class TestGroupedInflate:
         toy = GaussianToy()
         model, prop = toy.model(), toy.proposal()
         pts = toy.sample_proposal(50, RandomSource(4))
-        out = grouped_inflate(pts, 1, model, prop)
-        assert np.array_equal(np.asarray(out.points), pts)
+        out = grouped_inflate(pts, 1, model, prop).materialize()
+        assert np.array_equal(out.points, pts)
         # same accumulation order as the per-point weight formula
         expected = np.full(50, model.log_evidence_offset)
         for j in range(2):
@@ -264,18 +272,25 @@ class TestGroupedInflate:
     def test_two_draw_group_gives_cartesian_square(self):
         toy = GaussianToy()
         pts = np.array([[1.0, 10.0], [2.0, 20.0]])
-        out = grouped_inflate(pts, 2, toy.model(), toy.proposal())
+        out = grouped_inflate(pts, 2, toy.model(), toy.proposal()).materialize()
         expected = [(1.0, 10.0), (1.0, 20.0), (2.0, 10.0), (2.0, 20.0)]
-        assert [tuple(p) for p in np.asarray(out.points)] == expected
+        assert [tuple(p) for p in out.points] == expected
+
+    def test_points_and_log_weights_read_as_the_materialized_set(self):
+        toy = GaussianToy()
+        grouped = grouped_inflate(toy.sample_proposal(30, RandomSource(2)), 3, toy.model(), toy.proposal())
+        full = grouped.materialize()
+        assert np.array_equal(grouped.points, full.points)
+        assert np.array_equal(grouped.log_weights, full.log_weights)
 
     @pytest.mark.parametrize("dimension", [1, 2, 3])
     def test_weights_match_monolithic_oracle(self, dimension):
         toy = GaussianToy(dimension=dimension)
         model, prop = toy.model(), toy.proposal()
         pts = toy.sample_proposal(40, RandomSource(6))
-        out = grouped_inflate(pts, 10, model, prop)
+        out = grouped_inflate(pts, 10, model, prop).materialize()
         assert len(out) == 4 * 10**dimension
-        for point, lw in zip(np.asarray(out.points), out.log_weights):
+        for point, lw in zip(out.points, out.log_weights):
             joint = model.joint_log_density(None, tuple(point))
             log_q = sum(prop.block_proposals[j].log_density(point[j]) for j in range(dimension))
             assert lw == pytest.approx(joint - log_q, abs=1e-12)
@@ -311,25 +326,116 @@ class TestGroupedInflate:
     def test_refuses_huge_output(self):
         toy = GaussianToy()
         pts = toy.sample_proposal(40000, RandomSource(0))
+        grouped = grouped_inflate(pts, 20000, toy.model(), toy.proposal())
+        assert len(grouped) == 2 * 20000**2
         with pytest.raises(InflationBudgetError):
-            grouped_inflate(pts, 20000, toy.model(), toy.proposal())
+            grouped.materialize()
+
+
+def _materialized_oracle(grouped: GroupedSampleSet, dimension: int):
+    full = grouped.materialize()
+    return (
+        self_normalized_estimate(full, TestFunction.identity(dimension)).value,
+        full.log_weight_sum,
+        float(evidence_estimate(full).value[0]),
+    )
+
+
+class TestGroupedContraction:
+    """The factored sums against the enumerated set, at the toy's -1000
+    evidence offset."""
+
+    @pytest.mark.parametrize("center", [0.0, -3.0], ids=["centered", "off-center"])
+    @pytest.mark.parametrize(
+        "dimension, group_size, draws",
+        [(1, 1, 200), (1, 10, 200), (1, 100, 200), (2, 1, 200), (2, 10, 200), (2, 100, 200),
+         (3, 1, 200), (3, 10, 200), (3, 100, 100)],
+    )
+    def test_matches_materialized_set(self, dimension, group_size, draws, center):
+        toy = GaussianToy(dimension=dimension)
+        pts = toy.sample_proposal(draws, RandomSource(17), center)
+        grouped = grouped_inflate(pts, group_size, toy.model(), toy.proposal(center))
+        estimate, log_weight_sum, log_evidence = _materialized_oracle(grouped, dimension)
+        assert len(grouped) == draws // group_size * group_size**dimension
+        np.testing.assert_allclose(grouped.self_normalized_mean(), estimate, rtol=1e-12, atol=1e-12)
+        assert grouped.log_weight_sum == pytest.approx(log_weight_sum, abs=1e-12)
+        assert grouped.log_evidence() == pytest.approx(log_evidence, abs=1e-12)
+
+    @pytest.mark.parametrize("center", [0.0, -3.0], ids=["centered", "off-center"])
+    def test_group_size_one_matches_the_plain_estimate(self, center):
+        toy = GaussianToy()
+        model, prop = toy.model(), toy.proposal(center)
+        pts = toy.sample_proposal(500, RandomSource(23), center)
+        base, contrib = block_contributions(model, prop, pts)
+        plain = SampleSet(pts, base + contrib[:, 0] + contrib[:, 1])
+        grouped = grouped_inflate(pts, 1, model, prop)
+        np.testing.assert_allclose(
+            grouped.self_normalized_mean(),
+            self_normalized_estimate(plain, TestFunction.identity(2)).value,
+            rtol=1e-12,
+            atol=1e-12,
+        )
+        assert grouped.log_weight_sum == pytest.approx(plain.log_weight_sum, abs=1e-12)
+        assert grouped.log_evidence() == pytest.approx(float(evidence_estimate(plain).value[0]), abs=1e-12)
+
+    @pytest.mark.parametrize("center", [0.0, -3.0], ids=["centered", "off-center"])
+    def test_one_group_of_the_whole_budget_is_each_blocks_own_estimate(self, center):
+        # full recombination: 20000^2 virtual samples; within one group the
+        # other blocks' weight sums cancel, leaving each block's own SNIS
+        toy = GaussianToy()
+        model, prop = toy.model(), toy.proposal(center)
+        pts = toy.sample_proposal(20000, RandomSource(29), center)
+        grouped = grouped_inflate(pts, 20000, model, prop)
+        assert len(grouped) == 20000**2
+        base, contrib = block_contributions(model, prop, pts)
+        per_block = [SampleSet(pts[:, [j]], contrib[:, j]) for j in range(2)]
+        expected = [self_normalized_estimate(s, TestFunction.identity(1)).value[0] for s in per_block]
+        np.testing.assert_allclose(grouped.self_normalized_mean(), expected, rtol=1e-12, atol=1e-12)
+        log_weight_sum = base + per_block[0].log_weight_sum + per_block[1].log_weight_sum
+        assert grouped.log_weight_sum == pytest.approx(log_weight_sum, abs=1e-12)
+        assert grouped.log_evidence() == pytest.approx(log_weight_sum - 2 * np.log(20000.0), abs=1e-12)
+        with pytest.raises(InflationBudgetError):
+            grouped.materialize()
+
+    def test_zero_total_weight_is_degenerate(self):
+        contrib = np.full((2, 2, 3), -np.inf)
+        grouped = GroupedSampleSet(-1000.0, contrib, np.ones_like(contrib))
+        assert grouped.log_weight_sum == -np.inf
+        with pytest.raises(DegenerateWeightsError):
+            grouped.self_normalized_mean()
+
+    @pytest.mark.parametrize("block_1_values", ["signed", "zero"])
+    def test_a_zero_weight_group_or_block_value_drops_out(self, block_1_values):
+        contrib = np.log(np.arange(1.0, 13.0)).reshape(2, 2, 3)
+        contrib[0, 1] = -np.inf  # group 0 has zero weight
+        contrib[1, 0, 2] = -np.inf
+        values = np.linspace(-2.0, 3.0, 12).reshape(2, 2, 3)
+        if block_1_values == "zero":
+            values[:, 1] = 0.0  # no block-1 term survives, and the estimate is exactly 0
+        grouped = GroupedSampleSet(-1000.0, contrib, values)
+        estimate, log_weight_sum, _ = _materialized_oracle(grouped, 2)
+        np.testing.assert_allclose(grouped.self_normalized_mean(), estimate, rtol=1e-12, atol=1e-12)
+        assert grouped.log_weight_sum == pytest.approx(log_weight_sum, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_positive_infinite_contribution_is_refused(self, bad):
+        contrib = np.zeros((2, 2, 3))
+        contrib[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="NaN or \\+inf"):
+            GroupedSampleSet(0.0, contrib, np.ones_like(contrib))
 
 
 class TestInflatedEstimatesConverge:
     def test_median_error_shrinks_with_draw_budget(self):
-        from infmc.estimators import SampleSet, self_normalized_estimate
-
         toy = GaussianToy()
         model, prop = toy.model(), toy.proposal()
-        h = TestFunction.identity(2)
         budgets = [100, 1000, 10000]
         root = RandomSource(31)
         errors = np.empty((50, 3))
         for r in range(50):
             for bi, n in enumerate(budgets):
                 pts = toy.sample_proposal(n, root.child(r, bi))
-                inflated = grouped_inflate(pts, 100, model, prop)
-                est = self_normalized_estimate(inflated, h).value
+                est = grouped_inflate(pts, 100, model, prop).self_normalized_mean()
                 errors[r, bi] = np.linalg.norm(est)
         medians = np.median(errors, axis=0)
         assert medians[0] > medians[1] > medians[2]

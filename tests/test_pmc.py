@@ -168,6 +168,20 @@ class TestRunPmc:
             run_pmc(model, init, cfg, RandomSource(0))
         assert excinfo.value.generation == 1
 
+    def test_kernel_proposal_is_built_once_per_distinct_center(self):
+        built = []
+
+        class CountingKernel(GaussianKernel):
+            def at(self, center):
+                built.append(center)
+                return super().at(center)
+
+        model = scalar_block_model(DiagGaussian(0.0, 1.0).log_density_each)
+        init = FactorizedProposal(block_proposals=(DiagGaussian(0.0, 4.0),))
+        gens = run_pmc(model, init, PmcConfig(40, 2, CountingKernel(0.5)), RandomSource(3))
+        distinct_centers = {id(p) for p in gens[0].resampled_points}
+        assert len(set(built)) == len(built) <= len(distinct_centers) < 40
+
     def test_inflated_generations_match_plain_eval_budget(self, monkeypatch):
         ds = make_synthetic("gaussian", (-2.0, 2.0), 7, count=40)
         spec = DmmSpec(ds.observations)
