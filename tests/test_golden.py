@@ -15,11 +15,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 GAUSS = ["--seed", "42", "--budgets", "200,2000", "--replications", "5"]
 DMM = ["--seed", "42", "--budgets", "40", "--replications", "2", "--generations", "2", "--data-count", "20"]
+# five generations: four of them draw through the informed assignment proposal and the kernels
+DMM_G5 = ["--seed", "42", "--budgets", "200", "--replications", "2", "--generations", "5", "--data-count", "40"]
 CASES = {
     "gauss-centered": ["gauss", "--experiment", "gauss-centered", *GAUSS],
     "gauss-offcenter": ["gauss", "--experiment", "gauss-offcenter", *GAUSS],
     "dmm-gauss": ["dmm", "--experiment", "dmm-gauss", *DMM],
     "dmm-t": ["dmm", "--experiment", "dmm-t", *DMM],
+    "dmm-gauss-g5": ["dmm", "--experiment", "dmm-gauss", *DMM_G5],
+    "dmm-t-g5": ["dmm", "--experiment", "dmm-t", *DMM_G5],
     "theorems": ["theorems", "--seed", "3", "--instances", "20"],
 }
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from infmc.distributions import LOG_TWO_PI, DiagGaussian
 from infmc.models import (
@@ -9,6 +9,7 @@ from infmc.models import (
     MixtureAssignmentProposal,
     MixtureGlobalProposal,
     SyntheticDataset,
+    _mixing_log_prob,
     dmm_init_proposal,
     dmm_model,
     load_dataset,
@@ -171,6 +172,37 @@ class TestDmmModel:
         if family == "student-t":
             # the other component still explains the data
             assert np.all(np.isfinite(batched[[5, 6, 7, 8, 10]])) and batched[9] == -np.inf
+
+
+def _mixing_log_prob_per_label(weights, labels) -> float:
+    """The Dirichlet(1, 1) term plus one log per gathered label, written out:
+    the oracle for ``_mixing_log_prob``."""
+    weights, labels = np.asarray(weights, dtype=float), np.asarray(labels)
+    if np.any(weights < 0.0) or abs(float(weights.sum()) - 1.0) > 1e-9:
+        return -np.inf
+    probs = weights[labels]
+    if np.any(probs <= 0.0):
+        return -np.inf
+    dirichlet = float((0.0 + gammaln(2.0)) - np.sum(gammaln(np.ones(2))))
+    return dirichlet + float(np.sum(np.log(probs)))
+
+
+class TestMixingLogProbBitwise:
+    @pytest.mark.parametrize("informed", [False, True])
+    def test_equals_per_label_logs_on_proposal_draws(self, informed):
+        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6, count=40).observations)
+        prop = MixtureAssignmentProposal(spec, (-1.0, 2.5)) if informed else MixtureGlobalProposal(spec)
+        rng = RandomSource(41)
+        for _ in range(200):
+            weights, labels = prop.sample(rng)
+            assert _mixing_log_prob(weights, labels) == _mixing_log_prob_per_label(weights, labels)
+
+    @pytest.mark.parametrize("labels", [[1, 1, 1], [1, 0, 1]], ids=["unlabelled", "labelled"])
+    def test_a_zero_weight(self, labels):
+        weights = np.array([0.0, 1.0])
+        expected = _mixing_log_prob_per_label(weights, labels)
+        assert _mixing_log_prob(weights, labels) == expected
+        assert (expected == 0.0) if labels == [1, 1, 1] else (expected == -np.inf)
 
 
 class TestGlobalProposals:
