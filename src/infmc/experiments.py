@@ -338,7 +338,7 @@ def gauss_replication(
         out["inflated"] = {
             "expectation": inflated.self_normalized_mean(),
             "log_evidence": inflated.log_evidence(),
-            "samples": len(inflated),
+            "samples": inflated.size,
             "wall": time.perf_counter() - t0,
         }
     return out

@@ -269,16 +269,17 @@ class GroupedSampleSet:
 
     ``contributions`` and ``values`` are ``(groups, K, n)``: block ``j`` of
     group ``g`` has the ``n`` values ``values[g, j]`` with log-weight terms
-    ``contributions[g, j]``.  The set stands for the ``groups * n**K``
+    ``contributions[g, j]``.  The set stands for the ``size = groups * n**K``
     combinations that :meth:`materialize` enumerates, combination
     ``(i_1, ..., i_K)`` of group ``g`` weighing ``base + sum_j
     contributions[g, j, i_j]``.  Weight sums over a group factor into
     per-block log-sum-exps, so the weight sum, the evidence and the
-    self-normalized mean cost ``O(groups * K * n)``.  Immutable after
+    self-normalized mean cost ``O(groups * K * n)``.  ``size`` is a Python
+    int, so it holds counts beyond ``len()``'s 2**63 - 1.  Immutable after
     construction.
     """
 
-    __slots__ = ("base", "contributions", "values", "log_weight_sum", "_block_sums", "_group_sums")
+    __slots__ = ("base", "contributions", "values", "size", "log_weight_sum", "_block_sums", "_group_sums")
 
     def __init__(self, base: float, contributions: np.ndarray, values: np.ndarray):
         contributions = np.asarray(contributions, dtype=float)
@@ -290,6 +291,8 @@ class GroupedSampleSet:
         self.base = float(base)
         self.contributions = contributions
         self.values = values
+        groups, k, n = contributions.shape
+        self.size = groups * n**k
         self._block_sums = log_sum_exp(contributions, 2)[0][..., 0]  # L_gj = lse_i c_gji
         self._group_sums = self._per_group(self._block_sums)  # W_g, group g's weight sum
         self.log_weight_sum = float(log_sum_exp(self._group_sums, 0)[0][0]) if len(contributions) else -np.inf
@@ -302,15 +305,14 @@ class GroupedSampleSet:
         return total
 
     def __len__(self) -> int:
-        groups, k, n = self.contributions.shape
-        return groups * n**k
+        return self.size
 
     def self_normalized_mean(self) -> np.ndarray:
         """Self-normalized estimate of the identity over every combination:
         per block ``j``, ``sum_g e^(W_g - L_gj) sum_i e^(c_gji) x_gji / W``
         with group weight sums ``W_g``, block sums ``L_gj`` and total ``W``,
         through the sign-tracking :func:`log_sum_exp`."""
-        if len(self) == 0:
+        if self.contributions.shape[0] == 0:
             raise ValueError("estimation requires a non-empty sample set")
         if self.log_weight_sum == -np.inf:
             raise DegenerateWeightsError("all weights are zero")
@@ -323,19 +325,19 @@ class GroupedSampleSet:
         return sign[0] * np.exp(log_abs[0] - self.log_weight_sum)
 
     def log_evidence(self) -> float:
-        """Log of the evidence estimate ``(1/len) sum w`` over every
+        """Log of the evidence estimate ``(1/size) sum w`` over every
         combination, as the mean over groups of ``base + sum_j (L_gj - log
         n)``: unit weights give exactly 0, which ``log_weight_sum -
-        log(len)`` does not."""
-        if len(self) == 0:
+        log(size)`` does not."""
+        if self.contributions.shape[0] == 0:
             raise ValueError("estimation requires a non-empty sample set")
         groups, _, n = self.contributions.shape
         log_means = self._per_group(self._block_sums - np.log(n))
         return float(log_sum_exp(log_means, 0)[0][0] - np.log(groups))
 
     def _refuse_huge(self) -> None:
-        if len(self) > MAX_UNCAPPED_COMBINATIONS:
-            raise InflationBudgetError(f"refusing to materialize {len(self)} recombined samples")
+        if self.size > MAX_UNCAPPED_COMBINATIONS:
+            raise InflationBudgetError(f"refusing to materialize {self.size} recombined samples")
 
     @property
     def log_weights(self) -> np.ndarray:
@@ -345,12 +347,12 @@ class GroupedSampleSet:
 
     @property
     def points(self) -> np.ndarray:
-        """Every combination as a ``(len, K)`` row, in :meth:`materialize`'s order."""
+        """Every combination as a ``(size, K)`` row, in :meth:`materialize`'s order."""
         self._refuse_huge()
         groups, k, n = self.values.shape
         grid_shape = (groups,) + (n,) * k
         point_grid = [np.broadcast_to(_along_block(j, k, self.values[:, j]), grid_shape) for j in range(k)]
-        return np.stack(point_grid, axis=-1).reshape(len(self), k)
+        return np.stack(point_grid, axis=-1).reshape(self.size, k)
 
     def materialize(self) -> SampleSet:
         """The enumerated set, in lexicographic order over ``(group, i_1, ...,

@@ -349,14 +349,14 @@ class TestGroupedContraction:
     @pytest.mark.parametrize(
         "dimension, group_size, draws",
         [(1, 1, 200), (1, 10, 200), (1, 100, 200), (2, 1, 200), (2, 10, 200), (2, 100, 200),
-         (3, 1, 200), (3, 10, 200), (3, 100, 100)],
+         (3, 1, 200), (3, 10, 200), (3, 100, 100), (10, 2, 200)],
     )
     def test_matches_materialized_set(self, dimension, group_size, draws, center):
         toy = GaussianToy(dimension=dimension)
         pts = toy.sample_proposal(draws, RandomSource(17), center)
         grouped = grouped_inflate(pts, group_size, toy.model(), toy.proposal(center))
         estimate, log_weight_sum, log_evidence = _materialized_oracle(grouped, dimension)
-        assert len(grouped) == draws // group_size * group_size**dimension
+        assert grouped.size == len(grouped) == draws // group_size * group_size**dimension
         np.testing.assert_allclose(grouped.self_normalized_mean(), estimate, rtol=1e-12, atol=1e-12)
         assert grouped.log_weight_sum == pytest.approx(log_weight_sum, abs=1e-12)
         assert grouped.log_evidence() == pytest.approx(log_evidence, abs=1e-12)
@@ -396,6 +396,26 @@ class TestGroupedContraction:
         assert grouped.log_evidence() == pytest.approx(log_weight_sum - 2 * np.log(20000.0), abs=1e-12)
         with pytest.raises(InflationBudgetError):
             grouped.materialize()
+
+    def test_ten_blocks_in_groups_of_100_estimate_without_materializing(self):
+        # 2 * 100**10 combinations: beyond len()'s 2**63 - 1, and far beyond the cap
+        toy = GaussianToy(dimension=10)
+        grouped = grouped_inflate(toy.sample_proposal(200, RandomSource(1)), 100, toy.model(), toy.proposal())
+        assert grouped.size == 2 * 100**10
+        assert np.all(np.isfinite(grouped.self_normalized_mean()))
+        assert np.isfinite(grouped.log_evidence()) and np.isfinite(grouped.log_weight_sum)
+        for materialized in ("points", "log_weights"):
+            with pytest.raises(InflationBudgetError):
+                getattr(grouped, materialized)
+        with pytest.raises(InflationBudgetError):
+            grouped.materialize()
+
+    def test_empty_set_refuses_estimation(self):
+        grouped = GroupedSampleSet(0.0, np.zeros((0, 2, 3)), np.zeros((0, 2, 3)))
+        assert grouped.size == 0 and grouped.log_weight_sum == -np.inf
+        for estimate in (grouped.self_normalized_mean, grouped.log_evidence):
+            with pytest.raises(ValueError, match="non-empty"):
+                estimate()
 
     def test_zero_total_weight_is_degenerate(self):
         contrib = np.full((2, 2, 3), -np.inf)
