@@ -132,6 +132,13 @@ class Dirichlet(Density):
         self.concentration = np.atleast_1d(_positive(concentration, "concentration"))
         if self.concentration.size < 2:
             raise ValueError("Dirichlet needs at least two components")
+        a = self.concentration
+        # coordinates whose log enters the density; none at all-unit concentration
+        self._free = np.flatnonzero(a != 1.0)
+        self._exponents = a[self._free] - 1.0
+        # the normalizer as two terms, added and subtracted in the per-call formula's order
+        self._log_gamma_total = gammaln(a.sum())
+        self._log_gamma_parts = np.sum(gammaln(a))
 
     def sample(self, rng: RandomSource) -> np.ndarray:
         draw = rng.generator.dirichlet(self.concentration)
@@ -144,13 +151,16 @@ class Dirichlet(Density):
         a = self.concentration
         if x.shape != a.shape:
             raise ValueError(f"dimension mismatch: point {x.shape}, density {a.shape}")
-        if np.any(x < 0.0) or abs(float(x.sum()) - 1.0) > 1e-9:
+        coords = x.tolist()  # K floats: cheaper than array reductions; a NaN fails the sum's test
+        if not (min(coords) >= 0.0 and abs(sum(coords) - 1.0) <= 1e-9):
             return -np.inf
-        nonunit = a != 1.0
-        if np.any(nonunit & (x == 0.0)):
-            return -np.inf  # simplex boundary: zero density (a>1) or excluded by convention (a<1)
-        terms = np.sum((a[nonunit] - 1.0) * np.log(x[nonunit]))
-        return float(terms + gammaln(a.sum()) - np.sum(gammaln(a)))
+        terms = 0.0
+        if self._free.size:
+            free = x[self._free]
+            if np.any(free == 0.0):
+                return -np.inf  # simplex boundary: zero density (a>1) or excluded by convention (a<1)
+            terms = np.sum(self._exponents * np.log(free))
+        return float(terms + self._log_gamma_total - self._log_gamma_parts)
 
 
 class Gamma(Density):

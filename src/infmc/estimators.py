@@ -65,15 +65,16 @@ def log_sum_exp(a: np.ndarray, axis: int, b: np.ndarray | None = None):
             b = np.ascontiguousarray(b, dtype=float)
             if (b == 0).any():
                 kept = np.where(b == 0, -np.inf, a)
-        a_max = np.max(kept, axis=axis, keepdims=True)
+        # ufunc reductions called directly: np.max's and np.sum's bits without their argument handling
+        a_max = np.maximum.reduce(kept, axis=axis, keepdims=True)
         is_max = kept == a_max
         shifted = np.where(is_max, -np.inf, kept)
         shifted -= a_max
         np.exp(shifted, out=shifted)
         if b is None:
             # s >= 0 and m >= 1 wherever the result is finite: no sign to track
-            m = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
-            s = np.sum(shifted, axis=axis, keepdims=True) / m
+            m = np.add.reduce(is_max, axis=axis, keepdims=True, dtype=float)
+            s = np.add.reduce(shifted, axis=axis, keepdims=True) / m
             sign = np.sign(m)
         else:
             if kept is a and a.size == a.shape[axis] and np.count_nonzero(is_max) == 1:

@@ -134,9 +134,11 @@ class DmmSpec:
         3)`` (mean, variance, df) for student-t.  The result is ``(...,
         len(obs))``, and ``-inf`` where a variance or df is not positive."""
         obs = np.asarray(obs, dtype=float)
-        params = np.asarray(params, dtype=float)
         if self.component_family == GAUSSIAN:
-            return -0.5 * (LOG_TWO_PI + (obs - params[..., None]) ** 2)
+            if isinstance(params, float):  # one mean: no array conversion, the same arithmetic
+                return -0.5 * (LOG_TWO_PI + (obs - params) ** 2)
+            return -0.5 * (LOG_TWO_PI + (obs - np.asarray(params, dtype=float)[..., None]) ** 2)
+        params = np.asarray(params, dtype=float)
         if params.ndim == 1:  # one parameter set: float arithmetic is much cheaper
             mean, var, df = params.tolist()
             if var <= 0.0 or df <= 0.0:
@@ -181,10 +183,15 @@ def _mixing_log_prob(weights, labels) -> float:
     total = _mixing_prior_term(weights, labels)
     if total == -np.inf:
         return -np.inf
-    probs = weights[labels]
-    if np.any(probs <= 0.0):
+    # log is elementwise, so one log per weight, gathered, has the bits of one log per label
+    if min(weights.tolist()) > 0.0:
+        log_weights = np.log(weights)
+    elif np.any(weights[labels] <= 0.0):
         return -np.inf
-    return total + float(np.sum(np.log(probs)))
+    else:
+        with np.errstate(divide="ignore"):  # a zero weight that no label names is never gathered
+            log_weights = np.log(weights)
+    return total + float(log_weights[labels].sum())
 
 
 class MixtureGlobalProposal(Density):
@@ -279,7 +286,7 @@ def dmm_model(spec: DmmSpec) -> FactorizedModel:
         def block_log_likelihood(phi, params):
             _, labels = phi
             obs = spec.data[np.asarray(labels) == j]
-            return np.sum(spec.component_log_density_each(obs, params), axis=-1)
+            return spec.component_log_density_each(obs, params).sum(axis=-1)
 
         return block_log_likelihood
 

@@ -292,6 +292,11 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             Dirichlet([1.0, 0.0])
 
+    @pytest.mark.parametrize("concentration", [(1.0, 1.0), (2.0, 3.0)])
+    @pytest.mark.parametrize("x", [[np.nan, np.nan], [np.nan, 0.5], [np.inf, 0.0], [np.inf, -np.inf]])
+    def test_non_finite_point_is_outside_the_support(self, concentration, x):
+        assert Dirichlet(concentration).log_density(np.array(x)) == -np.inf
+
 
 class TestTupleDensity:
     def test_sums_parts(self):

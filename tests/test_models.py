@@ -187,7 +187,7 @@ def _mixing_log_prob_per_label(weights, labels) -> float:
     return dirichlet + float(np.sum(np.log(probs)))
 
 
-class TestMixingLogProbBitwise:
+class TestMixingLogProb:
     @pytest.mark.parametrize("informed", [False, True])
     def test_equals_per_label_logs_on_proposal_draws(self, informed):
         spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6, count=40).observations)
@@ -203,6 +203,9 @@ class TestMixingLogProbBitwise:
         expected = _mixing_log_prob_per_label(weights, labels)
         assert _mixing_log_prob(weights, labels) == expected
         assert (expected == 0.0) if labels == [1, 1, 1] else (expected == -np.inf)
+
+    def test_nan_weights_have_zero_density(self):
+        assert _mixing_log_prob(np.array([np.nan, np.nan]), [0, 1]) == -np.inf
 
 
 class TestGlobalProposals:
