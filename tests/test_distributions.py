@@ -165,6 +165,18 @@ class TestSampleBatch:
         assert batched.generator.bit_generator.state == single.generator.bit_generator.state
 
 
+def _dirichlet_per_call(a, x) -> float:
+    """The Dirichlet log density written out per call, the oracle for the
+    normalizers fixed at construction."""
+    a, x = np.asarray(a, dtype=float), np.asarray(x, dtype=float)
+    if np.any(x < 0.0) or abs(float(x.sum()) - 1.0) > 1e-9:
+        return -np.inf
+    nonunit = a != 1.0
+    if np.any(nonunit & (x == 0.0)):
+        return -np.inf
+    return float((np.sum((a[nonunit] - 1.0) * np.log(x[nonunit])) + gammaln(a.sum())) - np.sum(gammaln(a)))
+
+
 class TestNormalizersFixedAtConstruction:
     """Normalizers computed once per density keep every bit of the per-call formula."""
 
@@ -185,23 +197,7 @@ class TestNormalizersFixedAtConstruction:
         wishart = 3.0 * np.log(2.5) - gammaln(3.0) - 4.0 * np.log(self.XS) - 2.5 / self.XS
         assert np.array_equal(ScalarInverseWishart(5.0, 6.0).log_density_each(self.XS), wishart)
 
-
-def _dirichlet_per_call(a, x) -> float:
-    """The Dirichlet log density written out per call, the oracle for the
-    normalizers fixed at construction."""
-    a, x = np.asarray(a, dtype=float), np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or abs(float(x.sum()) - 1.0) > 1e-9:
-        return -np.inf
-    nonunit = a != 1.0
-    if np.any(nonunit & (x == 0.0)):
-        return -np.inf
-    return float((np.sum((a[nonunit] - 1.0) * np.log(x[nonunit])) + gammaln(a.sum())) - np.sum(gammaln(a)))
-
-
-class TestDirichletBitwise:
-    """``Dirichlet.log_density`` equals, bit for bit, the per-call formula."""
-
-    POINTS = {
+    DIRICHLET_POINTS = {
         2: [[0.3, 0.7], [0.5, 0.5], [1e-12, 1.0 - 1e-12], [0.0, 1.0], [1.0, 0.0],
             [0.7, 0.7], [-0.1, 1.1], [0.5, 0.5 + 1e-8]],
         3: [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.0, 0.4, 0.6], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0],
@@ -209,9 +205,10 @@ class TestDirichletBitwise:
     }
 
     @pytest.mark.parametrize("concentration", [(1.0, 1.0), (2.0, 3.5), (1.0, 2.0, 3.0), (0.5, 0.5)])
-    def test_equals_per_call_formula(self, concentration):
+    def test_dirichlet(self, concentration):
+        # interior, boundary-zero and off-simplex points, then draws
         d = Dirichlet(concentration)
-        points = self.POINTS[len(concentration)] + [d.sample(RandomSource(s)) for s in range(20)]
+        points = self.DIRICHLET_POINTS[len(concentration)] + [d.sample(RandomSource(s)) for s in range(20)]
         for x in points:
             assert d.log_density(np.array(x, dtype=float)) == _dirichlet_per_call(concentration, x), x
 
