@@ -213,6 +213,103 @@ class TestNormalizersFixedAtConstruction:
             assert d.log_density(np.array(x, dtype=float)) == _dirichlet_per_call(concentration, x), x
 
 
+def _student_t_formula(x, loc, scale, df) -> float:
+    z = (x - loc) / scale
+    return float(
+        gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * np.pi) - np.log(scale)
+        - (df + 1.0) / 2.0 * np.log1p(z * z / df)
+    )
+
+
+def _gamma_formula(x, shape, scale) -> float:
+    if x > 0.0:
+        return float(-gammaln(shape) - shape * np.log(scale) + (shape - 1.0) * np.log(x) - x / scale)
+    if x == 0.0 and shape == 1.0:
+        return float(-gammaln(shape) - shape * np.log(scale))
+    return -np.inf
+
+
+def _inverse_wishart_formula(x, scale_sq, df) -> float:
+    shape, rate = df / 2.0, scale_sq / 2.0
+    if not x > 0.0:
+        return -np.inf
+    return float(shape * np.log(rate) - gammaln(shape) - (shape + 1.0) * np.log(x) - rate / x)
+
+
+def _gaussian_formula(x, mean, var) -> float:
+    x = np.asarray(x, dtype=float)
+    return float(-0.5 * (LOG_TWO_PI + np.log(var) + (x - mean) ** 2 / var))
+
+
+class TestLogDensityEqualsTheFormulaBitwise:
+    """``log_density`` of one point has the bits of each family's formula,
+    inside the support, on its boundary and outside it."""
+
+    REALS = [-2.0, 0.0, 0.3, 4.5, 1e-300, 1e150, np.inf, -np.inf]
+    POSITIVES = [0.01, 0.5, 1.0, 7.3, 40.0, 5e-324, 0.0, -0.0, -0.5, -np.inf, np.nan]
+
+    def test_student_t(self):
+        d = StudentT(0.3, 1.7, 5.0)
+        for x in self.REALS:
+            assert d.log_density(x) == _student_t_formula(x, 0.3, 1.7, 5.0), x
+
+    @pytest.mark.parametrize("shape, scale", [(1.0, 1.0), (1.0, 2.5), (2.5, 0.4), (1.0 / 0.09, 4.0 * 0.09)])
+    def test_gamma(self, shape, scale):
+        d = Gamma(shape, scale)
+        for x in self.POSITIVES:
+            assert d.log_density(x) == _gamma_formula(x, shape, scale), x
+
+    @pytest.mark.parametrize("scale_sq, df", [(5.0, 1.0), (5.0, 6.0), (2.0, 4.0)])
+    def test_scalar_inverse_wishart(self, scale_sq, df):
+        d = ScalarInverseWishart(scale_sq, df)
+        for x in self.POSITIVES:
+            assert d.log_density(x) == _inverse_wishart_formula(x, scale_sq, df), x
+
+    @pytest.mark.parametrize("mean, var", [(0.0, 1.0), (0.3, 1.7), (-5.0, 0.0625)])
+    def test_scalar_gaussian(self, mean, var):
+        d = DiagGaussian(mean, var)
+        for x in self.REALS + [np.float64(-3.1), np.array(1.25)]:
+            assert d.log_density(x) == _gaussian_formula(x, mean, var), x
+
+    def test_dmm_t_prior(self):
+        rows = [(0.3, 2.0, 1.5), (-40.0, 1e-3, 90.0), (0.0, 0.0, 0.0), (1.0, -1.0, 2.0), (1.0, 1.0, -1.0),
+                (np.inf, 1.0, 1.0), (0.5, np.nan, 1.0)]
+        for row in rows:
+            expected = (
+                _student_t_formula(row[0], 0.0, 1.0, 1.0)
+                + _inverse_wishart_formula(row[1], 5.0, 1.0)
+                + _gamma_formula(row[2], 1.0, 1.0)
+            )
+            assert DMM_T_PRIOR.log_density(row) == expected, row
+            assert DMM_T_PRIOR.log_density(np.array(row)) == expected, row
+
+
+class TestIndependentGaussianCoordinates:
+    """Independent Gaussian coordinates are a ``TupleDensity`` of univariate
+    ones, with the bits of the vector formula."""
+
+    MEAN, VAR = np.array([0.5, -1.0]), np.array([2.0, 0.25])
+    PAIR = TupleDensity([DiagGaussian(0.5, 2.0), DiagGaussian(-1.0, 0.25)])
+
+    def test_draws_are_the_vector_formula_bitwise(self):
+        rng, twin = RandomSource(31), RandomSource(31)
+        drawn = self.PAIR.sample_batch(rng, 9)
+        expected = self.MEAN + np.sqrt(self.VAR) * twin.generator.standard_normal((9, 2))
+        assert drawn.shape == (9, 2) and np.array_equal(drawn, expected)
+        assert rng.generator.bit_generator.state == twin.generator.bit_generator.state
+
+    def test_scores_rows_with_the_vector_formula_bitwise(self):
+        rows = self.PAIR.sample_batch(RandomSource(32), 200).tolist() + [[0.5, -1.0], [1e150, 0.0], [np.inf, 0.0]]
+        each = self.PAIR.log_density_each(np.array(rows))
+        for row, score in zip(rows, each.tolist()):
+            x = np.array(row)
+            assert score == float(-0.5 * np.sum(LOG_TWO_PI + np.log(self.VAR) + (x - self.MEAN) ** 2 / self.VAR))
+            # a lone row is the sum of its parts' scalar scores, whose square is numpy's scalar power
+            alone = self.PAIR.log_density(x)
+            assert alone == sum(part.log_density(v) for part, v in zip(self.PAIR.parts, row))
+            assert alone == pytest.approx(score, rel=1e-15, abs=0.0)
+
+
 class TestStudentT:
     def test_matches_scipy(self):
         d = StudentT(0.3, 1.7, 5.0)
