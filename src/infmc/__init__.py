@@ -12,7 +12,6 @@ from .distributions import (
 )
 from .estimators import (
     DegenerateWeightsError,
-    Estimate,
     SampleSet,
     TestFunction,
     combine,

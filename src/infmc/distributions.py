@@ -3,7 +3,8 @@
 Every density works in log space; ``log_density`` returns ``-inf`` outside the
 support and never raises for out-of-support points.  Block densities also draw
 a batch stacked along a first axis (``sample_batch``) and map such an array to
-per-point log densities (``log_density_each``), one call per block's draws.
+per-point log densities (``log_density_each``), one call per block's draws;
+their ``log_density`` is that one formula applied to a single point.
 """
 from __future__ import annotations
 
@@ -35,7 +36,11 @@ class Density:
         raise NotImplementedError
 
     def log_density(self, x) -> float:
-        raise NotImplementedError
+        """The log density of one point: :meth:`log_density_each`'s single term."""
+        terms = np.asarray(self.log_density_each(x))
+        if terms.size != 1:
+            raise ValueError(f"{type(self).__name__}.log_density takes one point, got {terms.size} terms")
+        return float(terms.reshape(()))
 
     def sample_batch(self, rng: RandomSource, count: int) -> np.ndarray:
         """``count`` draws stacked along axis 0, using ``rng`` as ``count`` calls of :meth:`sample` do."""
@@ -64,35 +69,25 @@ def _positive(value, name: str) -> np.ndarray:
 
 
 class DiagGaussian(Density):
-    """Gaussian with independent coordinates; scalar parameters give a univariate."""
+    """Univariate Gaussian; independent coordinates are a :class:`TupleDensity` of these."""
 
     def __init__(self, mean, var):
         self.mean = np.asarray(mean, dtype=float)
         self.var = _positive(var, "var")
+        if self.mean.ndim or self.var.ndim:
+            raise ValueError(f"mean and var must be scalars, got shapes {self.mean.shape} and {self.var.shape}")
         # fixed at construction, so the per-draw calls only read them
-        self._shape = np.broadcast_shapes(self.mean.shape, self.var.shape)
         self._sd = np.sqrt(self.var)
         self._log_norm = LOG_TWO_PI + np.log(self.var)
 
-    def sample(self, rng: RandomSource):
-        if not self._shape:
-            return float(self.mean + self._sd * rng.generator.standard_normal())
-        return self.mean + self._sd * rng.generator.standard_normal(self._shape)
+    def sample(self, rng: RandomSource) -> float:
+        return float(self.mean + self._sd * rng.generator.standard_normal())
 
     def sample_batch(self, rng: RandomSource, count: int) -> np.ndarray:
         # one generator call gives the same bits as ``count`` calls of ``sample``
-        return self.mean + self._sd * rng.generator.standard_normal((count, *self._shape))
-
-    def log_density(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self._shape and x.shape != np.broadcast_shapes(x.shape, self.mean.shape, self.var.shape):
-            raise ValueError(f"dimension mismatch: point {x.shape}, density {self.mean.shape}")
-        terms = self._log_norm + (x - self.mean) ** 2 / self.var
-        return float(-0.5 * (terms if terms.ndim == 0 else np.sum(terms)))
+        return self.mean + self._sd * rng.generator.standard_normal(count)
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
-        if self._shape:
-            raise NotImplementedError("elementwise form requires scalar parameters")
         xs = np.asarray(xs, dtype=float)
         return -0.5 * (self._log_norm + (xs - self.mean) ** 2 / self.var)
 
@@ -117,9 +112,6 @@ class StudentT(Density):
 
     def sample(self, rng: RandomSource) -> float:
         return self.loc + self.scale * float(rng.generator.standard_t(self.df))
-
-    def log_density(self, x) -> float:
-        return float(student_t_logpdf(float(x), self.loc, self.scale, self.df, self._log_norm))
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
         return student_t_logpdf(np.asarray(xs, dtype=float), self.loc, self.scale, self.df, self._log_norm)
@@ -174,9 +166,6 @@ class Gamma(Density):
     def sample(self, rng: RandomSource) -> float:
         return float(rng.generator.gamma(self.shape, self.scale))
 
-    def log_density(self, x) -> float:
-        return float(self.log_density_each(np.asarray(float(x))))
-
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -204,12 +193,9 @@ class ScalarInverseWishart(Density):
     def sample(self, rng: RandomSource) -> float:
         return self._rate / float(rng.generator.gamma(self._shape, 1.0))
 
-    def log_density(self, x) -> float:
-        return float(self.log_density_each(np.asarray(float(x))))
-
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = self._log_norm - (self._shape + 1.0) * np.log(xs) - self._rate / xs
         return np.where(xs > 0.0, out, -np.inf)
 
@@ -224,9 +210,6 @@ class TupleDensity(Density):
 
     def sample(self, rng: RandomSource) -> tuple:
         return tuple(part.sample(rng) for part in self.parts)
-
-    def log_density(self, x) -> float:
-        return float(self.log_density_each(x))
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
         """Per-row log densities of an ``(n, parts)`` array, or of one row."""

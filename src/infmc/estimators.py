@@ -18,7 +18,6 @@ from .rng import RandomSource
 __all__ = [
     "DegenerateWeightsError",
     "SampleSet",
-    "Estimate",
     "TestFunction",
     "standard_estimate",
     "self_normalized_estimate",
@@ -33,7 +32,6 @@ __all__ = [
 
 STANDARD = "standard"
 SELF_NORMALIZED = "self-normalized"
-EVIDENCE = "evidence"
 
 
 class DegenerateWeightsError(ValueError):
@@ -131,20 +129,6 @@ class SampleSet:
 
 
 @dataclass(frozen=True)
-class Estimate:
-    """An estimator value together with its weight-sum and sample count."""
-
-    value: np.ndarray
-    kind: str
-    n: int
-    log_weight_sum: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("an estimate needs at least one sample")
-
-
-@dataclass(frozen=True)
 class TestFunction:
     """A batched map from points to real vectors.
 
@@ -184,25 +168,24 @@ def _signed_weighted_sum(log_weights: np.ndarray, values: np.ndarray):
     return log_abs[0], sign[0]
 
 
-def standard_estimate(x: SampleSet, h: TestFunction) -> Estimate:
-    """Mean of ``w * h`` over the set; requires weights from a normalized target."""
+def standard_estimate(x: SampleSet, h: TestFunction) -> np.ndarray:
+    """Mean of ``w * h`` over the set, a ``(dim,)`` array; requires weights
+    from a normalized target."""
     _require_nonempty(x)
     values = h(x.points)
     log_abs, sign = _signed_weighted_sum(x.log_weights, values)
-    est = sign * np.exp(log_abs - np.log(len(x)))
-    return Estimate(est, STANDARD, len(x), x.log_weight_sum)
+    return sign * np.exp(log_abs - np.log(len(x)))
 
 
-def self_normalized_estimate(x: SampleSet, h: TestFunction) -> Estimate:
-    """Weight-sum-normalized estimate; valid when the target is known only
-    up to a constant (the constant cancels)."""
+def self_normalized_estimate(x: SampleSet, h: TestFunction) -> np.ndarray:
+    """Weight-sum-normalized estimate, a ``(dim,)`` array; valid when the
+    target is known only up to a constant (the constant cancels)."""
     _require_nonempty(x)
     if x.log_weight_sum == -np.inf:
         raise DegenerateWeightsError("all weights are zero")
     values = h(x.points)
     log_abs, sign = _signed_weighted_sum(x.log_weights, values)
-    est = sign * np.exp(log_abs - x.log_weight_sum)
-    return Estimate(est, SELF_NORMALIZED, len(x), x.log_weight_sum)
+    return sign * np.exp(log_abs - x.log_weight_sum)
 
 
 def snis_variance_estimate(x: SampleSet, h: TestFunction) -> np.ndarray:
@@ -210,18 +193,17 @@ def snis_variance_estimate(x: SampleSet, h: TestFunction) -> np.ndarray:
     ``sum_i (w_i / w_sum)^2 (h(x_i) - estimate)^2``."""
     est = self_normalized_estimate(x, h)
     values = h(x.points)
-    dev_sq = (values - est.value) ** 2
+    dev_sq = (values - est) ** 2
     log_sq_norm_w = 2.0 * (x.log_weights - x.log_weight_sum)
     log_var, sign = log_sum_exp(log_sq_norm_w[:, None], 0, dev_sq)
     return np.where(sign[0] < 0, np.nan, np.exp(log_var[0]))
 
 
-def evidence_estimate(x: SampleSet) -> Estimate:
+def evidence_estimate(x: SampleSet) -> float:
     """Log of the normalizing-constant estimate ``(1/n) sum_i w_i``,
     kept in log space throughout."""
     _require_nonempty(x)
-    log_f_hat = x.log_weight_sum - np.log(len(x))
-    return Estimate(np.array([log_f_hat]), EVIDENCE, len(x), x.log_weight_sum)
+    return float(x.log_weight_sum - np.log(len(x)))
 
 
 def combine(sets: Sequence[SampleSet]) -> SampleSet:
@@ -257,9 +239,9 @@ def decomposition_residual(sets: Sequence[SampleSet], h: TestFunction, kind: str
     estimator = _ESTIMATORS[kind]
     union = combine(list(sets))
     lambdas = _convex_lambdas(sets, union, kind)
-    per_set = np.array([estimator(s, h).value for s in sets])
+    per_set = np.array([estimator(s, h) for s in sets])
     combined = lambdas @ per_set
-    return float(np.max(np.abs(estimator(union, h).value - combined)))
+    return float(np.max(np.abs(estimator(union, h) - combined)))
 
 
 def error_convexity_margin(
@@ -278,7 +260,7 @@ def error_convexity_margin(
     union = combine(list(sets))
     lambdas = _convex_lambdas(sets, union, kind)
     reference = np.asarray(reference, dtype=float)
-    per_set = np.array([estimator(s, h).value for s in sets])
+    per_set = np.array([estimator(s, h) for s in sets])
     avg_error = float(lambdas @ [np.linalg.norm(v - reference, ord=ord) for v in per_set])
     combined_error = float(np.linalg.norm(lambdas @ per_set - reference, ord=ord))
     return avg_error - combined_error

@@ -127,8 +127,10 @@ class ExperimentConfig:
             object.__setattr__(self, "budgets", (2000,) if mixture else (200, 2000, 20000))
         budgets = tuple(int(b) for b in self.budgets)
         object.__setattr__(self, "budgets", budgets)
-        if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
-            raise ValueError("budgets must be strictly increasing")
+        if not budgets or any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
+            raise ValueError("budgets must be one or more strictly increasing values")
+        if len(self.true_means) != 2:
+            raise ValueError(f"true_means must give the two component means, got {self.true_means!r}")
         if self.replications < 2:
             raise ValueError("need at least 2 replications to estimate variances")
         for name in ("workers", "group_size", "generations", "inner_draws", "data_count"):
@@ -327,8 +329,8 @@ def gauss_replication(
             log_w = log_w + column
         sample_set = SampleSet(pts, log_w)
         out["plain"] = {
-            "expectation": self_normalized_estimate(sample_set, TestFunction.identity(toy.dimension)).value,
-            "log_evidence": float(evidence_estimate(sample_set).value[0]),
+            "expectation": self_normalized_estimate(sample_set, TestFunction.identity(toy.dimension)),
+            "log_evidence": evidence_estimate(sample_set),
             "samples": len(sample_set),
             "wall": time.perf_counter() - t0,
         }
@@ -429,7 +431,7 @@ def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> di
         wall = time.perf_counter() - t0
         trace = trace_metrics(gens, truth)
         best_marginal = np.array([_best_marginal(spec, g.sample_set.points) for g in gens])
-        aligned = _aligned_estimate(gens[-1].cumulative_estimate.value, truth)
+        aligned = _aligned_estimate(gens[-1].cumulative_estimate, truth)
         out[method] = {
             "estimate": aligned,
             "error": float(np.linalg.norm(aligned - truth)),

@@ -18,7 +18,6 @@ import numpy as np
 from .distributions import Density, DiagGaussian, Gamma, ScalarInverseWishart, TupleDensity
 from .estimators import (
     DegenerateWeightsError,
-    Estimate,
     SampleSet,
     TestFunction,
     combine,
@@ -164,7 +163,7 @@ class Generation:
     index: int
     sample_set: SampleSet
     resampled_points: list
-    cumulative_estimate: Optional[Estimate]
+    cumulative_estimate: Optional[np.ndarray]
     best_log_likelihood: float
     block_evals: int
 
@@ -232,7 +231,7 @@ def run_pmc(
     return generations
 
 
-def pooled_estimate(generations: list[Generation], h: TestFunction) -> Estimate:
+def pooled_estimate(generations: list[Generation], h: TestFunction) -> np.ndarray:
     """Self-normalized estimate over every generation's samples pooled
     together (the weights share one unnormalized target, so pooling is a
     valid importance sample)."""
@@ -261,7 +260,7 @@ def trace_metrics(generations: list[Generation], truth) -> GenerationTrace:
     best = np.array([g.best_log_likelihood for g in generations])
     errors = np.array(
         [
-            np.linalg.norm(g.cumulative_estimate.value - truth)
+            np.linalg.norm(g.cumulative_estimate - truth)
             if g.cumulative_estimate is not None
             else np.nan
             for g in generations

@@ -118,8 +118,14 @@ class TestEmitDataCommand:
 
 
 class TestUsageErrors:
-    def test_invalid_input_is_a_usage_error(self, tmp_path, capsys):
+    def test_invalid_input_is_a_usage_error(self, tmp_path, tmp_path_factory, capsys):
+        three_means = tmp_path_factory.mktemp("config") / "three-means.cfg"
+        three_means.write_text(
+            "schema_version = 1\nexperiment = dmm-gauss\nbudgets = 40\ngenerations = 2\ndata_count = 20\n"
+            f"replications = 2\ntrue_means = -2, 0, 2\noutput = {tmp_path / 'never.csv'}\n"
+        )
         cases = [
+            (["dmm", "--config", str(three_means)], "true_means must give the two component means"),
             (["gauss", "--group-size", "0"], "group_size must be >= 1"),
             (["dmm", "--mixing", "1.5"], "mixing must lie in [0, 1]"),
             (["theorems", "--instances", "0"], "instances must be >= 1"),

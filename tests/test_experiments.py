@@ -34,6 +34,15 @@ class TestConfig:
             tiny_gauss_config(budgets=(400, 200))
         with pytest.raises(ValueError):
             tiny_gauss_config(budgets=(200, 200))
+        with pytest.raises(ValueError, match="one or more"):
+            tiny_gauss_config(budgets=())
+
+    def test_true_means_name_both_components(self):
+        for means in [(1.0,), (-2.0, 0.0, 2.0)]:
+            with pytest.raises(ValueError, match="two component means"):
+                tiny_gauss_config(true_means=means)
+            with pytest.raises(ValueError, match="two component means"):
+                ExperimentConfig("dmm-gauss", seed=1, true_means=means)
 
     def test_replications_floor(self):
         below_floor = [

@@ -70,6 +70,18 @@ def test_no_module_uses_scipys_logsumexp():
     assert users == []
 
 
+def _subclasses(cls: type) -> list[type]:
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+def test_each_density_writes_its_log_density_once():
+    """An elementwise density defines ``log_density_each`` only, and the
+    one-point ``log_density`` is derived from it: one formula per density."""
+    classes = {cls for cls in _subclasses(infmc.Density) if cls.__module__.startswith("infmc.")}
+    both = sorted(cls.__qualname__ for cls in classes if {"log_density", "log_density_each"} <= vars(cls).keys())
+    assert len(classes) >= 8 and both == []
+
+
 def _dotted(node: ast.AST) -> list[str] | None:
     """``a.b.c`` as ``["a", "b", "c"]``; None for anything but names and attributes."""
     if isinstance(node, ast.Name):

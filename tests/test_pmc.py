@@ -95,8 +95,8 @@ class TestRunPmc:
         direct = plain_factorized_sampler(model, init, 40, RandomSource(55))
         assert len(gens) == 1
         assert np.array_equal(gens[0].sample_set.log_weights, direct.log_weights)
-        expected = self_normalized_estimate(direct, h).value
-        assert np.array_equal(gens[0].cumulative_estimate.value, expected)
+        expected = self_normalized_estimate(direct, h)
+        assert np.array_equal(gens[0].cumulative_estimate, expected)
 
     def test_stationary_toy_has_constant_weights_and_uniform_resampling(self):
         density = DiagGaussian(0.0, 1.0)
@@ -137,7 +137,7 @@ class TestRunPmc:
         hits = 0
         for r in range(50):
             gens = run_pmc(model, init, cfg, root.child(r), h)
-            estimate = pooled_estimate(gens, h).value[0]
+            estimate = pooled_estimate(gens, h)[0]
             hits += abs(estimate - truth) < 0.2
         assert hits >= 45
 
@@ -151,7 +151,7 @@ class TestRunPmc:
         b = run_pmc(model, init, cfg, RandomSource(99), h)
         for ga, gb in zip(a, b):
             assert np.array_equal(ga.sample_set.log_weights, gb.sample_set.log_weights)
-            assert np.array_equal(ga.cumulative_estimate.value, gb.cumulative_estimate.value)
+            assert np.array_equal(ga.cumulative_estimate, gb.cumulative_estimate)
             assert ga.best_log_likelihood == gb.best_log_likelihood
 
     def test_degenerate_generation_reports_index(self):
@@ -230,7 +230,7 @@ class TestResamplingLaw:
         h = block_value_function()
         gens = run_pmc(model, init, PmcConfig(50, 1, GaussianKernel(0.3)), RandomSource(8), h)
         gen_set = gens[0].sample_set
-        target = self_normalized_estimate(gen_set, h).value[0]
+        target = self_normalized_estimate(gen_set, h)[0]
         from infmc.estimators import resample
 
         rng = RandomSource(80)
