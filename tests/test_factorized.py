@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -24,9 +25,17 @@ from infmc.factorized import (
     grouped_inflate,
     inflate,
     plain_factorized_sampler,
+    recombine,
 )
-from infmc.models import GaussianToy
-from infmc.pmc import GaussianKernel, PmcConfig, run_pmc
+from infmc.models import (
+    DmmSpec,
+    GaussianToy,
+    dmm_init_proposal,
+    dmm_model,
+    informed_assignment_builder,
+    make_synthetic,
+)
+from infmc.pmc import GammaKernel, GaussianKernel, PmcConfig, TupleKernel, VarianceKernel, run_pmc
 from infmc.rng import RandomSource
 
 
@@ -220,6 +229,19 @@ class TestInflate:
         with pytest.raises(RuntimeError, match="block 1"):
             inflate(model, prop, 2, inner_draws, RandomSource(0))
 
+    @pytest.mark.parametrize("log_q, error, match", [(-np.inf, RuntimeError, "global block"), (np.nan, ValueError, "NaN")])
+    def test_degenerate_global_density_is_refused(self, log_q, error, match):
+        class Degenerate(DiagGaussian):  # its density at its own draws is -inf or NaN
+            def log_density(self, x):
+                return log_q
+
+        model, calls = _counting_likelihoods(priors_only_model(2))
+        prop = FactorizedProposal(block_proposals=gaussian_proposal(2).block_proposals, global_proposal=Degenerate(0.0, 1.0))
+        with pytest.raises(error, match=match):
+            inflate(model, prop, 3, 2, RandomSource(0))
+        if log_q == -np.inf:
+            assert calls == []  # refused before any block likelihood is called
+
     @pytest.mark.parametrize("summed", ["prior", "likelihood"])
     def test_evaluator_summing_over_the_values_is_refused(self, summed):
         # a summed term would broadcast to every inner draw and miss the joint density
@@ -246,6 +268,76 @@ class TestInflate:
         parts = [SampleSet(drawn.points[first + c], drawn.log_weights[first + c]) for c in range(per_draw)]
         for kind in ("standard", "self-normalized"):
             assert decomposition_residual(parts, h, kind) < 1e-10
+
+
+def _reference_recombine(model, proposals, inner_draws, rng):
+    """Per outer draw from public calls only: the global ``sample`` and
+    ``log_density``, each block's ``sample_batch`` (a lone draw scored as its
+    one value), the model factors, and log weights ``((base + c_1) + c_2)``
+    over the combinations in lexicographic order."""
+    points, log_weights = [], []
+    for prop in proposals:
+        global_value = prop.global_proposal.sample(rng)
+        base = float(model.global_log_prior(global_value)) + model.log_evidence_offset
+        base -= float(prop.global_proposal.log_density(global_value))
+        block_values, terms = [], []
+        for j, block_prop in enumerate(prop.block_proposals):
+            drawn = block_prop.sample_batch(rng, inner_draws)
+            values = drawn.tolist() if drawn.ndim == 1 else [tuple(row) for row in drawn.tolist()]
+            scored = drawn if inner_draws > 1 else values[0]
+            prior, lik = model.block_log_priors[j](scored), model.block_log_likelihoods[j](global_value, scored)
+            terms.append(np.atleast_1d((prior + lik) - block_prop.log_density_each(scored)))
+            block_values.append(values)
+        for combo in itertools.product(range(inner_draws), repeat=len(block_values)):
+            log_weight = base
+            for j, i in enumerate(combo):
+                log_weight = log_weight + terms[j][i]
+            points.append((global_value, tuple(block_values[j][i] for j, i in enumerate(combo))))
+            log_weights.append(log_weight)
+    return points, np.array(log_weights)
+
+
+class TestRecombineStream:
+    """``recombine`` draws in the reference's order and weighs with its bits."""
+
+    @staticmethod
+    def _setup(family):
+        spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 4, count=40).observations, family)
+        if family == "gaussian":
+            kernel = GaussianKernel(0.25)
+        else:
+            kernel = TupleKernel([GaussianKernel(0.25), VarianceKernel(0.3), GammaKernel(0.3)])
+        model, init = dmm_model(spec), dmm_init_proposal(spec)
+        centers = list(recombine(model, [init] * 6, 1, RandomSource(8)).points)
+        return spec, model, init, kernel, centers
+
+    @staticmethod
+    def _kernel_proposals(spec, kernel, centers, count, rng):
+        build = informed_assignment_builder(spec)
+        for _ in range(count):
+            center = centers[int(rng.generator.integers(len(centers)))]
+            yield FactorizedProposal(tuple(kernel.at(v) for v in center.block_values), build(center))
+
+    @pytest.mark.parametrize("inner_draws", [1, 2])
+    @pytest.mark.parametrize("proposal", ["init", "kernel"])
+    @pytest.mark.parametrize("family", ["gaussian", "student-t"])
+    def test_matches_the_per_draw_reference(self, family, proposal, inner_draws):
+        spec, model, init, kernel, centers = self._setup(family)
+        rng, ref_rng = RandomSource(31), RandomSource(31)
+        if proposal == "init":
+            props, ref_props = [init] * 7, [init] * 7
+        else:
+            props = self._kernel_proposals(spec, kernel, centers, 7, rng)
+            ref_props = self._kernel_proposals(spec, kernel, centers, 7, ref_rng)
+        drawn = recombine(model, props, inner_draws, rng)
+        ref_points, ref_log_weights = _reference_recombine(model, ref_props, inner_draws, ref_rng)
+        assert np.array_equal(drawn.log_weights, ref_log_weights)
+        assert len(drawn.points) == len(ref_points) == 7 * inner_draws**2
+        for point, (global_value, block_values) in zip(drawn.points, ref_points):
+            assert np.array_equal(point.global_value[0], global_value[0])
+            assert np.array_equal(point.global_value[1], global_value[1])
+            assert point.block_values == block_values
+        assert rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
 
 
 class TestGroupedInflate:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
-from infmc.distributions import LOG_TWO_PI, DiagGaussian
+from infmc import models
+from infmc.distributions import LOG_TWO_PI, DiagGaussian, Dirichlet
 from infmc.models import (
     DmmSpec,
     GaussianToy,
@@ -241,6 +242,28 @@ class TestGlobalProposals:
             assert np.array_equal(weights, x[0]) and np.array_equal(labels, x[1])
             assert log_q == prop.log_density(x)
         assert fused.generator.bit_generator.state == separate.generator.bit_generator.state
+
+    def test_prior_proposal_labels_equal_generator_choice(self, monkeypatch):
+        """Labels and generator use are ``Generator.choice``'s, also at
+        weights within 1e-12 of 0 and 1."""
+        edges = [0.0, 1e-300, 5e-13, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 5e-13, 1.0]
+        first = np.concatenate([edges, RandomSource(40).generator.random(1200)])
+        pinned = iter(np.column_stack([first, 1.0 - first]))
+
+        class PinnedPrior(Dirichlet):
+            def sample(self, rng):
+                return next(pinned)
+
+        monkeypatch.setattr(models, "MIXING_PRIOR", PinnedPrior((1.0, 1.0)))
+        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6).observations)
+        prop = MixtureGlobalProposal(spec)
+        rng = RandomSource(41)
+        for weights in np.column_stack([first, 1.0 - first]):
+            expected = np.random.Generator(np.random.PCG64())
+            expected.bit_generator.state = rng.generator.bit_generator.state
+            _, labels = prop.sample(rng)
+            assert np.array_equal(labels, expected.choice(2, spec.data.size, p=weights))
+            assert rng.generator.bit_generator.state == expected.bit_generator.state
 
     def test_init_proposal_shares_prior_blocks(self):
         spec = small_spec()
