@@ -46,10 +46,19 @@ class Density:
         """``count`` draws stacked along axis 0, using ``rng`` as ``count`` calls of :meth:`sample` do."""
         return np.array([self.sample(rng) for _ in range(count)])
 
-    def sample_with_log_density(self, rng: RandomSource):
-        """A draw and its log density; subclasses may share work between the two."""
-        x = self.sample(rng)
-        return x, self.log_density(x)
+    def draw_variates(self, rng: RandomSource):
+        """The generator variates one :meth:`sample` call takes, in its order;
+        :meth:`score_variates` turns them into the point.  By default they are the point."""
+        return self.sample(rng)
+
+    @classmethod
+    def score_variates(cls, densities, variates) -> tuple[list, np.ndarray]:
+        """The points and log densities of ``variates[g]``, drawn by
+        ``densities[g]``, all of this class: the bits of :meth:`sample` then
+        :meth:`log_density`.  Subclasses may score the whole batch as one
+        array operation."""
+        points = list(variates)
+        return points, np.array([float(d.log_density(x)) for d, x in zip(densities, points)])
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
         """Per-point log densities of points stacked along the first axis."""

@@ -118,18 +118,24 @@ class FactorizedProposal:
         return total
 
 
-def _draw_global(model: FactorizedModel, prop: FactorizedProposal, rng: RandomSource):
-    """Returns (global value, base log-weight term for that draw)."""
-    if prop.global_proposal is None:
-        global_value = None
-        log_q_global = 0.0
-    else:
-        global_value, log_q_global = prop.global_proposal.sample_with_log_density(rng)
-        log_q_global = float(log_q_global)
-        if log_q_global == -np.inf:
-            raise RuntimeError("proposal density is zero at its own draw (global block)")
-    base = float(model.global_log_prior(global_value)) + model.log_evidence_offset - log_q_global
-    return global_value, base
+def _score_globals(drawn: list) -> tuple[list, list]:
+    """The global values and proposal log densities of a generation's
+    ``(proposal, global variates, block draws)`` triples, scored with one
+    ``score_variates`` call per global-proposal class.  An empty global block
+    is ``None`` with log density 0."""
+    values, log_q = [None] * len(drawn), np.zeros(len(drawn))
+    by_class: dict[type, list[int]] = {}
+    for i, (prop, _, _) in enumerate(drawn):
+        if prop.global_proposal is not None:
+            by_class.setdefault(type(prop.global_proposal), []).append(i)
+    for cls, rows in by_class.items():
+        densities, variates = [drawn[i][0].global_proposal for i in rows], [drawn[i][1] for i in rows]
+        points, log_q[rows] = cls.score_variates(densities, variates)
+        for i, point in zip(rows, points):
+            values[i] = point
+    if (log_q == -np.inf).any():
+        raise RuntimeError("proposal density is zero at its own draw (global block)")
+    return values, log_q.tolist()
 
 
 def _block_terms(model: FactorizedModel, prop: FactorizedProposal, j: int, global_value, values) -> np.ndarray:
@@ -181,9 +187,12 @@ def recombine(
         log w = global prior + offset - log q_global
                 + sum_j (prior_j + lik_j - log q_j)[c_j]
 
-    One inner draw is plain importance sampling.  ``proposals`` is consumed
-    lazily, one proposal per global draw, so a generator may draw from
-    ``rng`` to build each proposal just before its draws are made.  Raises
+    One inner draw is plain importance sampling.  Every draw is made first,
+    in generator order: per proposal the global variates, then each block's
+    batch.  ``proposals`` is consumed lazily, one proposal per global draw,
+    so a generator may draw from ``rng`` to build each proposal just before
+    its draws are made.  The global draws are then scored together, one
+    batch per proposal class, before any block term is formed.  Raises
     :class:`InflationBudgetError`, before its draws, for a global draw whose
     combinations would take the total beyond ``MAX_UNCAPPED_COMBINATIONS``.
     """
@@ -191,21 +200,24 @@ def recombine(
         raise ValueError("inner_draws must be >= 1")
     k = model.num_blocks
     per_draw = inner_draws**k
+    drawn = []
+    for prop in proposals:
+        if (len(drawn) + 1) * per_draw > MAX_UNCAPPED_COMBINATIONS:
+            raise InflationBudgetError(
+                f"{len(drawn) * per_draw} + {inner_draws}^{k} combinations exceed {MAX_UNCAPPED_COMBINATIONS}"
+            )
+        variates = None if prop.global_proposal is None else prop.global_proposal.draw_variates(rng)
+        drawn.append((prop, variates, [block.sample_batch(rng, inner_draws) for block in prop.block_proposals]))
+    global_values, log_q = _score_globals(drawn)
     points: list[FactorizedPoint] = []
     bases, terms = [], []
-    for prop in proposals:
-        if len(points) + per_draw > MAX_UNCAPPED_COMBINATIONS:
-            raise InflationBudgetError(
-                f"{len(points)} + {inner_draws}^{k} combinations exceed {MAX_UNCAPPED_COMBINATIONS}"
-            )
-        global_value, base = _draw_global(model, prop, rng)
-        bases.append(base)
+    for (prop, _, block_draws), global_value, log_q_global in zip(drawn, global_values, log_q):
+        bases.append(float(model.global_log_prior(global_value)) + model.log_evidence_offset - log_q_global)
         block_values = []
-        for j, block_prop in enumerate(prop.block_proposals):
-            drawn = block_prop.sample_batch(rng, inner_draws)
-            block_values.append(drawn.tolist() if drawn.ndim == 1 else list(map(tuple, drawn.tolist())))
+        for j, block_draw in enumerate(block_draws):
+            block_values.append(block_draw.tolist() if block_draw.ndim == 1 else list(map(tuple, block_draw.tolist())))
             # a lone draw goes in as its one value: scalar arithmetic is far cheaper than 1-element arrays
-            values = drawn if inner_draws > 1 else block_values[j][0]
+            values = block_draw if inner_draws > 1 else block_values[j][0]
             terms.append(_block_terms(model, prop, j, global_value, values))
         points.extend(map(FactorizedPoint, itertools.repeat(global_value), itertools.product(*block_values)))
     log_weights = _weight_grid(np.array(bases), np.reshape(terms, (len(bases), k, inner_draws)))

@@ -194,24 +194,49 @@ def _mixing_log_prob(weights, labels) -> float:
     return total + float(log_weights[labels].sum())
 
 
-class MixtureGlobalProposal(Density):
-    """Draws mixing weights from their Dirichlet prior and one component
-    assignment per observation from the drawn weights."""
+class _LabelProposal(Density):
+    """Mixing weights from their Dirichlet prior, then one component label
+    per observation from one uniform each.  Subclasses map a batch of weights
+    and uniforms to labels and each label's log probability."""
 
     def __init__(self, spec: DmmSpec):
         self.spec = spec
 
+    def draw_variates(self, rng: RandomSource):
+        return MIXING_PRIOR.sample(rng), rng.generator.random(self.spec.data.size)
+
     def sample(self, rng: RandomSource):
-        weights = MIXING_PRIOR.sample(rng)
-        labels = rng.generator.choice(NUM_COMPONENTS, size=self.spec.data.size, p=weights)
-        return weights, labels
+        return self.score_variates([self], [self.draw_variates(rng)])[0][0]
+
+    @classmethod
+    def score_variates(cls, densities, variates):
+        weights = [w for w, _ in variates]
+        labels, label_log_probs = cls._labels(densities, np.array(weights), np.array([u for _, u in variates]))
+        # labels are in range by construction, so only the Dirichlet term can rule a draw out
+        prior = np.array([MIXING_PRIOR.log_density(w) for w in weights])
+        log_q = np.where(prior == -np.inf, -np.inf, prior + label_log_probs.sum(axis=1))
+        return list(zip(weights, labels)), log_q
+
+
+class MixtureGlobalProposal(_LabelProposal):
+    """Draws mixing weights from their Dirichlet prior and one component
+    assignment per observation from the drawn weights."""
+
+    @staticmethod
+    def _labels(densities, weights, uniforms):
+        cdf = np.cumsum(weights, axis=1)
+        cdf /= cdf[:, -1:]
+        # ``Generator.choice(p=weights)``: the normalized cdf, searched on the right
+        labels = (cdf[:, None, :] <= uniforms[..., None]).sum(axis=-1)
+        with np.errstate(divide="ignore"):  # a label naming a zero weight has log probability -inf
+            return labels, np.take_along_axis(np.log(weights), labels, axis=1)
 
     def log_density(self, x) -> float:
         weights, labels = x
         return _mixing_log_prob(weights, labels)
 
 
-class MixtureAssignmentProposal(Density):
+class MixtureAssignmentProposal(_LabelProposal):
     """Assignment proposal informed by reference component parameters.
 
     Mixing weights come from their Dirichlet prior; each observation's
@@ -224,38 +249,30 @@ class MixtureAssignmentProposal(Density):
     """
 
     def __init__(self, spec: DmmSpec, reference_params):
-        self.spec = spec
+        super().__init__(spec)
         self._ref_each = np.ascontiguousarray(spec.component_log_density_each(spec.data, reference_params).T)
 
-    def _assignment_log_probs(self, weights) -> np.ndarray:
+    @staticmethod
+    def _assignment_log_probs(ref_each: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Per-observation label log probabilities, broadcast over leading batch axes."""
         with np.errstate(divide="ignore"):
-            scores = self._ref_each + np.log(np.asarray(weights, dtype=float))[None, :]
+            scores = ref_each + np.log(weights)[..., None, :]
         return scores - log_sum_exp(scores, -1)[0]
 
-    def _log_density(self, weights, labels: np.ndarray, log_probs) -> float:
+    @classmethod
+    def _labels(cls, densities, weights, uniforms):
+        log_probs = cls._assignment_log_probs(np.stack([d._ref_each for d in densities]), weights)
+        cdf = np.cumsum(np.exp(log_probs), axis=-1)
+        labels = np.minimum((uniforms[..., None] > cdf).sum(axis=-1), NUM_COMPONENTS - 1)
+        return labels, np.take_along_axis(log_probs, labels[..., None], axis=-1)[..., 0]
+
+    def log_density(self, x) -> float:
+        weights, labels = np.asarray(x[0], dtype=float), np.asarray(x[1])
         base = _mixing_prior_term(weights, labels)
         if base == -np.inf:
             return -np.inf
-        if log_probs is None:
-            log_probs = self._assignment_log_probs(weights)
+        log_probs = self._assignment_log_probs(self._ref_each, weights)
         return base + float(log_probs[np.arange(labels.size), labels].sum())
-
-    def sample(self, rng: RandomSource):
-        return self.sample_with_log_density(rng)[0]
-
-    def log_density(self, x) -> float:
-        weights, labels = x
-        return self._log_density(weights, np.asarray(labels), None)
-
-    def sample_with_log_density(self, rng: RandomSource):
-        """One computation of the assignment probabilities serves the draw
-        and its density."""
-        weights = MIXING_PRIOR.sample(rng)
-        log_probs = self._assignment_log_probs(weights)
-        cdf = np.cumsum(np.exp(log_probs), axis=1)
-        u = rng.generator.random(self.spec.data.size)
-        labels = np.minimum((u[:, None] > cdf).sum(axis=1), NUM_COMPONENTS - 1)
-        return (weights, labels), self._log_density(weights, labels, log_probs)
 
 
 def informed_assignment_builder(spec: DmmSpec):

@@ -154,12 +154,14 @@ class TestSampleWithLogDensity:
         ids=["gaussian", "student-t", "dirichlet", "tuple"],
     )
     def test_equals_sample_then_log_density(self, density):
+        # ten draws' variates, then one scoring call for all of them
         fused, separate = RandomSource(17), RandomSource(17)
-        for _ in range(10):
-            x, log_q = density.sample_with_log_density(fused)
+        points, log_q = type(density).score_variates([density] * 10, [density.draw_variates(fused) for _ in range(10)])
+        assert len(points) == len(log_q) == 10
+        for x, q in zip(points, log_q):
             y = density.sample(separate)
             assert np.array_equal(x, y)
-            assert log_q == density.log_density(y)
+            assert q == density.log_density(y)
         assert fused.generator.bit_generator.state == separate.generator.bit_generator.state
 
 

@@ -229,14 +229,16 @@ class TestInflate:
         with pytest.raises(RuntimeError, match="block 1"):
             inflate(model, prop, 2, inner_draws, RandomSource(0))
 
-    @pytest.mark.parametrize("log_q, error, match", [(-np.inf, RuntimeError, "global block"), (np.nan, ValueError, "NaN")])
+    @pytest.mark.parametrize(
+        "log_q, error, match", [(-np.inf, RuntimeError, "global block"), (np.nan, ValueError, "NaN")]
+    )
     def test_degenerate_global_density_is_refused(self, log_q, error, match):
         class Degenerate(DiagGaussian):  # its density at its own draws is -inf or NaN
             def log_density(self, x):
                 return log_q
 
         model, calls = _counting_likelihoods(priors_only_model(2))
-        prop = FactorizedProposal(block_proposals=gaussian_proposal(2).block_proposals, global_proposal=Degenerate(0.0, 1.0))
+        prop = dataclasses.replace(gaussian_proposal(2), global_proposal=Degenerate(0.0, 1.0))
         with pytest.raises(error, match=match):
             inflate(model, prop, 3, 2, RandomSource(0))
         if log_q == -np.inf:

@@ -234,21 +234,25 @@ class TestGlobalProposals:
     @pytest.mark.parametrize("informed", [False, True])
     def test_fused_draw_equals_sample_then_log_density(self, informed):
         spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6).observations)
-        prop = MixtureAssignmentProposal(spec, (-1.0, 2.5)) if informed else MixtureGlobalProposal(spec)
+        if informed:  # a batch mixes proposals, as a generation's kernel proposals do
+            props = [MixtureAssignmentProposal(spec, ref) for ref in [(-1.0, 2.5), (0.5, -3.0)] * 10]
+        else:
+            props = [MixtureGlobalProposal(spec)] * 20
         fused, separate = RandomSource(21), RandomSource(21)
-        for _ in range(20):
-            (weights, labels), log_q = prop.sample_with_log_density(fused)
+        points, log_q = type(props[0]).score_variates(props, [prop.draw_variates(fused) for prop in props])
+        assert len(points) == len(log_q) == 20
+        for prop, (weights, labels), q in zip(props, points, log_q):
             x = prop.sample(separate)
             assert np.array_equal(weights, x[0]) and np.array_equal(labels, x[1])
-            assert log_q == prop.log_density(x)
+            assert q == prop.log_density(x)
         assert fused.generator.bit_generator.state == separate.generator.bit_generator.state
 
     def test_prior_proposal_labels_equal_generator_choice(self, monkeypatch):
         """Labels and generator use are ``Generator.choice``'s, also at
-        weights within 1e-12 of 0 and 1."""
+        weights within 1e-12 of 0 and 1, drawn one by one or scored as one batch."""
         edges = [0.0, 1e-300, 5e-13, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 5e-13, 1.0]
         first = np.concatenate([edges, RandomSource(40).generator.random(1200)])
-        pinned = iter(np.column_stack([first, 1.0 - first]))
+        all_weights = np.column_stack([first, 1.0 - first])
 
         class PinnedPrior(Dirichlet):
             def sample(self, rng):
@@ -257,13 +261,19 @@ class TestGlobalProposals:
         monkeypatch.setattr(models, "MIXING_PRIOR", PinnedPrior((1.0, 1.0)))
         spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6).observations)
         prop = MixtureGlobalProposal(spec)
-        rng = RandomSource(41)
-        for weights in np.column_stack([first, 1.0 - first]):
+        pinned, rng, chosen = iter(all_weights), RandomSource(41), []
+        for weights in all_weights:
             expected = np.random.Generator(np.random.PCG64())
             expected.bit_generator.state = rng.generator.bit_generator.state
             _, labels = prop.sample(rng)
-            assert np.array_equal(labels, expected.choice(2, spec.data.size, p=weights))
+            chosen.append(expected.choice(2, spec.data.size, p=weights))
+            assert np.array_equal(labels, chosen[-1])
             assert rng.generator.bit_generator.state == expected.bit_generator.state
+        pinned, batch_rng = iter(all_weights), RandomSource(41)
+        variates = [prop.draw_variates(batch_rng) for _ in all_weights]
+        points, _ = MixtureGlobalProposal.score_variates([prop] * len(variates), variates)
+        assert all(np.array_equal(labels, c) for (_, labels), c in zip(points, chosen))
+        assert batch_rng.generator.bit_generator.state == rng.generator.bit_generator.state
 
     def test_init_proposal_shares_prior_blocks(self):
         spec = small_spec()
