@@ -97,8 +97,9 @@ class DiagGaussian(Density):
         return self.mean + self._sd * rng.generator.standard_normal(count)
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return -0.5 * (self._log_norm + (xs - self.mean) ** 2 / self.var)
+        d = np.asarray(xs, dtype=float) - self.mean
+        # ``d * d``, not ``d ** 2``: a lone value's scalar power (libm ``pow``) may round differently
+        return -0.5 * (self._log_norm + d * d / self.var)
 
 
 def student_t_logpdf(x, loc, scale, df, log_norm=None):
