@@ -530,7 +530,8 @@ def _random_small_instance(rng: RandomSource):
 
     def make_lik(j):
         obs = data[j]
-        return lambda phi, gamma: -0.5 * np.sum((obs - (phi * shift + np.asarray(gamma)[..., None])) ** 2, axis=-1)
+        # phi and gamma are aligned: one of each, or batches along the first axis
+        return lambda phi, gamma: -0.5 * np.sum((obs - np.asarray(phi * shift + gamma)[..., None]) ** 2, axis=-1)
 
     prior = DiagGaussian(0.0, 1.0)
     model = FactorizedModel(
@@ -549,11 +550,15 @@ def _random_small_instance(rng: RandomSource):
 
 def _counting_likelihoods(model: FactorizedModel) -> tuple[FactorizedModel, list[int]]:
     """``model`` with block likelihoods that append the number of values
-    each call scores to the returned list."""
+    each call scores to the returned list: the first axis of an array of
+    values, and 1 for one value (a tuple-valued block's value included)."""
     counts: list[int] = []
 
     def counted(lik):
-        return lambda global_value, values: counts.append(np.size(values)) or lik(global_value, values)
+        def count(values) -> int:
+            return len(values) if isinstance(values, np.ndarray) and values.ndim else 1
+
+        return lambda global_values, values: counts.append(count(values)) or lik(global_values, values)
 
     return replace(model, block_log_likelihoods=tuple(map(counted, model.block_log_likelihoods))), counts
 

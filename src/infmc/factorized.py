@@ -47,6 +47,24 @@ class FactorizedPoint:
     global_value: Any
     block_values: tuple
 
+    @staticmethod
+    def stack(points: Sequence[FactorizedPoint]) -> tuple[Any, list[np.ndarray]]:
+        """The global values of ``points`` and each block's values, stacked
+        along a leading axis that indexes the points: the aligned batches
+        :meth:`FactorizedModel.data_log_likelihood` takes."""
+        blocks = [np.array(values) for values in zip(*(p.block_values for p in points))]
+        return _stacked([p.global_value for p in points]), blocks
+
+
+def _stacked(values: Sequence, repeats: int = 1):
+    """Global values stacked along a new leading axis, each repeated
+    ``repeats`` times in a row: a tuple value part by part, and an empty
+    global block (``None``) as ``None``."""
+    if values[0] is None:
+        return None
+    stack = lambda parts: np.repeat(np.stack(parts), repeats, axis=0)
+    return tuple(map(stack, zip(*values))) if isinstance(values[0], tuple) else stack(values)
+
 
 @dataclass(frozen=True)
 class FactorizedModel:
@@ -61,7 +79,12 @@ class FactorizedModel:
 
     For models without a global block, pass evaluators that accept ``None``.
     Block evaluators accept one block value or an array of values stacked
-    along the first axis, and must return one term per value.
+    along the first axis, and must return one term per value.  A block
+    likelihood's global value carries the same leading axis, aligned with
+    the values: row ``i`` of the values goes with row ``i`` of the global
+    values, which are stacked part by part when the global value is a tuple
+    (see :meth:`FactorizedPoint.stack`).  One value goes with one global
+    value.
     """
 
     num_blocks: int
@@ -85,11 +108,10 @@ class FactorizedModel:
             total += float(prior(value)) + float(lik(global_value, value))
         return total + self.log_evidence_offset
 
-    def data_log_likelihood(self, global_value, block_values: Sequence) -> float:
-        """Likelihood factors only (no priors, no offset)."""
-        return float(
-            sum(lik(global_value, v) for lik, v in zip(self.block_log_likelihoods, block_values))
-        )
+    def data_log_likelihood(self, global_values, block_values: Sequence) -> np.ndarray:
+        """Likelihood factors only (no priors, no offset), one term per row of
+        the aligned batches ``global_values`` and ``block_values[j]``."""
+        return sum(lik(global_values, v) for lik, v in zip(self.block_log_likelihoods, block_values))
 
 
 @dataclass(frozen=True)
@@ -138,15 +160,31 @@ def _score_globals(drawn: list) -> tuple[list, list]:
     return values, log_q.tolist()
 
 
-def _block_terms(model: FactorizedModel, prop: FactorizedProposal, j: int, global_value, values) -> np.ndarray:
-    """``(prior_j(x) + lik_j(global, x)) - log q_j(x)`` for one value or an
-    array of block ``j``'s values: the one place block weight terms are formed."""
-    if prop.num_blocks != model.num_blocks:
-        raise ValueError("proposal and model disagree on the number of blocks")
-    log_q = prop.block_proposals[j].log_density_each(values)
+def _block_terms(
+    model: FactorizedModel, proposals: Sequence[FactorizedProposal], j: int, global_values, values: np.ndarray
+) -> np.ndarray:
+    """``(prior_j(x) + lik_j(global, x)) - log q_j(x)`` for an array of block
+    ``j``'s values with their aligned global values: the one place block
+    weight terms are formed.  ``proposals[r]`` drew the ``r``-th of
+    ``len(proposals)`` equal runs of consecutive values; each distinct
+    block-``j`` proposal scores all of its rows in one call."""
+    runs: dict[int, tuple[Density, list[int]]] = {}
+    for r, prop in enumerate(proposals):
+        if prop.num_blocks != model.num_blocks:
+            raise ValueError("proposal and model disagree on the number of blocks")
+        density = prop.block_proposals[j]
+        runs.setdefault(id(density), (density, []))[1].append(r)
+    if len(runs) == 1:  # one density drew every row
+        log_q = density.log_density_each(values)
+    else:
+        n = len(values) // len(proposals)
+        log_q = np.empty(len(values))
+        for density, run_indices in runs.values():
+            rows = (np.array(run_indices)[:, None] * n + np.arange(n)).reshape(-1)
+            log_q[rows] = density.log_density_each(values[rows])
     if (log_q == -np.inf).any():
         raise RuntimeError(f"proposal density is zero at a value of block {j}")
-    prior, lik = model.block_log_priors[j](values), model.block_log_likelihoods[j](global_value, values)
+    prior, lik = model.block_log_priors[j](values), model.block_log_likelihoods[j](global_values, values)
     if not np.shape(prior) == np.shape(lik) == np.shape(log_q):
         raise ValueError(f"block {j}'s prior and likelihood must return one term per value, as log q does")
     return (prior + lik) - log_q
@@ -180,9 +218,8 @@ def recombine(
     """The recombining sampler behind every object-path draw.
 
     Per proposal, make one global draw and ``inner_draws`` draws per block,
-    score each block's draws with one call of :func:`_block_terms`, then
-    emit every cross-combination of block indices, in lexicographic order,
-    with
+    then emit every cross-combination of block indices, in lexicographic
+    order, with
 
         log w = global prior + offset - log q_global
                 + sum_j (prior_j + lik_j - log q_j)[c_j]
@@ -192,7 +229,10 @@ def recombine(
     batch.  ``proposals`` is consumed lazily, one proposal per global draw,
     so a generator may draw from ``rng`` to build each proposal just before
     its draws are made.  The global draws are then scored together, one
-    batch per proposal class, before any block term is formed.  Raises
+    batch per proposal class.  Each block's draws of the whole call are
+    scored by one call of :func:`_block_terms`, stacked as ``(outer *
+    inner_draws, ...)`` with the global values repeated to align: one prior
+    and one likelihood call per block.  Raises
     :class:`InflationBudgetError`, before its draws, for a global draw whose
     combinations would take the total beyond ``MAX_UNCAPPED_COMBINATIONS``.
     """
@@ -208,19 +248,23 @@ def recombine(
             )
         variates = None if prop.global_proposal is None else prop.global_proposal.draw_variates(rng)
         drawn.append((prop, variates, [block.sample_batch(rng, inner_draws) for block in prop.block_proposals]))
+    if not drawn:
+        return SampleSet(np.empty(0, dtype=object), np.empty(0))
     global_values, log_q = _score_globals(drawn)
+    bases = [float(model.global_log_prior(v)) + model.log_evidence_offset - q for v, q in zip(global_values, log_q)]
+    props = [prop for prop, _, _ in drawn]
+    stacked_globals = _stacked(global_values, inner_draws)  # row g * inner_draws + i: outer draw g
+    terms, block_values = [], []
+    for j in range(k):
+        values = np.concatenate([block_draws[j] for _, _, block_draws in drawn])
+        terms.append(_block_terms(model, props, j, stacked_globals, values).reshape(len(drawn), inner_draws))
+        block_values.append(values.tolist() if values.ndim == 1 else list(map(tuple, values.tolist())))
     points: list[FactorizedPoint] = []
-    bases, terms = [], []
-    for (prop, _, block_draws), global_value, log_q_global in zip(drawn, global_values, log_q):
-        bases.append(float(model.global_log_prior(global_value)) + model.log_evidence_offset - log_q_global)
-        block_values = []
-        for j, block_draw in enumerate(block_draws):
-            block_values.append(block_draw.tolist() if block_draw.ndim == 1 else list(map(tuple, block_draw.tolist())))
-            # a lone draw goes in as its one value: scalar arithmetic is far cheaper than 1-element arrays
-            values = block_draw if inner_draws > 1 else block_values[j][0]
-            terms.append(_block_terms(model, prop, j, global_value, values))
-        points.extend(map(FactorizedPoint, itertools.repeat(global_value), itertools.product(*block_values)))
-    log_weights = _weight_grid(np.array(bases), np.reshape(terms, (len(bases), k, inner_draws)))
+    for g, global_value in enumerate(global_values):
+        rows = slice(g * inner_draws, (g + 1) * inner_draws)
+        combos = itertools.product(*(listed[rows] for listed in block_values))
+        points.extend(map(FactorizedPoint, itertools.repeat(global_value), combos))
+    log_weights = _weight_grid(np.array(bases), np.stack(terms, axis=1))
     return SampleSet(np.fromiter(points, dtype=object, count=len(points)), log_weights)
 
 
@@ -272,7 +316,7 @@ def block_contributions(
     if pts.ndim != 2 or pts.shape[1] != model.num_blocks:
         raise ValueError(f"points must be (n, {model.num_blocks}), got {pts.shape}")
     base = float(model.global_log_prior(None)) + model.log_evidence_offset
-    return base, np.column_stack([_block_terms(model, prop, j, None, pts[:, j]) for j in range(model.num_blocks)])
+    return base, np.column_stack([_block_terms(model, (prop,), j, None, pts[:, j]) for j in range(model.num_blocks)])
 
 
 class GroupedSampleSet:

@@ -9,7 +9,6 @@ block.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,15 +134,8 @@ class DmmSpec:
         len(obs))``, and ``-inf`` where a variance or df is not positive."""
         obs = np.asarray(obs, dtype=float)
         if self.component_family == GAUSSIAN:
-            if isinstance(params, float):  # one mean: no array conversion, the same arithmetic
-                return -0.5 * (LOG_TWO_PI + (obs - params) ** 2)
             return -0.5 * (LOG_TWO_PI + (obs - np.asarray(params, dtype=float)[..., None]) ** 2)
         params = np.asarray(params, dtype=float)
-        if params.ndim == 1:  # one parameter set: float arithmetic is much cheaper
-            mean, var, df = params.tolist()
-            if var <= 0.0 or df <= 0.0:
-                return np.full(obs.shape, -np.inf)
-            return student_t_logpdf(obs, mean, math.sqrt(var), df)
         mean, var, df = (params[..., i, None] for i in range(3))
         outside = (var <= 0.0) | (df <= 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):  # masked just below
@@ -291,7 +283,9 @@ def dmm_model(spec: DmmSpec) -> FactorizedModel:
     The global block is the pair ``(mixing weights, assignments)``; block ``j``
     holds component ``j``'s parameters, and its likelihood factor covers
     exactly the observations currently assigned to component ``j`` (an empty
-    component contributes an empty product, i.e. zero).
+    component contributes an empty product, i.e. zero).  A batch of
+    parameters goes with a batch of global values, ``(N, K)`` weights and
+    ``(N, observations)`` labels, one row per parameter set.
     """
     prior = spec.component_prior()
 
@@ -302,8 +296,9 @@ def dmm_model(spec: DmmSpec) -> FactorizedModel:
     def make_likelihood(j: int):
         def block_log_likelihood(phi, params):
             _, labels = phi
-            obs = spec.data[np.asarray(labels) == j]
-            return spec.component_log_density_each(obs, params).sum(axis=-1)
+            # every observation, those assigned elsewhere masked to 0: one shape for a batch of label rows
+            comp = spec.component_log_density_each(spec.data, params)
+            return np.where(np.asarray(labels) == j, comp, 0.0).sum(axis=-1)
 
         return block_log_likelihood
 
@@ -326,11 +321,14 @@ def dmm_init_proposal(spec: DmmSpec) -> FactorizedProposal:
 
 def component_means_function(spec: DmmSpec) -> TestFunction:
     """Extracts the vector of component means from a joint mixture sample."""
-    if spec.component_family == GAUSSIAN:
-        extract = lambda point: point.block_values
-    else:
-        extract = lambda point: [v[0] for v in point.block_values]
-    return TestFunction(lambda pts: np.array([extract(p) for p in pts], dtype=float), NUM_COMPONENTS)
+    student_t = spec.component_family == STUDENT_T
+
+    def means(pts) -> np.ndarray:
+        # one conversion for all points: (n, K) means, or (n, K, 3) student-t parameter sets
+        values = np.array([p.block_values for p in pts], dtype=float)
+        return values[..., 0] if student_t else values
+
+    return TestFunction(means, NUM_COMPONENTS)
 
 
 @dataclass(frozen=True)

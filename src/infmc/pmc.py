@@ -222,9 +222,7 @@ def run_pmc(
         cum_est = None
         if test_function is not None:
             cum_est = self_normalized_estimate(combine(all_sets), test_function)
-        best = max(
-            model.data_log_likelihood(p.global_value, p.block_values) for p in gen_set.points
-        )
+        best = float(np.max(model.data_log_likelihood(*FactorizedPoint.stack(gen_set.points))))
         resampled = resample(gen_set, cfg.population_size, rng)
         generations.append(Generation(t, gen_set, resampled, cum_est, best, block_evals))
         prev_resampled = resampled

@@ -9,11 +9,15 @@ from infmc.experiments import (
     ExperimentConfig,
     MetricRow,
     MetricSeries,
+    _counting_likelihoods,
     emit,
     run_dmm,
     run_gauss,
     run_theorem_suite,
 )
+from infmc.factorized import inflate
+from infmc.models import DmmSpec, dmm_init_proposal, dmm_model, make_synthetic
+from infmc.rng import RandomSource
 
 
 def tiny_gauss_config(**overrides):
@@ -295,6 +299,15 @@ class TestTheoremSuite:
         assert checks["recombination-cache-vs-oracle"].passed
         assert not checks["recombination-eval-count"].passed
         assert checks["recombination-eval-count"].worst == 5.0
+
+    def test_a_tuple_valued_block_counts_one_per_value(self):
+        # dmm-t's block value is (mean, variance, df): three floats, one value
+        spec = DmmSpec(make_synthetic("student-t", (-2.0, 2.0), 4, count=20).observations, "student-t")
+        model, counts = _counting_likelihoods(dmm_model(spec))
+        inflate(model, dmm_init_proposal(spec), 3, 2, RandomSource(1))
+        assert counts == [3 * 2] * 2  # one call per block, on its (6, 3) parameter sets
+        model.block_log_likelihoods[0]((np.array([0.5, 0.5]), np.zeros(20, dtype=int)), (0.0, 1.0, 5.0))
+        assert counts[-1] == 1
 
     def test_instance_counts_floor(self):
         for counts in (dict(instances=0), dict(inflation_instances=0)):

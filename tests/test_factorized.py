@@ -57,7 +57,8 @@ def two_block_data_model(shift=0.5):
 
     def make_lik(j):
         obs = data[j]
-        return lambda phi, g: -0.5 * np.sum((obs - (phi * shift + np.asarray(g)[..., None])) ** 2, axis=-1)
+        # phi and g are aligned: one of each, or batches along the first axis
+        return lambda phi, g: -0.5 * np.sum((obs - np.asarray(phi * shift + g)[..., None]) ** 2, axis=-1)
 
     return FactorizedModel(
         num_blocks=2,
@@ -182,7 +183,7 @@ class TestInflate:
 
         def make_lik(j):
             obs = data[j]
-            return lambda phi, gam: -0.5 * np.sum((obs - (phi * shift + np.asarray(gam)[..., None])) ** 2, axis=-1)
+            return lambda phi, gam: -0.5 * np.sum((obs - np.asarray(phi * shift + gam)[..., None]) ** 2, axis=-1)
 
         model, counts = _counting_likelihoods(
             FactorizedModel(
@@ -274,9 +275,10 @@ class TestInflate:
 
 def _reference_recombine(model, proposals, inner_draws, rng):
     """Per outer draw from public calls only: the global ``sample`` and
-    ``log_density``, each block's ``sample_batch`` (a lone draw scored as its
-    one value), the model factors, and log weights ``((base + c_1) + c_2)``
-    over the combinations in lexicographic order."""
+    ``log_density``, each block's ``sample_batch``, the model factors and the
+    block density of one value at a time with its one global value, and log
+    weights ``((base + c_1) + c_2)`` over the combinations in lexicographic
+    order."""
     points, log_weights = [], []
     for prop in proposals:
         global_value = prop.global_proposal.sample(rng)
@@ -286,9 +288,8 @@ def _reference_recombine(model, proposals, inner_draws, rng):
         for j, block_prop in enumerate(prop.block_proposals):
             drawn = block_prop.sample_batch(rng, inner_draws)
             values = drawn.tolist() if drawn.ndim == 1 else [tuple(row) for row in drawn.tolist()]
-            scored = drawn if inner_draws > 1 else values[0]
-            prior, lik = model.block_log_priors[j](scored), model.block_log_likelihoods[j](global_value, scored)
-            terms.append(np.atleast_1d((prior + lik) - block_prop.log_density_each(scored)))
+            prior, lik = model.block_log_priors[j], model.block_log_likelihoods[j]
+            terms.append([(prior(v) + lik(global_value, v)) - block_prop.log_density(v) for v in values])
             block_values.append(values)
         for combo in itertools.product(range(inner_draws), repeat=len(block_values)):
             log_weight = base
@@ -340,6 +341,48 @@ class TestRecombineStream:
             assert np.array_equal(point.global_value[1], global_value[1])
             assert point.block_values == block_values
         assert rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
+
+
+class TestBatchedBlockScoring:
+    def test_one_call_per_block_and_per_distinct_block_proposal(self):
+        calls = []
+
+        class Counted(DiagGaussian):
+            def log_density_each(self, xs):
+                calls.append(("log q", id(self), np.size(xs)))
+                return super().log_density_each(xs)
+
+        def counted(kind, j, evaluator):
+            def wrapped(*args):
+                calls.append((kind, j, len(args[-1])))
+                return evaluator(*args)
+
+            return wrapped
+
+        base = two_block_data_model()
+        model = dataclasses.replace(
+            base,
+            block_log_priors=tuple(counted("prior", j, f) for j, f in enumerate(base.block_log_priors)),
+            block_log_likelihoods=tuple(counted("lik", j, f) for j, f in enumerate(base.block_log_likelihoods)),
+        )
+        shared = Counted(0.5, 2.0)
+        distinct = [FactorizedProposal((shared, Counted(c, 2.0)), DiagGaussian(0.0, 2.0)) for c in (-1.0, 0.0, 1.0)]
+        props = [distinct[i] for i in (0, 1, 0, 2, 2, 0, 1)]
+        outer, inner = len(props), 3
+        drawn = recombine(model, props, inner, RandomSource(5))
+        assert sorted(c for c in calls if c[0] != "log q") == [
+            ("lik", 0, outer * inner), ("lik", 1, outer * inner), ("prior", 0, outer * inner), ("prior", 1, outer * inner)
+        ]
+        density_calls = sorted(c[1:] for c in calls if c[0] == "log q")
+        runs = {id(p.block_proposals[1]): props.count(p) for p in distinct}
+        expected = [(id(shared), outer * inner)] + [(key, count * inner) for key, count in runs.items()]
+        assert density_calls == sorted(expected)
+        # each gathered row is weighed with the proposal that drew it
+        per_draw = inner**2
+        for g, prop in enumerate(props):
+            for point, lw in zip(drawn.points[g * per_draw:(g + 1) * per_draw], drawn.log_weights[g * per_draw:]):
+                oracle = base.joint_log_density(point.global_value, point.block_values) - prop.joint_log_density(point)
+                assert lw == pytest.approx(oracle, abs=1e-12)
 
 
 class TestGroupedInflate:

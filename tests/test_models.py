@@ -4,6 +4,7 @@ from scipy.special import gammaln, logsumexp
 
 from infmc import models
 from infmc.distributions import LOG_TWO_PI, DiagGaussian, Dirichlet
+from infmc.factorized import recombine
 from infmc.models import (
     DmmSpec,
     GaussianToy,
@@ -11,6 +12,7 @@ from infmc.models import (
     MixtureGlobalProposal,
     SyntheticDataset,
     _mixing_log_prob,
+    component_means_function,
     dmm_init_proposal,
     dmm_model,
     load_dataset,
@@ -121,6 +123,28 @@ class TestDmmModel:
         )
         assert value == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("family", ["gaussian", "student-t"])
+    def test_batched_block_likelihood_equals_the_compacted_subset_sum(self, family):
+        spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 4, count=40).observations, family)
+        model = dmm_model(spec)
+        rng = np.random.default_rng(9)
+        rows = 25
+        weights = rng.dirichlet((1.0, 1.0), size=rows)
+        labels = rng.integers(0, 2, size=(rows, spec.data.size))
+        labels[0], labels[1] = 0, 1  # a component that no label names
+        if family == "gaussian":
+            params = rng.normal(0.0, 2.0, rows)
+        else:
+            params = np.stack([rng.normal(0.0, 2.0, rows), rng.gamma(2.0, 1.0, rows), rng.gamma(2.0, 5.0, rows)], -1)
+        for j in range(2):
+            batched = model.block_log_likelihoods[j]((weights, labels), params)
+            assert batched.shape == (rows,)
+            for row in range(rows):
+                subset = spec.data[labels[row] == j]
+                expected = spec.component_log_density_each(subset, params[row]).sum(axis=-1)
+                assert batched[row] == pytest.approx(expected, rel=0.0, abs=1e-12)
+            assert batched[1 - j] == 0.0  # an empty product, exactly
+
     def test_invalid_labels_have_zero_density(self):
         spec = small_spec()
         model = dmm_model(spec)
@@ -173,6 +197,19 @@ class TestDmmModel:
         if family == "student-t":
             # the other component still explains the data
             assert np.all(np.isfinite(batched[[5, 6, 7, 8, 10]])) and batched[9] == -np.inf
+
+
+class TestComponentMeansFunction:
+    @pytest.mark.parametrize("family", ["gaussian", "student-t"])
+    def test_equals_per_point_extraction_bitwise(self, family):
+        spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 4, count=20).observations, family)
+        points = recombine(dmm_model(spec), [dmm_init_proposal(spec)] * 5, 2, RandomSource(3)).points
+        if family == "gaussian":
+            per_point = [p.block_values for p in points]
+        else:
+            per_point = [[v[0] for v in p.block_values] for p in points]
+        means = component_means_function(spec)(points)
+        assert means.shape == (20, 2) and np.array_equal(means, np.array(per_point, dtype=float))
 
 
 def _mixing_log_prob_per_label(weights, labels) -> float:

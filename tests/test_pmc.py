@@ -11,7 +11,14 @@ from infmc.factorized import (
     InflationBudgetError,
     plain_factorized_sampler,
 )
-from infmc.models import DmmSpec, component_means_function, dmm_init_proposal, dmm_model, make_synthetic
+from infmc.models import (
+    DmmSpec,
+    component_means_function,
+    dmm_init_proposal,
+    dmm_model,
+    informed_assignment_builder,
+    make_synthetic,
+)
 from infmc.pmc import (
     DegenerateGenerationError,
     GammaKernel,
@@ -209,6 +216,21 @@ class TestRunPmc:
             assert len(gi.sample_set) == 2 * len(gp.sample_set)  # inner_draws**(blocks-1) more
             assert len(gi.resampled_points) == len(gp.resampled_points) == 40
 
+
+    @pytest.mark.parametrize("inner_draws", [1, 2])
+    @pytest.mark.parametrize("family", ["gaussian", "student-t"])
+    def test_best_log_likelihood_is_the_per_point_maximum_bitwise(self, family, inner_draws):
+        spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 3, count=30).observations, family)
+        model = dmm_model(spec)
+        if family == "gaussian":
+            kernel = GaussianKernel(0.25)
+        else:
+            kernel = TupleKernel([GaussianKernel(0.25), VarianceKernel(0.3), GammaKernel(0.3)])
+        cfg = PmcConfig(20, 3, kernel, inner_draws, informed_assignment_builder(spec))
+        for gen in run_pmc(model, dmm_init_proposal(spec), cfg, RandomSource(4)):
+            # one global value and one value per block at a time
+            per_point = [float(model.data_log_likelihood(p.global_value, p.block_values)) for p in gen.sample_set.points]
+            assert gen.best_log_likelihood == max(per_point)
 
     def test_combination_cap_applies_before_any_block_evaluation(self, monkeypatch):
         ds = make_synthetic("gaussian", (-2.0, 2.0), 7, count=20)
