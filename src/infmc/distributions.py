@@ -148,21 +148,18 @@ class Dirichlet(Density):
         draw[-1] = max(0.0, 1.0 - float(draw[:-1].sum()))
         return draw
 
-    def log_density(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        a = self.concentration
-        if x.shape != a.shape:
-            raise ValueError(f"dimension mismatch: point {x.shape}, density {a.shape}")
-        coords = x.tolist()  # K floats: cheaper than array reductions; a NaN fails the sum's test
-        if not (min(coords) >= 0.0 and abs(sum(coords) - 1.0) <= 1e-9):
-            return -np.inf
-        terms = 0.0
-        if self._free.size:
-            free = x[self._free]
-            if np.any(free == 0.0):
-                return -np.inf  # simplex boundary: zero density (a>1) or excluded by convention (a<1)
-            terms = np.sum(self._exponents * np.log(free))
-        return float(terms + self._log_gamma_total - self._log_gamma_parts)
+    def log_density_each(self, xs: np.ndarray) -> np.ndarray:
+        """Per-point log densities of points stacked along the first axis, or of one point."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.shape[-1:] != self.concentration.shape:
+            raise ValueError(f"dimension mismatch: points {xs.shape}, density {self.concentration.shape}")
+        with np.errstate(divide="ignore", invalid="ignore"):  # off-simplex and non-finite points are masked below
+            # a NaN fails both tests; a zero free coordinate has zero density (a>1) or is excluded by convention (a<1)
+            inside = (xs.min(axis=-1) >= 0.0) & (np.abs(xs.sum(axis=-1) - 1.0) <= 1e-9)
+            free = xs[..., self._free]
+            terms = np.sum(self._exponents * np.log(free), axis=-1)
+        inside &= np.all(free > 0.0, axis=-1)
+        return np.where(inside, terms + self._log_gamma_total - self._log_gamma_parts, -np.inf)
 
 
 class Gamma(Density):

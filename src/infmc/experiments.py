@@ -183,12 +183,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown config key {key!r}")
         return {key: _parse_config_value(key, types[key], value) for key, value in entries.items()}
 
-    @classmethod
-    def from_file(cls, path, **overrides) -> ExperimentConfig:
-        """The config in ``path``, with every override that is not ``None``
-        taking precedence over the file."""
-        return cls(**{**cls.read_file(path), **{k: v for k, v in overrides.items() if v is not None}})
-
 
 def _parse_config_value(key: str, kind, value: str):
     if type(None) in typing.get_args(kind):  # "X | None" parses as X
@@ -536,7 +530,7 @@ def _random_small_instance(rng: RandomSource):
     prior = DiagGaussian(0.0, 1.0)
     model = FactorizedModel(
         num_blocks=k,
-        global_log_prior=prior.log_density,
+        global_log_prior=prior.log_density_each,
         block_log_priors=(prior.log_density_each,) * k,
         block_log_likelihoods=tuple(make_lik(j) for j in range(k)),
         log_evidence_offset=float(g.normal()),

@@ -77,20 +77,21 @@ class FactorizedModel:
     The data partition behind the block likelihoods must be disjoint across
     blocks for a fixed global value.
 
-    For models without a global block, pass evaluators that accept ``None``.
-    Block evaluators accept one block value or an array of values stacked
-    along the first axis, and must return one term per value.  A block
-    likelihood's global value carries the same leading axis, aligned with
-    the values: row ``i`` of the values goes with row ``i`` of the global
-    values, which are stacked part by part when the global value is a tuple
-    (see :meth:`FactorizedPoint.stack`).  One value goes with one global
-    value.
+    Each evaluator, the global prior included, accepts one value or an
+    array of values stacked along the first axis, and must return one term
+    per value; a tuple global value stacks part by part (see
+    :meth:`FactorizedPoint.stack`).  For models without a global block, pass
+    evaluators that accept ``None``; the global prior may then return one
+    scalar for every draw.  A block likelihood's global value carries the
+    same leading axis as its block values, aligned with them: row ``i`` of
+    the values goes with row ``i`` of the global values.  One value goes
+    with one global value.
     """
 
     num_blocks: int
-    global_log_prior: Callable[[Any], float]
-    block_log_priors: tuple[Callable[[Any], float], ...]
-    block_log_likelihoods: tuple[Callable[[Any, Any], float], ...]
+    global_log_prior: Callable[[Any], np.ndarray]
+    block_log_priors: tuple[Callable[[Any], np.ndarray], ...]
+    block_log_likelihoods: tuple[Callable[[Any, Any], np.ndarray], ...]
     log_evidence_offset: float = 0.0
 
     def __post_init__(self):
@@ -140,7 +141,7 @@ class FactorizedProposal:
         return total
 
 
-def _score_globals(drawn: list) -> tuple[list, list]:
+def _score_globals(drawn: list) -> tuple[list, np.ndarray]:
     """The global values and proposal log densities of a generation's
     ``(proposal, global variates, block draws)`` triples, scored with one
     ``score_variates`` call per global-proposal class.  An empty global block
@@ -157,7 +158,7 @@ def _score_globals(drawn: list) -> tuple[list, list]:
             values[i] = point
     if (log_q == -np.inf).any():
         raise RuntimeError("proposal density is zero at its own draw (global block)")
-    return values, log_q.tolist()
+    return values, log_q
 
 
 def _block_terms(
@@ -229,10 +230,11 @@ def recombine(
     batch.  ``proposals`` is consumed lazily, one proposal per global draw,
     so a generator may draw from ``rng`` to build each proposal just before
     its draws are made.  The global draws are then scored together, one
-    batch per proposal class.  Each block's draws of the whole call are
-    scored by one call of :func:`_block_terms`, stacked as ``(outer *
-    inner_draws, ...)`` with the global values repeated to align: one prior
-    and one likelihood call per block.  Raises
+    batch per proposal class, and the model's global prior scores them
+    stacked, in one call.  Each block's draws of the whole call are scored
+    by one call of :func:`_block_terms`, stacked as ``(outer * inner_draws,
+    ...)`` with the global values repeated to align: one prior and one
+    likelihood call per block.  Raises
     :class:`InflationBudgetError`, before its draws, for a global draw whose
     combinations would take the total beyond ``MAX_UNCAPPED_COMBINATIONS``.
     """
@@ -251,7 +253,11 @@ def recombine(
     if not drawn:
         return SampleSet(np.empty(0, dtype=object), np.empty(0))
     global_values, log_q = _score_globals(drawn)
-    bases = [float(model.global_log_prior(v)) + model.log_evidence_offset - q for v, q in zip(global_values, log_q)]
+    stacked = _stacked(global_values)
+    prior = model.global_log_prior(stacked)
+    if np.shape(prior) != (len(drawn),) and not (stacked is None and np.ndim(prior) == 0):
+        raise ValueError("the global block's prior must return one term per outer draw")
+    bases = (prior + model.log_evidence_offset) - log_q
     props = [prop for prop, _, _ in drawn]
     stacked_globals = _stacked(global_values, inner_draws)  # row g * inner_draws + i: outer draw g
     terms, block_values = [], []
@@ -264,7 +270,7 @@ def recombine(
         rows = slice(g * inner_draws, (g + 1) * inner_draws)
         combos = itertools.product(*(listed[rows] for listed in block_values))
         points.extend(map(FactorizedPoint, itertools.repeat(global_value), combos))
-    log_weights = _weight_grid(np.array(bases), np.stack(terms, axis=1))
+    log_weights = _weight_grid(bases, np.stack(terms, axis=1))
     return SampleSet(np.fromiter(points, dtype=object, count=len(points)), log_weights)
 
 

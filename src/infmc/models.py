@@ -157,39 +157,22 @@ class DmmSpec:
         return np.sum(log_sum_exp(comp, -1)[0][..., 0], axis=-1)
 
 
-def _mixing_prior_term(weights, labels: np.ndarray) -> float:
-    """The Dirichlet term of the mixing weights, or -inf when a label names
-    no component; a finite result means the labels can index per-component
-    arrays.  The model prior and the assignment proposal both start from it."""
-    total = MIXING_PRIOR.log_density(weights)
-    if total == -np.inf or (labels.size and (labels.min() < 0 or labels.max() >= NUM_COMPONENTS)):
-        return -np.inf
-    return total
-
-
-def _mixing_log_prob(weights, labels) -> float:
-    """Shared Dirichlet-plus-assignments term, used by both the model prior
-    and the assignment proposal so the two cancel exactly in weights."""
-    weights = np.asarray(weights, dtype=float)
-    labels = np.asarray(labels)
-    total = _mixing_prior_term(weights, labels)
-    if total == -np.inf:
-        return -np.inf
-    # log is elementwise, so one log per weight, gathered, has the bits of one log per label
-    if min(weights.tolist()) > 0.0:
-        log_weights = np.log(weights)
-    elif np.any(weights[labels] <= 0.0):
-        return -np.inf
-    else:
-        with np.errstate(divide="ignore"):  # a zero weight that no label names is never gathered
-            log_weights = np.log(weights)
-    return total + float(log_weights[labels].sum())
+def _mixing_log_density(weights: np.ndarray, labels: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The Dirichlet term of each row of ``weights`` plus its labels' entries
+    of ``table``, the per-label log probabilities ``(..., observations or 1,
+    K)``; ``-inf`` off the simplex or for a label that names no component."""
+    in_range = np.all((labels >= 0) & (labels < NUM_COMPONENTS), axis=-1)
+    gathered = np.take_along_axis(table, np.clip(labels, 0, NUM_COMPONENTS - 1)[..., None], axis=-1)[..., 0]
+    prior = MIXING_PRIOR.log_density_each(weights)
+    with np.errstate(invalid="ignore"):  # rows off the simplex may sum NaN or opposite infinities; masked here
+        return np.where(in_range & (prior > -np.inf), prior + gathered.sum(axis=-1), -np.inf)
 
 
 class _LabelProposal(Density):
     """Mixing weights from their Dirichlet prior, then one component label
-    per observation from one uniform each.  Subclasses map a batch of weights
-    and uniforms to labels and each label's log probability."""
+    per observation from one uniform each.  Subclasses give each label's log
+    probability as one table per batch of weights; the density is the
+    Dirichlet term plus each label's entry of that table."""
 
     def __init__(self, spec: DmmSpec):
         self.spec = spec
@@ -202,30 +185,36 @@ class _LabelProposal(Density):
 
     @classmethod
     def score_variates(cls, densities, variates):
-        weights = [w for w, _ in variates]
-        labels, label_log_probs = cls._labels(densities, np.array(weights), np.array([u for _, u in variates]))
-        # labels are in range by construction, so only the Dirichlet term can rule a draw out
-        prior = np.array([MIXING_PRIOR.log_density(w) for w in weights])
-        log_q = np.where(prior == -np.inf, -np.inf, prior + label_log_probs.sum(axis=1))
-        return list(zip(weights, labels)), log_q
+        weights = np.array([w for w, _ in variates])
+        table = cls._label_log_probs(densities, weights)
+        labels = cls._labels(weights, table, np.array([u for _, u in variates]))
+        return list(zip((w for w, _ in variates), labels)), _mixing_log_density(weights, labels, table)
+
+    def log_density_each(self, xs) -> np.ndarray:
+        """Per-point log densities of ``(weights, labels)`` points stacked part
+        by part, ``(N, K)`` and ``(N, observations)``, or of one point."""
+        weights, labels = np.asarray(xs[0], dtype=float), np.asarray(xs[1])
+        table = self._label_log_probs([self], np.atleast_2d(weights))
+        return _mixing_log_density(weights, labels, table if weights.ndim > 1 else table[0])
 
 
 class MixtureGlobalProposal(_LabelProposal):
     """Draws mixing weights from their Dirichlet prior and one component
-    assignment per observation from the drawn weights."""
+    assignment per observation from the drawn weights.  With the Dirichlet
+    prior it is the model's global prior, so the two cancel exactly in
+    weights."""
 
     @staticmethod
-    def _labels(densities, weights, uniforms):
+    def _label_log_probs(densities, weights):
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero weight's label has log probability -inf
+            return np.log(weights)[..., None, :]
+
+    @staticmethod
+    def _labels(weights, table, uniforms):
         cdf = np.cumsum(weights, axis=1)
         cdf /= cdf[:, -1:]
         # ``Generator.choice(p=weights)``: the normalized cdf, searched on the right
-        labels = (cdf[:, None, :] <= uniforms[..., None]).sum(axis=-1)
-        with np.errstate(divide="ignore"):  # a label naming a zero weight has log probability -inf
-            return labels, np.take_along_axis(np.log(weights), labels, axis=1)
-
-    def log_density(self, x) -> float:
-        weights, labels = x
-        return _mixing_log_prob(weights, labels)
+        return (cdf[:, None, :] <= uniforms[..., None]).sum(axis=-1)
 
 
 class MixtureAssignmentProposal(_LabelProposal):
@@ -245,26 +234,16 @@ class MixtureAssignmentProposal(_LabelProposal):
         self._ref_each = np.ascontiguousarray(spec.component_log_density_each(spec.data, reference_params).T)
 
     @staticmethod
-    def _assignment_log_probs(ref_each: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Per-observation label log probabilities, broadcast over leading batch axes."""
-        with np.errstate(divide="ignore"):
-            scores = ref_each + np.log(weights)[..., None, :]
-        return scores - log_sum_exp(scores, -1)[0]
+    def _label_log_probs(densities, weights):
+        """Per-observation label log probabilities, row ``g`` under ``densities[g]``'s reference."""
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows off the simplex are masked by the Dirichlet term
+            scores = np.stack([d._ref_each for d in densities]) + np.log(weights)[..., None, :]
+            return scores - log_sum_exp(scores, -1)[0]
 
-    @classmethod
-    def _labels(cls, densities, weights, uniforms):
-        log_probs = cls._assignment_log_probs(np.stack([d._ref_each for d in densities]), weights)
-        cdf = np.cumsum(np.exp(log_probs), axis=-1)
-        labels = np.minimum((uniforms[..., None] > cdf).sum(axis=-1), NUM_COMPONENTS - 1)
-        return labels, np.take_along_axis(log_probs, labels[..., None], axis=-1)[..., 0]
-
-    def log_density(self, x) -> float:
-        weights, labels = np.asarray(x[0], dtype=float), np.asarray(x[1])
-        base = _mixing_prior_term(weights, labels)
-        if base == -np.inf:
-            return -np.inf
-        log_probs = self._assignment_log_probs(self._ref_each, weights)
-        return base + float(log_probs[np.arange(labels.size), labels].sum())
+    @staticmethod
+    def _labels(weights, table, uniforms):
+        cdf = np.cumsum(np.exp(table), axis=-1)
+        return np.minimum((uniforms[..., None] > cdf).sum(axis=-1), NUM_COMPONENTS - 1)
 
 
 def informed_assignment_builder(spec: DmmSpec):
@@ -289,10 +268,6 @@ def dmm_model(spec: DmmSpec) -> FactorizedModel:
     """
     prior = spec.component_prior()
 
-    def global_log_prior(phi) -> float:
-        weights, labels = phi
-        return _mixing_log_prob(weights, labels)
-
     def make_likelihood(j: int):
         def block_log_likelihood(phi, params):
             _, labels = phi
@@ -304,7 +279,7 @@ def dmm_model(spec: DmmSpec) -> FactorizedModel:
 
     return FactorizedModel(
         num_blocks=NUM_COMPONENTS,
-        global_log_prior=global_log_prior,
+        global_log_prior=MixtureGlobalProposal(spec).log_density_each,
         block_log_priors=(prior.log_density_each,) * NUM_COMPONENTS,
         block_log_likelihoods=tuple(make_likelihood(j) for j in range(NUM_COMPONENTS)),
     )
@@ -381,11 +356,27 @@ def save_dataset(dataset: SyntheticDataset, path) -> None:
 
 
 def load_dataset(path) -> SyntheticDataset:
+    """The dataset in a file written by :func:`save_dataset`.  Raises
+    ``ValueError`` for a file that :func:`save_dataset` could not have
+    written from :func:`make_synthetic`'s output."""
     text = Path(path).read_text().strip().splitlines()
+    if not text:
+        raise ValueError(f"empty dataset file {str(path)!r}")
     header = text[0]
     if not header.startswith("# schema=1 "):
         raise ValueError(f"unrecognized dataset header: {header!r}")
     fields = dict(part.split("=", 1) for part in header[2:].split() if "=" in part)
+    missing = [key for key in ("seed", "kind", "means") if key not in fields]
+    if missing:
+        raise ValueError(f"dataset header lacks {', '.join(missing)}: {header!r}")
+    if fields["kind"] not in (GAUSSIAN, STUDENT_T):
+        raise ValueError(f"unknown dataset kind {fields['kind']!r}")
     means = tuple(float(v) for v in fields["means"].split(","))
+    if len(means) != NUM_COMPONENTS:
+        raise ValueError(f"dataset header needs {NUM_COMPONENTS} means, got {len(means)}")
     obs = np.array([float(line) for line in text[1:] if line.strip()])
-    return SyntheticDataset(obs, (means[0], means[1]), int(fields["seed"]), fields["kind"])
+    if obs.size == 0:
+        raise ValueError("dataset file holds no observations")
+    if not np.all(np.isfinite(obs)):
+        raise ValueError("dataset file holds a non-finite observation")
+    return SyntheticDataset(obs, means, int(fields["seed"]), fields["kind"])

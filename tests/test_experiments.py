@@ -61,7 +61,7 @@ class TestConfig:
     def test_unset_budgets_and_replications_resolve_per_family(self, tmp_path):
         path = tmp_path / "dmm.cfg"
         path.write_text("schema_version = 1\nexperiment = dmm-gauss\nseed = 1\n")
-        for cfg in (ExperimentConfig("dmm-t", seed=1), ExperimentConfig.from_file(path)):
+        for cfg in (ExperimentConfig("dmm-t", seed=1), ExperimentConfig(**ExperimentConfig.read_file(path))):
             assert (cfg.budgets, cfg.replications) == ((2000,), 25)
         gauss = ExperimentConfig("gauss-offcenter", seed=1)
         assert (gauss.budgets, gauss.replications) == ((200, 2000, 20000), 50)
@@ -89,7 +89,7 @@ class TestConfig:
                 ]
             )
         )
-        cfg = ExperimentConfig.from_file(path)
+        cfg = ExperimentConfig(**ExperimentConfig.read_file(path))
         assert cfg.seed == 7
         assert cfg.budgets == (100, 200)
         assert cfg.method == "plain"
@@ -100,19 +100,13 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text("experiment = gauss-centered\nseed = 1\n")
         with pytest.raises(ValueError):
-            ExperimentConfig.from_file(path)
+            ExperimentConfig(**ExperimentConfig.read_file(path))
 
     def test_config_file_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("schema_version = 1\nexperiment = gauss-centered\nseed = 1\nbogus = 3\n")
         with pytest.raises(ValueError):
-            ExperimentConfig.from_file(path)
-
-    def test_overrides_beat_file_values(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("schema_version = 1\nexperiment = gauss-centered\nseed = 1\n")
-        cfg = ExperimentConfig.from_file(path, seed=99)
-        assert cfg.seed == 99
+            ExperimentConfig(**ExperimentConfig.read_file(path))
 
 
 class TestMetricRow:

@@ -62,7 +62,7 @@ def two_block_data_model(shift=0.5):
 
     return FactorizedModel(
         num_blocks=2,
-        global_log_prior=prior.log_density,
+        global_log_prior=prior.log_density_each,
         block_log_priors=(prior.log_density_each,) * 2,
         block_log_likelihoods=tuple(make_lik(j) for j in range(2)),
         log_evidence_offset=-3.25,
@@ -188,7 +188,7 @@ class TestInflate:
         model, counts = _counting_likelihoods(
             FactorizedModel(
                 num_blocks=k,
-                global_log_prior=prior.log_density,
+                global_log_prior=prior.log_density_each,
                 block_log_priors=(prior.log_density_each,) * k,
                 block_log_likelihoods=tuple(make_lik(j) for j in range(k)),
                 log_evidence_offset=float(g.normal()),
@@ -238,21 +238,27 @@ class TestInflate:
             def log_density(self, x):
                 return log_q
 
-        model, calls = _counting_likelihoods(priors_only_model(2))
+        model = dataclasses.replace(priors_only_model(2), global_log_prior=DiagGaussian(0.0, 1.0).log_density_each)
+        model, calls = _counting_likelihoods(model)
         prop = dataclasses.replace(gaussian_proposal(2), global_proposal=Degenerate(0.0, 1.0))
         with pytest.raises(error, match=match):
             inflate(model, prop, 3, 2, RandomSource(0))
         if log_q == -np.inf:
             assert calls == []  # refused before any block likelihood is called
 
-    @pytest.mark.parametrize("summed", ["prior", "likelihood"])
+    @pytest.mark.parametrize("summed", ["prior", "likelihood", "global prior"])
     def test_evaluator_summing_over_the_values_is_refused(self, summed):
-        # a summed term would broadcast to every inner draw and miss the joint density
+        # a summed term would broadcast to every inner or outer draw and miss the joint density
         model = priors_only_model(2)
         if summed == "prior":
             model = dataclasses.replace(model, block_log_priors=(lambda g: float(np.sum(-0.5 * np.square(g))),) * 2)
-        else:
+        elif summed == "likelihood":
             model = dataclasses.replace(model, block_log_likelihoods=(lambda phi, g: float(np.sum(g)),) * 2)
+        else:
+            model = dataclasses.replace(model, global_log_prior=lambda phi: float(np.sum(-0.5 * np.square(phi))))
+            with pytest.raises(ValueError, match="global block's prior must return one term per outer draw"):
+                inflate(model, gaussian_proposal(2, with_global=True), 3, 2, RandomSource(1))
+            return
         prop = gaussian_proposal(2)
         with pytest.raises(ValueError, match="one term per value"):
             inflate(model, prop, 1, 2, RandomSource(1))
@@ -362,6 +368,7 @@ class TestBatchedBlockScoring:
         base = two_block_data_model()
         model = dataclasses.replace(
             base,
+            global_log_prior=counted("global prior", None, base.global_log_prior),
             block_log_priors=tuple(counted("prior", j, f) for j, f in enumerate(base.block_log_priors)),
             block_log_likelihoods=tuple(counted("lik", j, f) for j, f in enumerate(base.block_log_likelihoods)),
         )
@@ -370,7 +377,8 @@ class TestBatchedBlockScoring:
         props = [distinct[i] for i in (0, 1, 0, 2, 2, 0, 1)]
         outer, inner = len(props), 3
         drawn = recombine(model, props, inner, RandomSource(5))
-        assert sorted(c for c in calls if c[0] != "log q") == [
+        assert [c for c in calls if c[0] == "global prior"] == [("global prior", None, outer)]
+        assert sorted(c for c in calls if c[0] not in ("log q", "global prior")) == [
             ("lik", 0, outer * inner), ("lik", 1, outer * inner), ("prior", 0, outer * inner), ("prior", 1, outer * inner)
         ]
         density_calls = sorted(c[1:] for c in calls if c[0] == "log q")

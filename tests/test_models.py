@@ -11,7 +11,6 @@ from infmc.models import (
     MixtureAssignmentProposal,
     MixtureGlobalProposal,
     SyntheticDataset,
-    _mixing_log_prob,
     component_means_function,
     dmm_init_proposal,
     dmm_model,
@@ -214,9 +213,12 @@ class TestComponentMeansFunction:
 
 def _mixing_log_prob_per_label(weights, labels) -> float:
     """The Dirichlet(1, 1) term plus one log per gathered label, written out:
-    the oracle for ``_mixing_log_prob``."""
+    the oracle for the prior proposal's density, which is the model's global
+    prior."""
     weights, labels = np.asarray(weights, dtype=float), np.asarray(labels)
-    if np.any(weights < 0.0) or abs(float(weights.sum()) - 1.0) > 1e-9:
+    if not (np.all(weights >= 0.0) and abs(float(weights.sum()) - 1.0) <= 1e-9):
+        return -np.inf
+    if np.any((labels < 0) | (labels >= 2)):
         return -np.inf
     probs = weights[labels]
     if np.any(probs <= 0.0):
@@ -226,24 +228,43 @@ def _mixing_log_prob_per_label(weights, labels) -> float:
 
 
 class TestMixingLogProb:
+    """The mixture global block's density, scored as one batch."""
+
+    @staticmethod
+    def _proposal(spec, informed):
+        return MixtureAssignmentProposal(spec, (-1.0, 2.5)) if informed else MixtureGlobalProposal(spec)
+
     @pytest.mark.parametrize("informed", [False, True])
     def test_equals_per_label_logs_on_proposal_draws(self, informed):
         spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6, count=40).observations)
-        prop = MixtureAssignmentProposal(spec, (-1.0, 2.5)) if informed else MixtureGlobalProposal(spec)
         rng = RandomSource(41)
-        for _ in range(200):
-            weights, labels = prop.sample(rng)
-            assert _mixing_log_prob(weights, labels) == _mixing_log_prob_per_label(weights, labels)
+        points = [self._proposal(spec, informed).sample(rng) for _ in range(200)]
+        stacked = tuple(np.stack(part) for part in zip(*points))
+        expected = [_mixing_log_prob_per_label(weights, labels) for weights, labels in points]
+        assert dmm_model(spec).global_log_prior(stacked).tolist() == expected
 
-    @pytest.mark.parametrize("labels", [[1, 1, 1], [1, 0, 1]], ids=["unlabelled", "labelled"])
-    def test_a_zero_weight(self, labels):
-        weights = np.array([0.0, 1.0])
-        expected = _mixing_log_prob_per_label(weights, labels)
-        assert _mixing_log_prob(weights, labels) == expected
-        assert (expected == 0.0) if labels == [1, 1, 1] else (expected == -np.inf)
-
-    def test_nan_weights_have_zero_density(self):
-        assert _mixing_log_prob(np.array([np.nan, np.nan]), [0, 1]) == -np.inf
+    @pytest.mark.parametrize("informed", [False, True])
+    def test_batch_rows_equal_one_by_one_scoring(self, informed):
+        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6, count=3).observations)
+        prop = self._proposal(spec, informed)
+        rows = [
+            ([0.3, 0.7], [0, 1, 1]),
+            ([0.0, 1.0], [1, 1, 1]),  # a zero weight that no label names
+            ([0.0, 1.0], [1, 0, 1]),  # a label naming a zero weight
+            ([np.nan, np.nan], [0, 1, 0]),
+            ([np.nan, 0.5], [0, 1, 0]),
+            ([0.5, 0.5], [0, 2, 1]),  # a label naming no component
+            ([0.5, 0.5], [-1, 0, 1]),
+            ([0.7, 0.7], [0, 1, 1]),  # off the simplex
+            ([np.inf, -np.inf], [0, 1, 1]),
+        ]
+        weights, labels = (np.array(part) for part in zip(*rows))
+        batch = prop.log_density_each((weights, labels))
+        one_by_one = [prop.log_density((w, l)) for w, l in zip(weights, labels)]
+        assert batch.shape == (len(rows),) and batch.tolist() == one_by_one
+        assert np.isfinite(batch[:2]).all() and (batch[2:] == -np.inf).all()
+        if not informed:
+            assert one_by_one == [_mixing_log_prob_per_label(w, l) for w, l in rows]
 
 
 class TestGlobalProposals:
@@ -355,6 +376,26 @@ class TestSynthetic:
         assert loaded.kind == "student-t"
         assert loaded.true_means == ds.true_means
         assert np.array_equal(loaded.observations, ds.observations)
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("", "empty dataset file"),
+            ("# schema=1 seed=1 kind=gaussian means=0.5\n1.0\n", "needs 2 means, got 1"),
+            ("# schema=1 seed=1 kind=gaussian\n1.0\n", "lacks means"),
+            ("# schema=1 kind=gaussian means=-1.0,1.0\n1.0\n", "lacks seed"),
+            ("# schema=1 seed=1 kind=weird means=-1.0,1.0\n1.0\n", "unknown dataset kind 'weird'"),
+            ("# schema=1 seed=1 kind=gaussian means=-1.0,1.0\n", "no observations"),
+            ("# schema=1 seed=1 kind=gaussian means=-1.0,1.0\n1.0\nnan\n", "non-finite observation"),
+            ("# schema=1 seed=1 kind=student-t means=-1.0,1.0\ninf\n", "non-finite observation"),
+        ],
+        ids=["empty", "one-mean", "no-means", "no-seed", "unknown-kind", "no-observations", "nan", "inf"],
+    )
+    def test_bad_file_is_refused_with_its_problem(self, tmp_path, text, problem):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=problem):
+            load_dataset(path)
 
     def test_header_is_commented(self, tmp_path):
         ds = make_synthetic("gaussian", (-1.0, 1.0), 1, count=5)
