@@ -25,7 +25,6 @@ from .estimators import (
 )
 from .factorized import (
     FactorizedModel,
-    FactorizedPoint,
     FactorizedProposal,
     GroupedSampleSet,
     InflationBudgetError,

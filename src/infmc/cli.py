@@ -24,6 +24,13 @@ __all__ = ["main"]
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
+def _seed(text: str) -> int:
+    """Every subcommand's ``--seed``: a nonnegative integer, or a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v.strip()) for v in text.split(","))
 
@@ -39,7 +46,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, experiments: tuple[str, .
     """Flags shared by ``gauss`` and ``dmm``.  Every flag but ``--config``
     sets the ``ExperimentConfig`` field named by its ``dest``, and an unset
     flag is ``None``, so the config file or the field's default applies."""
-    parser.add_argument("--seed", type=int, required=True, help="base seed; mandatory for reproducibility")
+    parser.add_argument("--seed", type=_seed, required=True, help="base seed; mandatory for reproducibility")
     parser.add_argument("--config", type=str, default=None, help="flat key=value config file (schema 1)")
     parser.add_argument("--experiment", choices=list(experiments), default=None,
                         help=f"default: the config file's, else {experiments[0]}")
@@ -146,13 +153,13 @@ def main(argv=None) -> int:
     dmm.set_defaults(func=_cmd_dmm)
 
     theorems = sub.add_parser("theorems", help="run the property suite; nonzero exit on failure")
-    theorems.add_argument("--seed", type=int, required=True)
+    theorems.add_argument("--seed", type=_seed, required=True)
     theorems.add_argument("--instances", type=int, default=500)
     theorems.add_argument("--output", type=str, default=None)
     theorems.set_defaults(func=_cmd_theorems, parser=theorems)
 
     emit_data = sub.add_parser("emit-data", help="write a synthetic mixture dataset")
-    emit_data.add_argument("--seed", type=int, required=True)
+    emit_data.add_argument("--seed", type=_seed, required=True)
     emit_data.add_argument("--kind", choices=["gaussian", "student-t"], default="gaussian")
     emit_data.add_argument("--means", type=_float_pair, default=(-2.0, 2.0))
     emit_data.add_argument("--count", type=int, default=100)

@@ -105,8 +105,8 @@ class SampleSet:
     """An ordered collection of weighted samples with its cached log weight sum.
 
     ``points`` is an array whose first axis indexes the samples: ``(n, d)``
-    floats for vector-valued points, or a 1-D object array of opaque point
-    objects; estimators only ever hand points to a :class:`TestFunction`.
+    floats for vector-valued points, or a recombination's ``(n, K, ...)``
+    block values; estimators only ever hand points to a :class:`TestFunction`.
     Instances are immutable after construction and safe to share across
     threads.
     """
@@ -151,10 +151,6 @@ class TestFunction:
     @classmethod
     def identity(cls, dim: int) -> TestFunction:
         return cls(lambda pts: np.asarray(pts, dtype=float).reshape(-1, dim), dim)
-
-    @classmethod
-    def from_pointwise(cls, f: Callable[[Any], Sequence[float]], dim: int) -> TestFunction:
-        return cls(lambda pts: np.array([np.atleast_1d(f(p)) for p in pts], dtype=float), dim)
 
 
 def _require_nonempty(x: SampleSet) -> None:
@@ -207,11 +203,10 @@ def evidence_estimate(x: SampleSet) -> float:
 
 
 def combine(sets: Sequence[SampleSet]) -> SampleSet:
-    """Multiset union: concatenation preserving duplicates and order."""
+    """Multiset union: a new set of the sets' points and log weights in order,
+    duplicates kept; a recombination's factored set joins as its enumeration."""
     if not sets:
         raise ValueError("combine requires at least one sample set")
-    if len(sets) == 1:
-        return sets[0]
     points = np.concatenate([s.points for s in sets], axis=0)
     log_weights = np.concatenate([s.log_weights for s in sets])
     return SampleSet(points, log_weights)
@@ -267,11 +262,16 @@ def error_convexity_margin(
 
 
 def resample(x: SampleSet, count: int, rng: RandomSource) -> list:
-    """``count`` multinomial draws with replacement, proportional to weights."""
+    """``count`` multinomial draws with replacement, proportional to the log
+    weights as listed over their own log-sum-exp, so a factored set draws what
+    its enumeration does; one object per distinct drawn sample."""
     _require_nonempty(x)
     if x.log_weight_sum == -np.inf:
         raise DegenerateWeightsError("cannot resample: all weights are zero")
-    probs = np.exp(x.log_weights - x.log_weight_sum)
+    log_weights = x.log_weights
+    probs = np.exp(log_weights - log_sum_exp(log_weights, 0)[0][0])
     probs /= probs.sum()
     indices = rng.generator.choice(len(x), size=int(count), replace=True, p=probs)
-    return list(x.points[indices])
+    distinct, which = np.unique(indices, return_inverse=True)
+    rows = list(x.points[distinct])
+    return [rows[i] for i in which]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +31,7 @@ from .estimators import (
 from .factorized import (
     FactorizedModel,
     FactorizedProposal,
+    GroupedSampleSet,
     block_contributions,
     grouped_inflate,
     inflate,
@@ -164,7 +166,7 @@ class ExperimentConfig:
         Lines are ``key = value`` with ``#`` comments; keys are field names
         and values are parsed by the field's type: list values are comma
         separated, booleans are ``true``/``false``.  A ``schema_version = 1``
-        entry is required.
+        entry is required, and a key may appear only once.
         """
         entries: dict[str, str] = {}
         for raw in Path(path).read_text().splitlines():
@@ -174,6 +176,8 @@ class ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"config line without '=': {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in entries:
+                raise ValueError(f"config key {key!r} is given more than once")
             entries[key] = value
         if entries.pop("schema_version", None) != "1":
             raise ValueError("config file must declare schema_version = 1")
@@ -232,7 +236,8 @@ class MetricSeries:
 
     @classmethod
     def from_records(cls, records) -> MetricSeries:
-        return cls([MetricRow(**{col: rec[col] for col in CSV_COLUMNS}) for rec in records])
+        """Rows from :meth:`to_records`' dicts, reading JSON's ``None`` as NaN."""
+        return cls([MetricRow(**{c: math.nan if r[c] is None else r[c] for c in CSV_COLUMNS}) for r in records])
 
 
 def _metric_rows(
@@ -390,12 +395,10 @@ def _aligned_estimate(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return best[1]
 
 
-def _best_marginal(spec: DmmSpec, points) -> float:
-    """Largest mixture marginal likelihood over one generation's points,
-    evaluated as one batch."""
-    weights = np.array([p.global_value[0] for p in points])
-    params = np.array([p.block_values for p in points], dtype=float)
-    return float(np.max(spec.marginal_data_log_likelihood(weights, params)))
+def _best_marginal(spec: DmmSpec, sample_set: GroupedSampleSet) -> float:
+    """Largest mixture marginal likelihood over a generation's combinations, as one batch."""
+    (weights, _), _ = sample_set.aligned()
+    return float(np.max(spec.marginal_data_log_likelihood(weights, sample_set.points)))
 
 
 def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> dict:
@@ -424,7 +427,7 @@ def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> di
         gens = run_pmc(model, init, pmc_cfg, src.child(1, mi), h)
         wall = time.perf_counter() - t0
         trace = trace_metrics(gens, truth)
-        best_marginal = np.array([_best_marginal(spec, g.sample_set.points) for g in gens])
+        best_marginal = np.array([_best_marginal(spec, g.sample_set) for g in gens])
         aligned = _aligned_estimate(gens[-1].cumulative_estimate, truth)
         out[method] = {
             "estimate": aligned,
@@ -600,10 +603,11 @@ def run_theorem_suite(seed: int, instances: int = 500, inflation_instances: int 
         sample_set = inflate(counted_model, proposal, outer, inner, inst_rng)
         if sum(counts) != outer * inner * model.num_blocks:
             count_mismatches += 1
+        global_values, block_values = sample_set.aligned()
         oracle = np.array(
             [
-                model.joint_log_density(p.global_value, p.block_values) - proposal.joint_log_density(p)
-                for p in sample_set.points
+                model.joint_log_density(g, values) - proposal.joint_log_density(g, values)
+                for g, values in zip(global_values, zip(*block_values))
             ]
         )
         worst_cache = max(worst_cache, float(np.max(np.abs(sample_set.log_weights - oracle))))
@@ -630,8 +634,9 @@ def _format_value(value) -> str:
 
 
 def emit(series: MetricSeries, path, format: str = "csv") -> None:
-    """Write the series; CSV columns are fixed, JSON mirrors rows as objects.
-    Refuses to create a file for an empty series."""
+    """Write the series; CSV columns are fixed, JSON mirrors rows as objects,
+    with ``null`` for an undefined (NaN) value.  Refuses to create a file for
+    an empty series."""
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}")
     if len(series) == 0:
@@ -643,5 +648,6 @@ def emit(series: MetricSeries, path, format: str = "csv") -> None:
             lines.append(",".join(_format_value(record[col]) for col in CSV_COLUMNS))
         path.write_text("\n".join(lines) + "\n")
     else:
-        payload = {"schema_version": 1, "rows": series.to_records()}
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+        undefined = lambda v: isinstance(v, float) and math.isnan(v)
+        rows = [{c: None if undefined(v) else v for c, v in r.items()} for r in series.to_records()]
+        path.write_text(json.dumps({"schema_version": 1, "rows": rows}, indent=2, allow_nan=False) + "\n")

@@ -21,7 +21,6 @@ from .rng import RandomSource
 
 __all__ = [
     "InflationBudgetError",
-    "FactorizedPoint",
     "FactorizedModel",
     "FactorizedProposal",
     "recombine",
@@ -40,30 +39,20 @@ class InflationBudgetError(ValueError):
     """Raised instead of silently allocating a huge combination set."""
 
 
-@dataclass(frozen=True)
-class FactorizedPoint:
-    """A joint sample: the global-block value plus one value per block."""
-
-    global_value: Any
-    block_values: tuple
-
-    @staticmethod
-    def stack(points: Sequence[FactorizedPoint]) -> tuple[Any, list[np.ndarray]]:
-        """The global values of ``points`` and each block's values, stacked
-        along a leading axis that indexes the points: the aligned batches
-        :meth:`FactorizedModel.data_log_likelihood` takes."""
-        blocks = [np.array(values) for values in zip(*(p.block_values for p in points))]
-        return _stacked([p.global_value for p in points]), blocks
-
-
-def _stacked(values: Sequence, repeats: int = 1):
-    """Global values stacked along a new leading axis, each repeated
-    ``repeats`` times in a row: a tuple value part by part, and an empty
-    global block (``None``) as ``None``."""
+def _stacked(values: Sequence):
+    """Global values stacked along a new leading axis: a tuple value part by
+    part, and an empty global block (``None``) as ``None``."""
     if values[0] is None:
         return None
-    stack = lambda parts: np.repeat(np.stack(parts), repeats, axis=0)
-    return tuple(map(stack, zip(*values))) if isinstance(values[0], tuple) else stack(values)
+    return tuple(map(np.stack, zip(*values))) if isinstance(values[0], tuple) else np.stack(values)
+
+
+def _repeated(stacked, repeats: int):
+    """Stacked global values with each row repeated ``repeats`` times in a row."""
+    if stacked is None:
+        return None
+    repeat = lambda part: np.repeat(part, repeats, axis=0)
+    return tuple(map(repeat, stacked)) if isinstance(stacked, tuple) else repeat(stacked)
 
 
 @dataclass(frozen=True)
@@ -80,7 +69,7 @@ class FactorizedModel:
     Each evaluator, the global prior included, accepts one value or an
     array of values stacked along the first axis, and must return one term
     per value; a tuple global value stacks part by part (see
-    :meth:`FactorizedPoint.stack`).  For models without a global block, pass
+    :meth:`GroupedSampleSet.aligned`).  For models without a global block, pass
     evaluators that accept ``None``; the global prior may then return one
     scalar for every draw.  A block likelihood's global value carries the
     same leading axis as its block values, aligned with them: row ``i`` of
@@ -132,11 +121,12 @@ class FactorizedProposal:
     def num_blocks(self) -> int:
         return len(self.block_proposals)
 
-    def joint_log_density(self, point: FactorizedPoint) -> float:
+    def joint_log_density(self, global_value, block_values: Sequence) -> float:
+        """Log density at one joint value, given as to :meth:`FactorizedModel.joint_log_density`."""
         total = 0.0
         if self.global_proposal is not None:
-            total += float(self.global_proposal.log_density(point.global_value))
-        for prop, value in zip(self.block_proposals, point.block_values):
+            total += float(self.global_proposal.log_density(global_value))
+        for prop, value in zip(self.block_proposals, block_values):
             total += float(prop.log_density(value))
         return total
 
@@ -192,22 +182,11 @@ def _block_terms(
 
 
 def _along_block(j: int, k: int, column: np.ndarray) -> np.ndarray:
-    """A ``(groups, n)`` block column shaped to broadcast along block ``j``'s
-    axis of the ``(groups, n, ..., n)`` combination grid."""
-    shape = [column.shape[0]] + [1] * k
+    """A ``(groups, n, ...)`` block column shaped to broadcast along block
+    ``j``'s axis of the ``(groups, n, ..., n, ...)`` combination grid."""
+    shape = [column.shape[0]] + [1] * k + list(column.shape[2:])
     shape[1 + j] = column.shape[1]
     return column.reshape(shape)
-
-
-def _weight_grid(base, contrib: np.ndarray) -> np.ndarray:
-    """Log weights ``((base + c_1) + c_2) + ...`` of every combination within
-    each group, flattened in lexicographic (C) order over ``(group, c_1, ...,
-    c_K)``; ``contrib`` is ``(groups, K, n)``, ``base`` a scalar or per group."""
-    k = contrib.shape[1]
-    grid = np.reshape(base, (-1,) + (1,) * k) + _along_block(0, k, contrib[:, 0])
-    for j in range(1, k):
-        grid = grid + _along_block(j, k, contrib[:, j])
-    return grid.reshape(-1)
 
 
 def recombine(
@@ -215,12 +194,12 @@ def recombine(
     proposals: Iterable[FactorizedProposal],
     inner_draws: int,
     rng: RandomSource,
-) -> SampleSet:
+) -> GroupedSampleSet:
     """The recombining sampler behind every object-path draw.
 
-    Per proposal, make one global draw and ``inner_draws`` draws per block,
-    then emit every cross-combination of block indices, in lexicographic
-    order, with
+    Per proposal, make one global draw and ``inner_draws`` draws per block;
+    the result stands for every cross-combination of block indices, one
+    group per global draw, with
 
         log w = global prior + offset - log q_global
                 + sum_j (prior_j + lik_j - log q_j)[c_j]
@@ -251,7 +230,7 @@ def recombine(
         variates = None if prop.global_proposal is None else prop.global_proposal.draw_variates(rng)
         drawn.append((prop, variates, [block.sample_batch(rng, inner_draws) for block in prop.block_proposals]))
     if not drawn:
-        return SampleSet(np.empty(0, dtype=object), np.empty(0))
+        return GroupedSampleSet(0.0, np.empty((0, k, inner_draws)), np.empty((0, k, inner_draws)))
     global_values, log_q = _score_globals(drawn)
     stacked = _stacked(global_values)
     prior = model.global_log_prior(stacked)
@@ -259,19 +238,13 @@ def recombine(
         raise ValueError("the global block's prior must return one term per outer draw")
     bases = (prior + model.log_evidence_offset) - log_q
     props = [prop for prop, _, _ in drawn]
-    stacked_globals = _stacked(global_values, inner_draws)  # row g * inner_draws + i: outer draw g
+    aligned_globals = _repeated(stacked, inner_draws)  # row g * inner_draws + i: outer draw g
     terms, block_values = [], []
     for j in range(k):
         values = np.concatenate([block_draws[j] for _, _, block_draws in drawn])
-        terms.append(_block_terms(model, props, j, stacked_globals, values).reshape(len(drawn), inner_draws))
-        block_values.append(values.tolist() if values.ndim == 1 else list(map(tuple, values.tolist())))
-    points: list[FactorizedPoint] = []
-    for g, global_value in enumerate(global_values):
-        rows = slice(g * inner_draws, (g + 1) * inner_draws)
-        combos = itertools.product(*(listed[rows] for listed in block_values))
-        points.extend(map(FactorizedPoint, itertools.repeat(global_value), combos))
-    log_weights = _weight_grid(bases, np.stack(terms, axis=1))
-    return SampleSet(np.fromiter(points, dtype=object, count=len(points)), log_weights)
+        terms.append(_block_terms(model, props, j, aligned_globals, values).reshape(len(drawn), inner_draws))
+        block_values.append(values.reshape((len(drawn), inner_draws) + values.shape[1:]))
+    return GroupedSampleSet(bases, np.stack(terms, axis=1), np.stack(block_values, axis=1), stacked)
 
 
 def plain_factorized_sampler(
@@ -279,7 +252,7 @@ def plain_factorized_sampler(
     prop: FactorizedProposal,
     count: int,
     rng: RandomSource,
-) -> SampleSet:
+) -> GroupedSampleSet:
     """Independent joint draws weighted by model density over joint proposal
     density: :func:`inflate` with one inner draw.  Each draw costs one
     likelihood evaluation per block."""
@@ -292,7 +265,7 @@ def inflate(
     outer_draws: int,
     inner_draws: int,
     rng: RandomSource,
-) -> SampleSet:
+) -> GroupedSampleSet:
     """:func:`recombine` over ``outer_draws`` global draws from ``prop``.
 
     Every global draw emits all ``inner_draws**num_blocks`` combinations.
@@ -326,33 +299,40 @@ def block_contributions(
 
 
 class GroupedSampleSet:
-    """Every recombination of pre-drawn scalar block values within each
-    group, held factored instead of enumerated.
+    """Every recombination of each group's block draws, held factored
+    instead of enumerated: the result of every recombining sampler.
 
-    ``contributions`` and ``values`` are ``(groups, K, n)``: block ``j`` of
-    group ``g`` has the ``n`` values ``values[g, j]`` with log-weight terms
-    ``contributions[g, j]``.  The set stands for the ``size = groups * n**K``
-    combinations that :meth:`materialize` enumerates, combination
-    ``(i_1, ..., i_K)`` of group ``g`` weighing ``base + sum_j
+    Block ``j`` of group ``g`` has the ``n`` values ``values[g, j]`` (trailing
+    axes hold a tuple block's parts) with log-weight terms
+    ``contributions[g, j]``, ``(groups, K, n)``.  ``base`` is one term, or
+    one per group; ``global_values``, for a set with a global block, holds
+    each group's global value stacked part by part.  The set stands for the
+    ``size = groups * n**K`` combinations :meth:`materialize` enumerates,
+    ``(i_1, ..., i_K)`` of group ``g`` weighing ``base_g + sum_j
     contributions[g, j, i_j]``.  Weight sums over a group factor into
     per-block log-sum-exps, so the weight sum, the evidence and the
-    self-normalized mean cost ``O(groups * K * n)``.  ``size`` is a Python
-    int, so it holds counts beyond ``len()``'s 2**63 - 1.  Immutable after
-    construction.
+    self-normalized mean of scalar blocks cost ``O(groups * K * n)``.
+    ``size`` is a Python int, so it holds counts beyond ``len()``'s 2**63 -
+    1.  Immutable after construction.
     """
 
-    __slots__ = ("base", "contributions", "values", "size", "log_weight_sum", "_block_sums", "_group_sums")
+    __slots__ = ("base", "contributions", "values", "global_values", "size", "log_weight_sum", "_block_sums",
+                 "_group_sums")
 
-    def __init__(self, base: float, contributions: np.ndarray, values: np.ndarray):
+    def __init__(self, base, contributions: np.ndarray, values: np.ndarray, global_values=None):
+        base = np.asarray(base, dtype=float)
         contributions = np.asarray(contributions, dtype=float)
         values = np.asarray(values, dtype=float)
-        if contributions.ndim != 3 or values.shape != contributions.shape or 0 in contributions.shape[1:]:
-            raise ValueError("contributions and values must both be (groups, K >= 1, n >= 1)")
-        if not (base < np.inf and contributions.max(initial=-np.inf) < np.inf):
+        if contributions.ndim != 3 or values.shape[:3] != contributions.shape or 0 in contributions.shape[1:]:
+            raise ValueError("contributions must be (groups, K >= 1, n >= 1) and values (groups, K, n, ...)")
+        if base.shape not in ((), contributions.shape[:1]):
+            raise ValueError("base must be one term, or one term per group")
+        if not (base.max(initial=-np.inf) < np.inf and contributions.max(initial=-np.inf) < np.inf):
             raise ValueError("log weights must be finite or -inf; found NaN or +inf")
-        self.base = float(base)
+        self.base = base
         self.contributions = contributions
         self.values = values
+        self.global_values = global_values
         groups, k, n = contributions.shape
         self.size = groups * n**k
         self._block_sums = log_sum_exp(contributions, 2)[0][..., 0]  # L_gj = lse_i c_gji
@@ -360,8 +340,8 @@ class GroupedSampleSet:
         self.log_weight_sum = float(log_sum_exp(self._group_sums, 0)[0][0]) if len(contributions) else -np.inf
 
     def _per_group(self, block_terms: np.ndarray) -> np.ndarray:
-        """``((base + t_g1) + t_g2) + ...`` per group, the weight grid's order."""
-        total = np.full(len(block_terms), self.base)
+        """``((base + t_g1) + t_g2) + ...`` per group, the order of :attr:`log_weights`."""
+        total = np.broadcast_to(self.base, len(block_terms))
         for column in block_terms.T:
             total = total + column
         return total
@@ -370,14 +350,16 @@ class GroupedSampleSet:
         return self.size
 
     def self_normalized_mean(self) -> np.ndarray:
-        """Self-normalized estimate of the identity over every combination:
-        per block ``j``, ``sum_g e^(W_g - L_gj) sum_i e^(c_gji) x_gji / W``
-        with group weight sums ``W_g``, block sums ``L_gj`` and total ``W``,
-        through the sign-tracking :func:`log_sum_exp`."""
+        """Self-normalized estimate of the identity over every combination of
+        scalar blocks: per block ``j``, ``sum_g e^(W_g - L_gj) sum_i e^(c_gji)
+        x_gji / W`` with group weight sums ``W_g``, block sums ``L_gj`` and
+        total ``W``, through the sign-tracking :func:`log_sum_exp`."""
         if self.contributions.shape[0] == 0:
             raise ValueError("estimation requires a non-empty sample set")
         if self.log_weight_sum == -np.inf:
             raise DegenerateWeightsError("all weights are zero")
+        if self.values.ndim != 3:
+            raise ValueError("the contracted mean takes scalar blocks; estimate tuple blocks on .materialize()")
         block_log_abs, block_sign = log_sum_exp(self.contributions, 2, self.values)
         group_sums = self._group_sums[:, None]
         with np.errstate(invalid="ignore"):
@@ -403,18 +385,30 @@ class GroupedSampleSet:
 
     @property
     def log_weights(self) -> np.ndarray:
-        """Every combination's log weight, in :meth:`materialize`'s order."""
+        """Every combination's log weight ``((base + c_1) + c_2) + ...``, in
+        :meth:`materialize`'s order."""
         self._refuse_huge()
-        return _weight_grid(self.base, self.contributions)
+        k = self.contributions.shape[1]
+        grid = np.reshape(self.base, (-1,) + (1,) * k)
+        for j in range(k):
+            grid = grid + _along_block(j, k, self.contributions[:, j])
+        return grid.reshape(-1)
 
     @property
     def points(self) -> np.ndarray:
-        """Every combination as a ``(size, K)`` row, in :meth:`materialize`'s order."""
+        """Every combination's block values, ``(size, K, ...)``, in :meth:`materialize`'s order."""
         self._refuse_huge()
-        groups, k, n = self.values.shape
-        grid_shape = (groups,) + (n,) * k
+        (groups, k, n), trailing = self.contributions.shape, self.values.shape[3:]
+        grid_shape = (groups,) + (n,) * k + trailing
         point_grid = [np.broadcast_to(_along_block(j, k, self.values[:, j]), grid_shape) for j in range(k)]
-        return np.stack(point_grid, axis=-1).reshape(self.size, k)
+        return np.stack(point_grid, axis=1 + k).reshape((self.size, k) + trailing)
+
+    def aligned(self) -> tuple[Any, list[np.ndarray]]:
+        """Each combination's global value, repeated from its group, and each
+        block's values, in :meth:`materialize`'s order: the aligned batches
+        :meth:`FactorizedModel.data_log_likelihood` takes."""
+        _, k, n = self.contributions.shape
+        return _repeated(self.global_values, n**k), list(self.points.swapaxes(0, 1))
 
     def materialize(self) -> SampleSet:
         """The enumerated set, in lexicographic order over ``(group, i_1, ...,

@@ -248,10 +248,10 @@ class MixtureAssignmentProposal(_LabelProposal):
 
 def informed_assignment_builder(spec: DmmSpec):
     """Per-center global-proposal builder for the generation loop: assignments
-    follow the responsibilities under the center's component parameters."""
+    follow the responsibilities under the center's row of component parameters."""
 
     def build(center) -> MixtureAssignmentProposal:
-        return MixtureAssignmentProposal(spec, center.block_values)
+        return MixtureAssignmentProposal(spec, center)
 
     return build
 
@@ -295,15 +295,12 @@ def dmm_init_proposal(spec: DmmSpec) -> FactorizedProposal:
 
 
 def component_means_function(spec: DmmSpec) -> TestFunction:
-    """Extracts the vector of component means from a joint mixture sample."""
-    student_t = spec.component_family == STUDENT_T
-
-    def means(pts) -> np.ndarray:
-        # one conversion for all points: (n, K) means, or (n, K, 3) student-t parameter sets
-        values = np.array([p.block_values for p in pts], dtype=float)
-        return values[..., 0] if student_t else values
-
-    return TestFunction(means, NUM_COMPONENTS)
+    """Extracts the vector of component means from mixture samples' block
+    values: ``(n, K)`` means, or the first part of ``(n, K, 3)`` student-t
+    parameter sets."""
+    if spec.component_family == STUDENT_T:
+        return TestFunction(lambda pts: pts[..., 0], NUM_COMPONENTS)
+    return TestFunction(lambda pts: pts, NUM_COMPONENTS)
 
 
 @dataclass(frozen=True)

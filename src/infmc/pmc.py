@@ -18,18 +18,12 @@ import numpy as np
 from .distributions import Density, DiagGaussian, Gamma, ScalarInverseWishart, TupleDensity
 from .estimators import (
     DegenerateWeightsError,
-    SampleSet,
     TestFunction,
     combine,
     resample,
     self_normalized_estimate,
 )
-from .factorized import (
-    FactorizedModel,
-    FactorizedPoint,
-    FactorizedProposal,
-    recombine,
-)
+from .factorized import FactorizedModel, FactorizedProposal, GroupedSampleSet, recombine
 from .rng import RandomSource
 
 __all__ = [
@@ -57,7 +51,7 @@ class DegenerateGenerationError(DegenerateWeightsError):
 
 
 class Kernel:
-    """Builds a proposal density centered on a previous sample's block value."""
+    """Builds a proposal density centered on one block's value of a previous sample."""
 
     def at(self, center) -> Density:
         raise NotImplementedError
@@ -132,7 +126,9 @@ class PmcConfig:
     inner draws per block (1 is plain importance sampling), and optionally a
     per-center builder for the global block's proposal (the default
     re-proposes the global block from the initial proposal every
-    generation).
+    generation).  A center is a resampled sample's row of block values,
+    ``(K, ...)``: ``kernel.at`` gets one block's value, and
+    ``global_proposal_builder`` the whole row.
 
     ``kernel.at`` and ``global_proposal_builder`` must be pure functions of
     the center: a generation builds one proposal per distinct center and
@@ -142,7 +138,7 @@ class PmcConfig:
     generations: int
     kernel: Kernel
     inner_draws: int = 1
-    global_proposal_builder: Callable[[FactorizedPoint], Density] | None = None
+    global_proposal_builder: Callable[[np.ndarray], Density] | None = None
 
     def __post_init__(self):
         if self.population_size < 1 or self.generations < 1:
@@ -161,7 +157,7 @@ class Generation:
     """One generation's weighted population and its summaries."""
 
     index: int
-    sample_set: SampleSet
+    sample_set: GroupedSampleSet
     resampled_points: list
     cumulative_estimate: Optional[np.ndarray]
     best_log_likelihood: float
@@ -170,15 +166,15 @@ class Generation:
 
 def _kernel_proposals(cfg: PmcConfig, init: FactorizedProposal, centers: list, count: int, rng: RandomSource):
     """``count`` kernel proposals, each at a center drawn uniformly from
-    ``centers`` just before the draws it centers.  Resampling repeats point
-    objects, so a proposal is built once per distinct center object; the
-    builds draw nothing from ``rng``."""
+    ``centers`` just before the draws it centers.  Resampling repeats one
+    row object per distinct sample, so a proposal is built once per distinct
+    center object; the builds draw nothing from ``rng``."""
     built: dict[int, FactorizedProposal] = {}
     for _ in range(count):
         center = centers[int(rng.generator.integers(len(centers)))]
         prop = built.get(id(center))
         if prop is None:
-            blocks = tuple(cfg.kernel.at(v) for v in center.block_values)
+            blocks = tuple(cfg.kernel.at(v) for v in center)
             if cfg.global_proposal_builder is not None:
                 global_prop = cfg.global_proposal_builder(center)
             else:
@@ -206,7 +202,7 @@ def run_pmc(
     outer = cfg.population_size // cfg.inner_draws
     block_evals = cfg.population_size * model.num_blocks  # outer * inner_draws values per block
     generations: list[Generation] = []
-    all_sets: list[SampleSet] = []
+    all_sets: list[GroupedSampleSet] = []
     prev_resampled: list | None = None
 
     for t in range(1, cfg.generations + 1):
@@ -222,7 +218,7 @@ def run_pmc(
         cum_est = None
         if test_function is not None:
             cum_est = self_normalized_estimate(combine(all_sets), test_function)
-        best = float(np.max(model.data_log_likelihood(*FactorizedPoint.stack(gen_set.points))))
+        best = float(np.max(model.data_log_likelihood(*gen_set.aligned())))
         resampled = resample(gen_set, cfg.population_size, rng)
         generations.append(Generation(t, gen_set, resampled, cum_est, best, block_evals))
         prev_resampled = resampled

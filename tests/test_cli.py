@@ -140,6 +140,13 @@ class TestUsageErrors:
             assert exit_info.value.code == 2
             assert message in capsys.readouterr().err
             assert not out.exists()
+        for command in ("gauss", "dmm", "theorems", "emit-data"):
+            out = tmp_path / "never.csv"
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--seed", "-1", "--output", str(out)])
+            assert exit_info.value.code == 2
+            assert "seed must be a nonnegative integer, got '-1'" in capsys.readouterr().err
+            assert not out.exists()
         for argv in (["gauss"], ["dmm", "--traces", str(tmp_path / "never.json")]):
             with pytest.raises(SystemExit) as exit_info:
                 main([*argv, "--seed", "1"])  # the defaults would run for minutes

@@ -220,8 +220,12 @@ class TestEvidenceEstimate:
 
 class TestCombine:
     def test_single_set_identity(self):
-        s = make_set([[1.0]], [0.0])
-        assert combine([s]) is s
+        s = make_set([[1.0], [-2.0]], [0.0, -3.5])
+        u = combine([s])
+        assert u is not s
+        assert np.array_equal(u.points, s.points)
+        assert np.array_equal(u.log_weights, s.log_weights)
+        assert u.log_weight_sum == s.log_weight_sum
 
     def test_cardinality_and_weight_sum(self):
         a = make_set([[0.0], [1.0]], [-1.0, -2.0])
@@ -311,6 +315,12 @@ class TestResample:
         s = make_set([[0.0], [1.0]], np.log([1.0, 3.0]))
         draws = np.array(resample(s, 10**5, RandomSource(2)))
         assert abs(draws.mean() - 0.75) < 0.01
+
+    def test_one_object_per_distinct_sample(self):
+        # the generation loop builds one kernel proposal per distinct object it is handed
+        s = make_set([[1.0], [2.0]], [0.0, 0.0])
+        draws = resample(s, 50, RandomSource(4))
+        assert len({id(p) for p in draws}) == len({float(p[0]) for p in draws}) == 2
 
     def test_all_zero_weights_rejected(self):
         s = make_set([[1.0]], [-np.inf])

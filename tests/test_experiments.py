@@ -108,6 +108,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**ExperimentConfig.read_file(path))
 
+    def test_config_file_rejects_a_repeated_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("schema_version = 1\nexperiment = gauss-centered\nseed = 1\nseed = 2\n")
+        with pytest.raises(ValueError, match="'seed' is given more than once"):
+            ExperimentConfig.read_file(path)
+
 
 class TestMetricRow:
     def test_bias_variance_identity_enforced(self):
@@ -329,10 +335,20 @@ class TestEmit:
     def test_json_round_trip_is_exact(self, tmp_path):
         path = tmp_path / "out.json"
         series = self._series()
+        # the mixture experiments' rows leave the log-evidence error undefined
+        series.rows.append(MetricRow("dmm-gauss", "plain", 40, 2, 0, 0.25, 0.5, 0.75, 0.1, float("nan"), 1.5))
         emit(series, path, "json")
-        payload = json.loads(path.read_text())
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        payload = json.loads(path.read_text(), parse_constant=refuse)
+        assert payload["rows"][-1]["log_evidence_mse"] is None
         rebuilt = MetricSeries.from_records(payload["rows"])
-        assert rebuilt.to_records() == series.to_records()
+        # repr: nan == nan
+        assert [{k: repr(v) for k, v in rec.items()} for rec in rebuilt.to_records()] == [
+            {k: repr(v) for k, v in rec.items()} for rec in series.to_records()
+        ]
 
     def test_empty_series_refused_without_file(self, tmp_path):
         path = tmp_path / "never.csv"

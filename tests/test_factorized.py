@@ -13,6 +13,7 @@ from infmc.estimators import (
     TestFunction,
     decomposition_residual,
     evidence_estimate,
+    resample,
     self_normalized_estimate,
 )
 from infmc.experiments import _counting_likelihoods
@@ -69,6 +70,13 @@ def two_block_data_model(shift=0.5):
     )
 
 
+def joint_rows(sample_set):
+    """Each combination's scalar global value and tuple of block values, in
+    the set's order."""
+    global_values, block_values = sample_set.aligned()
+    return zip(global_values, zip(*block_values))
+
+
 def gaussian_proposal(num_blocks=2, with_global=False, center=0.0):
     return FactorizedProposal(
         block_proposals=tuple(DiagGaussian(center, 2.0) for _ in range(num_blocks)),
@@ -100,17 +108,16 @@ class TestPlainSampler:
         )
         prop = gaussian_proposal(1, with_global=True)
         drawn = plain_factorized_sampler(single, prop, 25, RandomSource(8))
-        for point, lw in zip(drawn.points, drawn.log_weights):
-            direct = single.joint_log_density(point.global_value, point.block_values)
-            direct -= prop.joint_log_density(point)
+        for (phi, values), lw in zip(joint_rows(drawn), drawn.log_weights):
+            direct = single.joint_log_density(phi, values)
+            direct -= prop.joint_log_density(phi, values)
             assert lw == pytest.approx(direct, abs=1e-12)
 
     def test_weights_match_monolithic_density_oracle(self):
         model = two_block_data_model()
         prop = gaussian_proposal(2, with_global=True)
         drawn = plain_factorized_sampler(model, prop, 30, RandomSource(9))
-        for point, lw in zip(drawn.points, drawn.log_weights):
-            phi, (g1, g2) = point.global_value, point.block_values
+        for (phi, (g1, g2)), lw in zip(joint_rows(drawn), drawn.log_weights):
             # unfactorized joint evaluated directly
             joint = (
                 DiagGaussian(0.0, 1.0).log_density(phi)
@@ -120,7 +127,7 @@ class TestPlainSampler:
                 + float(-0.5 * np.sum((np.array([1.4]) - (phi * 0.5 + g2)) ** 2))
                 - 3.25
             )
-            log_q = prop.joint_log_density(point)
+            log_q = prop.joint_log_density(phi, (g1, g2))
             assert lw == pytest.approx(joint - log_q, abs=1e-12)
 
     def test_counts_block_evaluations(self):
@@ -137,8 +144,8 @@ class TestInflate:
         plain = plain_factorized_sampler(model, prop, 6, RandomSource(77))
         inflated = inflate(model, prop, 6, 1, RandomSource(77))
         assert len(inflated) == 6
-        for a, b in zip(plain.points, inflated.points):
-            assert a == b
+        assert np.array_equal(plain.points, inflated.points)
+        assert np.array_equal(plain.aligned()[0], inflated.aligned()[0])
         assert np.array_equal(plain.log_weights, inflated.log_weights)
 
     def test_two_by_two_emits_four_lexicographic_combinations(self):
@@ -147,8 +154,7 @@ class TestInflate:
         drawn = inflate(model, prop, 1, 2, RandomSource(3))
         assert len(drawn) == 4
         assert counts == [2, 2]  # one call per block, on both of its inner draws
-        b0 = [p.block_values[0] for p in drawn.points]
-        b1 = [p.block_values[1] for p in drawn.points]
+        b0, b1 = drawn.points.T
         # lexicographic index order: (0,0), (0,1), (1,0), (1,1)
         assert b0[0] == b0[1] and b0[2] == b0[3] and b0[0] != b0[2]
         assert b1[0] == b1[2] and b1[1] == b1[3] and b1[0] != b1[1]
@@ -201,9 +207,9 @@ class TestInflate:
         outer, inner = int(g.integers(1, 4)), int(g.integers(1, 4))
         drawn = inflate(model, prop, outer, inner, rng)
         assert sum(counts) == outer * inner * k
-        for point, lw in zip(drawn.points, drawn.log_weights):
-            oracle = model.joint_log_density(point.global_value, point.block_values)
-            oracle -= prop.joint_log_density(point)
+        for (phi, values), lw in zip(joint_rows(drawn), drawn.log_weights):
+            oracle = model.joint_log_density(phi, values)
+            oracle -= prop.joint_log_density(phi, values)
             assert lw == pytest.approx(oracle, abs=1e-12)
 
     def test_refuses_huge_uncapped_enumeration(self):
@@ -272,9 +278,10 @@ class TestInflate:
         m, inner = 12, 2
         drawn = inflate(model, prop, m, inner, RandomSource(5))
         per_draw = inner**2
-        h = TestFunction.from_pointwise(lambda p: [p.block_values[0], p.block_values[1]], 2)
+        h = TestFunction.identity(2)
         first = np.arange(m) * per_draw
-        parts = [SampleSet(drawn.points[first + c], drawn.log_weights[first + c]) for c in range(per_draw)]
+        points, log_weights = drawn.points, drawn.log_weights
+        parts = [SampleSet(points[first + c], log_weights[first + c]) for c in range(per_draw)]
         for kind in ("standard", "self-normalized"):
             assert decomposition_residual(parts, h, kind) < 1e-10
 
@@ -317,7 +324,7 @@ class TestRecombineStream:
         else:
             kernel = TupleKernel([GaussianKernel(0.25), VarianceKernel(0.3), GammaKernel(0.3)])
         model, init = dmm_model(spec), dmm_init_proposal(spec)
-        centers = list(recombine(model, [init] * 6, 1, RandomSource(8)).points)
+        centers = list(recombine(model, [init] * 6, 1, RandomSource(8)).points)  # (K, ...) block-value rows
         return spec, model, init, kernel, centers
 
     @staticmethod
@@ -325,7 +332,7 @@ class TestRecombineStream:
         build = informed_assignment_builder(spec)
         for _ in range(count):
             center = centers[int(rng.generator.integers(len(centers)))]
-            yield FactorizedProposal(tuple(kernel.at(v) for v in center.block_values), build(center))
+            yield FactorizedProposal(tuple(kernel.at(v) for v in center), build(center))
 
     @pytest.mark.parametrize("inner_draws", [1, 2])
     @pytest.mark.parametrize("proposal", ["init", "kernel"])
@@ -341,11 +348,16 @@ class TestRecombineStream:
         drawn = recombine(model, props, inner_draws, rng)
         ref_points, ref_log_weights = _reference_recombine(model, ref_props, inner_draws, ref_rng)
         assert np.array_equal(drawn.log_weights, ref_log_weights)
-        assert len(drawn.points) == len(ref_points) == 7 * inner_draws**2
-        for point, (global_value, block_values) in zip(drawn.points, ref_points):
-            assert np.array_equal(point.global_value[0], global_value[0])
-            assert np.array_equal(point.global_value[1], global_value[1])
-            assert point.block_values == block_values
+        assert len(drawn) == len(ref_points) == 7 * inner_draws**2
+        ref_globals, ref_blocks = zip(*ref_points)
+        ref_blocks = np.array(ref_blocks, dtype=float)
+        assert np.array_equal(drawn.points, ref_blocks)
+        (weights, labels), block_values = drawn.aligned()
+        assert np.array_equal(weights, np.array([w for w, _ in ref_globals]))
+        assert np.array_equal(labels, np.array([z for _, z in ref_globals]))
+        assert len(block_values) == 2
+        for j, values in enumerate(block_values):
+            assert np.array_equal(values, ref_blocks[:, j])
         assert rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
 
 
@@ -387,9 +399,10 @@ class TestBatchedBlockScoring:
         assert density_calls == sorted(expected)
         # each gathered row is weighed with the proposal that drew it
         per_draw = inner**2
+        rows, log_weights = list(joint_rows(drawn)), drawn.log_weights
         for g, prop in enumerate(props):
-            for point, lw in zip(drawn.points[g * per_draw:(g + 1) * per_draw], drawn.log_weights[g * per_draw:]):
-                oracle = base.joint_log_density(point.global_value, point.block_values) - prop.joint_log_density(point)
+            for (phi, values), lw in zip(rows[g * per_draw:(g + 1) * per_draw], log_weights[g * per_draw:]):
+                oracle = base.joint_log_density(phi, values) - prop.joint_log_density(phi, values)
                 assert lw == pytest.approx(oracle, abs=1e-12)
 
 
@@ -588,6 +601,57 @@ class TestGroupedContraction:
         contrib[1, 0, 2] = bad
         with pytest.raises(ValueError, match="NaN or \\+inf"):
             GroupedSampleSet(0.0, contrib, np.ones_like(contrib))
+
+
+class TestTupleBlocksAndPerGroupBase:
+    """The set the object path returns: one base term and one global value
+    per group, and blocks whose values are tuples, at a -1000 offset."""
+
+    GROUPS, K, N, PARTS = 3, 2, 4, 3
+
+    def _grouped(self):
+        g = np.random.default_rng(12)
+        base = -1000.0 + g.normal(size=self.GROUPS)
+        contrib = 3.0 * g.normal(size=(self.GROUPS, self.K, self.N))
+        values = g.normal(size=(self.GROUPS, self.K, self.N, self.PARTS))
+        global_values = (g.random((self.GROUPS, 2)), g.integers(0, 2, (self.GROUPS, 5)))
+        return GroupedSampleSet(base, contrib, values, global_values)
+
+    def test_weight_sum_and_evidence_match_the_materialized_set(self):
+        grouped = self._grouped()
+        full = grouped.materialize()
+        assert full.points.shape == (self.GROUPS * self.N**self.K, self.K, self.PARTS)
+        assert grouped.log_weight_sum == pytest.approx(full.log_weight_sum, abs=1e-12)
+        assert grouped.log_evidence() == pytest.approx(evidence_estimate(full), abs=1e-12)
+
+    def test_combinations_are_enumerated_in_lexicographic_order(self):
+        grouped = self._grouped()
+        points, log_weights = grouped.points, grouped.log_weights
+        (weights, labels), blocks = grouped.aligned()
+        for g, i, k in itertools.product(range(self.GROUPS), range(self.N), range(self.N)):
+            row = (g * self.N + i) * self.N + k
+            assert np.array_equal(points[row], [grouped.values[g, 0, i], grouped.values[g, 1, k]])
+            assert log_weights[row] == (grouped.base[g] + grouped.contributions[g, 0, i]) + grouped.contributions[g, 1, k]
+            assert np.array_equal(weights[row], grouped.global_values[0][g])
+            assert np.array_equal(labels[row], grouped.global_values[1][g])
+        for j, values in enumerate(blocks):
+            assert np.array_equal(values, points[:, j])
+
+    def test_contracted_mean_refuses_tuple_blocks(self):
+        with pytest.raises(ValueError, match="scalar blocks"):
+            self._grouped().self_normalized_mean()
+
+    def test_base_must_be_one_term_or_one_per_group(self):
+        with pytest.raises(ValueError, match="one term per group"):
+            GroupedSampleSet(np.zeros(2), np.zeros((3, 2, 4)), np.zeros((3, 2, 4)))
+
+    def test_resampling_draws_what_the_materialized_set_draws(self):
+        model = two_block_data_model()
+        drawn = inflate(model, gaussian_proposal(2, with_global=True), 6, 3, RandomSource(9))
+        full = drawn.materialize()
+        factored = resample(drawn, 40, RandomSource(10))
+        enumerated = resample(full, 40, RandomSource(10))
+        assert np.array_equal(np.array(factored), np.array(enumerated))
 
 
 class TestInflatedEstimatesConverge:

@@ -70,6 +70,27 @@ def test_no_module_uses_scipys_logsumexp():
     assert users == []
 
 
+def _object_arrays(source: str) -> list[int]:
+    """Lines that ask numpy for an array of Python objects: ``dtype=object``."""
+    return [
+        node.value.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.keyword)
+        and node.arg == "dtype"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    ]
+
+
+def test_no_module_builds_object_arrays():
+    """Samples are held as arrays per block, never as one Python object per sample."""
+    assert _object_arrays("a = np.empty(0, dtype=object)\nb = np.zeros(2, dtype=float)\n") == [1]
+    offenders = [
+        f"{path.name}:{line}" for path in sorted(PACKAGE_DIR.glob("*.py")) for line in _object_arrays(path.read_text())
+    ]
+    assert offenders == []
+
+
 def _subclasses(cls: type) -> list[type]:
     return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
 

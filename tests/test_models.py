@@ -204,9 +204,9 @@ class TestComponentMeansFunction:
         spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 4, count=20).observations, family)
         points = recombine(dmm_model(spec), [dmm_init_proposal(spec)] * 5, 2, RandomSource(3)).points
         if family == "gaussian":
-            per_point = [p.block_values for p in points]
+            per_point = [list(p) for p in points]
         else:
-            per_point = [[v[0] for v in p.block_values] for p in points]
+            per_point = [[v[0] for v in p] for p in points]
         means = component_means_function(spec)(points)
         assert means.shape == (20, 2) and np.array_equal(means, np.array(per_point, dtype=float))
 

@@ -42,10 +42,6 @@ def scalar_block_model(log_density_each, num_blocks=1):
     )
 
 
-def block_value_function(dim=1):
-    return TestFunction.from_pointwise(lambda p: [float(v) for v in p.block_values], dim)
-
-
 class TestKernels:
     def test_gaussian_kernel_centers(self):
         prop = GaussianKernel(0.5).at(1.5)
@@ -97,7 +93,7 @@ class TestRunPmc:
         model = scalar_block_model(density.log_density_each)
         init = FactorizedProposal(block_proposals=(DiagGaussian(0.0, 4.0),))
         cfg = PmcConfig(population_size=40, generations=1, kernel=GaussianKernel(0.3))
-        h = block_value_function()
+        h = TestFunction.identity(1)
         gens = run_pmc(model, init, cfg, RandomSource(55), h)
         direct = plain_factorized_sampler(model, init, 40, RandomSource(55))
         assert len(gens) == 1
@@ -115,10 +111,10 @@ class TestRunPmc:
         )
         init = FactorizedProposal(block_proposals=(density,))
         cfg = PmcConfig(population_size=200, generations=1, kernel=GaussianKernel(0.3))
-        gens = run_pmc(model, init, cfg, RandomSource(2), block_value_function())
+        gens = run_pmc(model, init, cfg, RandomSource(2), TestFunction.identity(1))
         assert np.all(gens[0].sample_set.log_weights == 0.0)
-        resampled = [p.block_values[0] for p in gens[0].resampled_points]
-        original = [p.block_values[0] for p in gens[0].sample_set.points]
+        resampled = [p[0] for p in gens[0].resampled_points]
+        original = list(gens[0].sample_set.points[:, 0])
         assert set(resampled) <= set(original)
         assert len(set(resampled)) > 100  # uniform resampling keeps most of the population
 
@@ -139,7 +135,7 @@ class TestRunPmc:
         init = FactorizedProposal(block_proposals=(DiagGaussian(0.0, 25.0),))
         # the kernel must span the mode separation or populations stick to one mode
         cfg = PmcConfig(population_size=200, generations=10, kernel=GaussianKernel(2.0))
-        h = block_value_function()
+        h = TestFunction.identity(1)
         root = RandomSource(314)
         hits = 0
         for r in range(50):
@@ -228,8 +224,12 @@ class TestRunPmc:
             kernel = TupleKernel([GaussianKernel(0.25), VarianceKernel(0.3), GammaKernel(0.3)])
         cfg = PmcConfig(20, 3, kernel, inner_draws, informed_assignment_builder(spec))
         for gen in run_pmc(model, dmm_init_proposal(spec), cfg, RandomSource(4)):
+            (weights, labels), _ = gen.sample_set.aligned()
             # one global value and one value per block at a time
-            per_point = [float(model.data_log_likelihood(p.global_value, p.block_values)) for p in gen.sample_set.points]
+            per_point = [
+                float(model.data_log_likelihood((w, z), values))
+                for w, z, values in zip(weights, labels, gen.sample_set.points)
+            ]
             assert gen.best_log_likelihood == max(per_point)
 
     def test_combination_cap_applies_before_any_block_evaluation(self, monkeypatch):
@@ -249,7 +249,7 @@ class TestResamplingLaw:
         density = DiagGaussian(0.0, 2.0)
         model = scalar_block_model(density.log_density_each)
         init = FactorizedProposal(block_proposals=(DiagGaussian(1.0, 4.0),))
-        h = block_value_function()
+        h = TestFunction.identity(1)
         gens = run_pmc(model, init, PmcConfig(50, 1, GaussianKernel(0.3)), RandomSource(8), h)
         gen_set = gens[0].sample_set
         target = self_normalized_estimate(gen_set, h)[0]
@@ -259,7 +259,7 @@ class TestResamplingLaw:
         reps = 10**4
         means = np.empty(reps)
         for r in range(reps):
-            means[r] = np.mean([p.block_values[0] for p in resample(gen_set, 50, rng)])
+            means[r] = np.mean([p[0] for p in resample(gen_set, 50, rng)])
         stderr = means.std(ddof=1) / np.sqrt(reps)
         assert abs(means.mean() - target) < 3 * stderr
 
@@ -270,7 +270,7 @@ class TestTraceMetrics:
         model = scalar_block_model(density.log_density_each)
         init = FactorizedProposal(block_proposals=(DiagGaussian(0.0, 4.0),))
         cfg = PmcConfig(30, generations, GaussianKernel(0.3))
-        return run_pmc(model, init, cfg, RandomSource(21), block_value_function())
+        return run_pmc(model, init, cfg, RandomSource(21), TestFunction.identity(1))
 
     def test_single_generation_series(self):
         trace = trace_metrics(self._toy_generations(1), np.zeros(1))
