@@ -396,9 +396,10 @@ def _aligned_estimate(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 
 def _best_marginal(spec: DmmSpec, sample_set: GroupedSampleSet) -> float:
-    """Largest mixture marginal likelihood over a generation's combinations, as one batch."""
-    (weights, _), _ = sample_set.aligned()
-    return float(np.max(spec.marginal_data_log_likelihood(weights, sample_set.points)))
+    """Largest mixture marginal likelihood over a generation's combinations,
+    as one batch from one enumeration."""
+    (weights, _), blocks = sample_set.aligned()
+    return float(np.max(spec.marginal_data_log_likelihood(weights, np.stack(blocks, axis=1))))
 
 
 def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> dict:

@@ -20,6 +20,7 @@ from .estimators import (
     DegenerateWeightsError,
     TestFunction,
     combine,
+    log_sum_exp,
     resample,
     self_normalized_estimate,
 )
@@ -184,6 +185,17 @@ def _kernel_proposals(cfg: PmcConfig, init: FactorizedProposal, centers: list, c
         yield prop
 
 
+def _accumulate(numerator, total, gen_set: GroupedSampleSet, h: TestFunction):
+    """The running self-normalized sums with ``gen_set`` added, from one
+    enumeration of it: ``numerator`` is ``log|sum w h(x)|`` and its sign per
+    component, ``total`` is ``log sum w``; ``None`` before the first set."""
+    log_abs, sign = log_sum_exp(gen_set.log_weights[:, None], 0, h(gen_set.points))
+    if numerator is None:
+        return (log_abs[0], sign[0]), gen_set.log_weight_sum
+    log_abs, sign = log_sum_exp(np.vstack([numerator[0], log_abs]), 0, np.vstack([numerator[1], sign]))
+    return (log_abs[0], sign[0]), float(np.logaddexp(total, gen_set.log_weight_sum))
+
+
 def run_pmc(
     model: FactorizedModel,
     init: FactorizedProposal,
@@ -202,8 +214,8 @@ def run_pmc(
     outer = cfg.population_size // cfg.inner_draws
     block_evals = cfg.population_size * model.num_blocks  # outer * inner_draws values per block
     generations: list[Generation] = []
-    all_sets: list[GroupedSampleSet] = []
     prev_resampled: list | None = None
+    numerator = total = None  # the running signed sum of w h(x) and log sum of w over every generation so far
 
     for t in range(1, cfg.generations + 1):
         if t == 1:
@@ -213,11 +225,11 @@ def run_pmc(
         gen_set = recombine(model, proposals, cfg.inner_draws, rng)
         if gen_set.log_weight_sum == -np.inf:
             raise DegenerateGenerationError(t)
-        all_sets.append(gen_set)
 
         cum_est = None
         if test_function is not None:
-            cum_est = self_normalized_estimate(combine(all_sets), test_function)
+            numerator, total = _accumulate(numerator, total, gen_set, test_function)
+            cum_est = numerator[1] * np.exp(numerator[0] - total)
         best = float(np.max(model.data_log_likelihood(*gen_set.aligned())))
         resampled = resample(gen_set, cfg.population_size, rng)
         generations.append(Generation(t, gen_set, resampled, cum_est, best, block_evals))
