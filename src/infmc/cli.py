@@ -81,6 +81,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError(f"{args.command} cannot run experiment {settings['experiment']!r}")
         if settings.get("output") is None:
             raise ValueError("an --output path is required to write metrics")
+        if not settings["output"] or Path(settings["output"]).is_dir():
+            raise ValueError(f"--output must name a file, got {settings['output']!r}")
         return ExperimentConfig(**settings)
 
 

@@ -30,10 +30,25 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
 class Density:
-    """Base for a sampler / log-density pair."""
+    """Base for a sampler / log-density pair.
+
+    Parameters are scalars, shared by every draw, or ``(outer, 1)`` columns,
+    one row per outer draw.  A density with parameter columns draws and
+    scores ``(outer, inner, ...)`` arrays whose first axis follows its rows,
+    and refuses values without that axis, which would broadcast into an
+    outer product instead.
+    """
+
+    rows: int | None = None  # the parameter columns' length; None for scalar parameters
+
+    def sample_batch(self, rng: RandomSource, shape) -> np.ndarray:
+        """Draws of the given shape, stacked along leading axes."""
+        raise NotImplementedError(f"{type(self).__name__} has no batched sampler")
 
     def sample(self, rng: RandomSource):
-        raise NotImplementedError
+        """One draw: :meth:`sample_batch`'s single row."""
+        draw = self.sample_batch(rng, 1)
+        return tuple(part[0] for part in draw) if isinstance(draw, tuple) else draw[0]
 
     def log_density(self, x) -> float:
         """The log density of one point: :meth:`log_density_each`'s single term."""
@@ -42,62 +57,49 @@ class Density:
             raise ValueError(f"{type(self).__name__}.log_density takes one point, got {terms.size} terms")
         return float(terms.reshape(()))
 
-    def sample_batch(self, rng: RandomSource, count: int) -> np.ndarray:
-        """``count`` draws stacked along axis 0, using ``rng`` as ``count`` calls of :meth:`sample` do."""
-        return np.array([self.sample(rng) for _ in range(count)])
-
-    def draw_variates(self, rng: RandomSource):
-        """The generator variates one :meth:`sample` call takes, in its order;
-        :meth:`score_variates` turns them into the point.  By default they are the point."""
-        return self.sample(rng)
-
-    @classmethod
-    def score_variates(cls, densities, variates) -> tuple[list, np.ndarray]:
-        """The points and log densities of ``variates[g]``, drawn by
-        ``densities[g]``, all of this class: the bits of :meth:`sample` then
-        :meth:`log_density`.  Subclasses may score the whole batch as one
-        array operation."""
-        points = list(variates)
-        return points, np.array([float(d.log_density(x)) for d, x in zip(densities, points)])
-
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
-        """Per-point log densities of points stacked along the first axis."""
+        """Per-point log densities of points stacked along the leading axes."""
         raise NotImplementedError(f"{type(self).__name__} has no elementwise form")
+
+    def _values(self, xs) -> np.ndarray:
+        """``xs`` as floats, refused if parameter columns would broadcast it into an outer product."""
+        xs = np.asarray(xs, dtype=float)
+        if self.rows is not None and (xs.ndim < 2 or xs.shape[0] != self.rows):
+            raise ValueError(f"{self.rows} parameter rows score (rows, inner) values, got shape {xs.shape}")
+        return xs
 
 
 def _positive(value, name: str) -> np.ndarray:
-    if isinstance(value, (int, float)):  # the kernels' per-draw case, without array reductions
-        ok = value > 0 and math.isfinite(value)
-        arr = np.float64(value)
-    else:
-        arr = np.asarray(value, dtype=float)
-        ok = np.all(arr > 0) and np.all(np.isfinite(arr))
-    if not ok:
+    arr = np.asarray(value, dtype=float)
+    if not (np.all(arr > 0) and np.all(np.isfinite(arr))):
         raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
     return arr
+
+
+def _rows(*params) -> int | None:
+    """The length of the parameter columns among ``params``, or None if all
+    are scalars; refuses any other shape, and columns of unequal lengths."""
+    shapes = {np.shape(p) for p in params} - {()}
+    if len(shapes) > 1 or any(len(shape) != 2 or shape[1] != 1 for shape in shapes):
+        found = [np.shape(p) for p in params]
+        raise ValueError(f"parameters must be scalars or (outer, 1) columns of one length, got shapes {found}")
+    return shapes.pop()[0] if shapes else None
 
 
 class DiagGaussian(Density):
     """Univariate Gaussian; independent coordinates are a :class:`TupleDensity` of these."""
 
     def __init__(self, mean, var):
-        self.mean = np.asarray(mean, dtype=float)
-        self.var = _positive(var, "var")
-        if self.mean.ndim or self.var.ndim:
-            raise ValueError(f"mean and var must be scalars, got shapes {self.mean.shape} and {self.var.shape}")
-        # fixed at construction, so the per-draw calls only read them
+        self.mean, self.var = np.asarray(mean, dtype=float), _positive(var, "var")
+        self.rows = _rows(self.mean, self.var)
         self._sd = np.sqrt(self.var)
         self._log_norm = LOG_TWO_PI + np.log(self.var)
 
-    def sample(self, rng: RandomSource) -> float:
-        return float(self.mean + self._sd * rng.generator.standard_normal())
-
-    def sample_batch(self, rng: RandomSource, count: int) -> np.ndarray:
-        # one generator call gives the same bits as ``count`` calls of ``sample``
-        return self.mean + self._sd * rng.generator.standard_normal(count)
+    def sample_batch(self, rng: RandomSource, shape) -> np.ndarray:
+        return self.mean + self._sd * rng.generator.standard_normal(shape)
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
-        d = np.asarray(xs, dtype=float) - self.mean
+        d = self._values(xs) - self.mean
         # ``d * d``, not ``d ** 2``: a lone value's scalar power (libm ``pow``) may round differently
         return -0.5 * (self._log_norm + d * d / self.var)
 
@@ -114,17 +116,16 @@ def student_t_logpdf(x, loc, scale, df, log_norm=None):
 class StudentT(Density):
     """Univariate Student-t with location, scale and degrees of freedom."""
 
-    def __init__(self, loc: float, scale: float, df: float):
-        self.loc = float(loc)
-        self.scale = float(_positive(scale, "scale"))
-        self.df = float(_positive(df, "df"))
+    def __init__(self, loc, scale, df):
+        self.loc, self.scale, self.df = np.asarray(loc, dtype=float), _positive(scale, "scale"), _positive(df, "df")
+        self.rows = _rows(self.loc, self.scale, self.df)
         self._log_norm = student_t_logpdf(self.loc, self.loc, self.scale, self.df)  # at z = 0 it is the x-free part
 
-    def sample(self, rng: RandomSource) -> float:
-        return self.loc + self.scale * float(rng.generator.standard_t(self.df))
+    def sample_batch(self, rng: RandomSource, shape) -> np.ndarray:
+        return self.loc + self.scale * rng.generator.standard_t(self.df, shape)
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
-        return student_t_logpdf(np.asarray(xs, dtype=float), self.loc, self.scale, self.df, self._log_norm)
+        return student_t_logpdf(self._values(xs), self.loc, self.scale, self.df, self._log_norm)
 
 
 class Dirichlet(Density):
@@ -142,14 +143,14 @@ class Dirichlet(Density):
         self._log_gamma_total = gammaln(a.sum())
         self._log_gamma_parts = np.sum(gammaln(a))
 
-    def sample(self, rng: RandomSource) -> np.ndarray:
-        draw = rng.generator.dirichlet(self.concentration)
+    def sample_batch(self, rng: RandomSource, shape) -> np.ndarray:
+        draws = rng.generator.dirichlet(self.concentration, shape)
         # pin the exact-sum invariant; the generator is only ulp-close
-        draw[-1] = max(0.0, 1.0 - float(draw[:-1].sum()))
-        return draw
+        draws[..., -1] = np.maximum(0.0, 1.0 - draws[..., :-1].sum(axis=-1))
+        return draws
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
-        """Per-point log densities of points stacked along the first axis, or of one point."""
+        """Per-point log densities of points stacked along the leading axes, or of one point."""
         xs = np.asarray(xs, dtype=float)
         if xs.shape[-1:] != self.concentration.shape:
             raise ValueError(f"dimension mismatch: points {xs.shape}, density {self.concentration.shape}")
@@ -165,22 +166,21 @@ class Dirichlet(Density):
 class Gamma(Density):
     """Gamma in shape-scale parametrization (mean = shape * scale)."""
 
-    def __init__(self, shape: float, scale: float):
-        self.shape = float(_positive(shape, "shape"))
-        self.scale = float(_positive(scale, "scale"))
+    def __init__(self, shape, scale):
+        self.shape, self.scale = _positive(shape, "shape"), _positive(scale, "scale")
+        self.rows = _rows(self.shape, self.scale)
         self._log_norm = -gammaln(self.shape) - self.shape * np.log(self.scale)
 
-    def sample(self, rng: RandomSource) -> float:
-        return float(rng.generator.gamma(self.shape, self.scale))
+    def sample_batch(self, rng: RandomSource, shape) -> np.ndarray:
+        return rng.generator.gamma(self.shape, self.scale, shape)
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+        xs = self._values(xs)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self._log_norm + (self.shape - 1.0) * np.log(xs) - xs / self.scale
         out = np.where(xs > 0.0, out, -np.inf)
-        if self.shape == 1.0:  # Exp(1/scale): the boundary x=0 has finite density
-            out = np.where(xs == 0.0, self._log_norm, out)
-        return out
+        # Exp(1/scale): the boundary x=0 has finite density
+        return np.where((xs == 0.0) & (self.shape == 1.0), self._log_norm, out)
 
 
 class ScalarInverseWishart(Density):
@@ -190,18 +190,18 @@ class ScalarInverseWishart(Density):
     ``scale_sq/2``; only the scalar case is needed here.
     """
 
-    def __init__(self, scale_sq: float, df: float):
-        self.scale_sq = float(_positive(scale_sq, "scale_sq"))
-        self.df = float(_positive(df, "df"))
+    def __init__(self, scale_sq, df):
+        self.scale_sq, self.df = _positive(scale_sq, "scale_sq"), _positive(df, "df")
+        self.rows = _rows(self.scale_sq, self.df)
         self._shape = self.df / 2.0
         self._rate = self.scale_sq / 2.0
         self._log_norm = self._shape * np.log(self._rate) - gammaln(self._shape)
 
-    def sample(self, rng: RandomSource) -> float:
-        return self._rate / float(rng.generator.gamma(self._shape, 1.0))
+    def sample_batch(self, rng: RandomSource, shape) -> np.ndarray:
+        return self._rate / rng.generator.gamma(self._shape, 1.0, shape)
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+        xs = self._values(xs)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = self._log_norm - (self._shape + 1.0) * np.log(xs) - self._rate / xs
         return np.where(xs > 0.0, out, -np.inf)
@@ -215,11 +215,12 @@ class TupleDensity(Density):
         if not self.parts:
             raise ValueError("TupleDensity needs at least one part")
 
-    def sample(self, rng: RandomSource) -> tuple:
-        return tuple(part.sample(rng) for part in self.parts)
+    def sample_batch(self, rng: RandomSource, shape) -> np.ndarray:
+        """Each part's draws in turn, one generator call per part, stacked on a last axis."""
+        return np.stack([part.sample_batch(rng, shape) for part in self.parts], axis=-1)
 
     def log_density_each(self, xs: np.ndarray) -> np.ndarray:
-        """Per-row log densities of an ``(n, parts)`` array, or of one row."""
+        """Per-row log densities of a ``(..., parts)`` array, or of one row."""
         xs = np.asarray(xs, dtype=float)
         if xs.shape[-1:] != (len(self.parts),):
             raise ValueError(f"dimension mismatch: {xs.shape[-1:]} values for {len(self.parts)} parts")

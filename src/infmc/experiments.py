@@ -131,8 +131,8 @@ class ExperimentConfig:
         object.__setattr__(self, "budgets", budgets)
         if not budgets or any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
             raise ValueError("budgets must be one or more strictly increasing values")
-        if len(self.true_means) != 2:
-            raise ValueError(f"true_means must give the two component means, got {self.true_means!r}")
+        if len(self.true_means) != 2 or not all(map(math.isfinite, self.true_means)):
+            raise ValueError(f"true_means must give the two component means, finite, got {self.true_means!r}")
         if self.replications < 2:
             raise ValueError("need at least 2 replications to estimate variances")
         for name in ("workers", "group_size", "generations", "inner_draws", "data_count"):
@@ -149,8 +149,8 @@ class ExperimentConfig:
             elif budget < self.group_size or budget % self.group_size:
                 raise ValueError(f"budget {budget} must be a positive multiple of group_size {self.group_size}")
         for name in ("kernel_bandwidth", "kernel_cv"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 <= self.mixing <= 1.0:
             raise ValueError(f"mixing must lie in [0, 1], got {self.mixing!r}")
 

@@ -9,9 +9,8 @@ be recombined into every cross-combination of block values, yielding far more
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -37,14 +36,6 @@ MAX_UNCAPPED_COMBINATIONS = 10**8
 
 class InflationBudgetError(ValueError):
     """Raised instead of silently allocating a huge combination set."""
-
-
-def _stacked(values: Sequence):
-    """Global values stacked along a new leading axis: a tuple value part by
-    part, and an empty global block (``None``) as ``None``."""
-    if values[0] is None:
-        return None
-    return tuple(map(np.stack, zip(*values))) if isinstance(values[0], tuple) else np.stack(values)
 
 
 def _repeated(stacked, repeats: int):
@@ -108,7 +99,13 @@ class FactorizedModel:
 class FactorizedProposal:
     """Per-block proposal densities; blocks are proposed independently given
     the global draw.  ``global_proposal=None`` models an empty global block
-    (the global value is ``None`` and contributes nothing to the density)."""
+    (the global value is ``None`` and contributes nothing to the density).
+
+    One proposal serves a whole :func:`recombine` call.  Each density holds
+    scalar parameters, shared by every outer draw, or ``(outer, 1)``
+    parameter columns, row ``g`` for outer draw ``g``: a generation of
+    kernels centered on ``outer`` resampled points is one proposal, not one
+    per point.  :func:`recombine` documents the order of its draws."""
 
     block_proposals: tuple[Density, ...]
     global_proposal: Density | None = None
@@ -131,54 +128,26 @@ class FactorizedProposal:
         return total
 
 
-def _score_globals(drawn: list) -> tuple[list, np.ndarray]:
-    """The global values and proposal log densities of a generation's
-    ``(proposal, global variates, block draws)`` triples, scored with one
-    ``score_variates`` call per global-proposal class.  An empty global block
-    is ``None`` with log density 0."""
-    values, log_q = [None] * len(drawn), np.zeros(len(drawn))
-    by_class: dict[type, list[int]] = {}
-    for i, (prop, _, _) in enumerate(drawn):
-        if prop.global_proposal is not None:
-            by_class.setdefault(type(prop.global_proposal), []).append(i)
-    for cls, rows in by_class.items():
-        densities, variates = [drawn[i][0].global_proposal for i in rows], [drawn[i][1] for i in rows]
-        points, log_q[rows] = cls.score_variates(densities, variates)
-        for i, point in zip(rows, points):
-            values[i] = point
-    if (log_q == -np.inf).any():
-        raise RuntimeError("proposal density is zero at its own draw (global block)")
-    return values, log_q
-
-
-def _block_terms(
-    model: FactorizedModel, proposals: Sequence[FactorizedProposal], j: int, global_values, values: np.ndarray
-) -> np.ndarray:
-    """``(prior_j(x) + lik_j(global, x)) - log q_j(x)`` for an array of block
-    ``j``'s values with their aligned global values: the one place block
-    weight terms are formed.  ``proposals[r]`` drew the ``r``-th of
-    ``len(proposals)`` equal runs of consecutive values; each distinct
-    block-``j`` proposal scores all of its rows in one call."""
-    runs: dict[int, tuple[Density, list[int]]] = {}
-    for r, prop in enumerate(proposals):
-        if prop.num_blocks != model.num_blocks:
-            raise ValueError("proposal and model disagree on the number of blocks")
-        density = prop.block_proposals[j]
-        runs.setdefault(id(density), (density, []))[1].append(r)
-    if len(runs) == 1:  # one density drew every row
-        log_q = density.log_density_each(values)
-    else:
-        n = len(values) // len(proposals)
-        log_q = np.empty(len(values))
-        for density, run_indices in runs.values():
-            rows = (np.array(run_indices)[:, None] * n + np.arange(n)).reshape(-1)
-            log_q[rows] = density.log_density_each(values[rows])
+def _block_terms(model: FactorizedModel, density: Density, j: int, global_values, values: np.ndarray) -> np.ndarray:
+    """``(prior_j(x) + lik_j(global, x)) - log q_j(x)`` for block ``j``'s
+    values drawn by ``density`` with their aligned global values: the one
+    place block weight terms are formed.  ``density`` scores the values in
+    their own shape, ``(n,)`` or ``(outer, inner)`` and any trailing part
+    axis, in one call; the prior and the likelihood score them flattened to
+    one row per value, aligned with ``global_values``."""
+    log_q = density.log_density_each(values)
     if (log_q == -np.inf).any():
         raise RuntimeError(f"proposal density is zero at a value of block {j}")
-    prior, lik = model.block_log_priors[j](values), model.block_log_likelihoods[j](global_values, values)
-    if not np.shape(prior) == np.shape(lik) == np.shape(log_q):
+    flat = values.reshape((log_q.size,) + values.shape[log_q.ndim:])
+    prior, lik = model.block_log_priors[j](flat), model.block_log_likelihoods[j](global_values, flat)
+    if not np.shape(prior) == np.shape(lik) == (log_q.size,):
         raise ValueError(f"block {j}'s prior and likelihood must return one term per value, as log q does")
-    return (prior + lik) - log_q
+    return (prior + lik).reshape(log_q.shape) - log_q
+
+
+def _check_blocks(model: FactorizedModel, prop: FactorizedProposal) -> None:
+    if prop.num_blocks != model.num_blocks:
+        raise ValueError("proposal and model disagree on the number of blocks")
 
 
 def _along_block(j: int, k: int, column: np.ndarray) -> np.ndarray:
@@ -191,60 +160,67 @@ def _along_block(j: int, k: int, column: np.ndarray) -> np.ndarray:
 
 def recombine(
     model: FactorizedModel,
-    proposals: Iterable[FactorizedProposal],
+    prop: FactorizedProposal,
+    outer_draws: int,
     inner_draws: int,
     rng: RandomSource,
 ) -> GroupedSampleSet:
     """The recombining sampler behind every object-path draw.
 
-    Per proposal, make one global draw and ``inner_draws`` draws per block;
-    the result stands for every cross-combination of block indices, one
-    group per global draw, with
+    Make ``outer_draws`` global draws and, per global draw, ``inner_draws``
+    draws per block; the result stands for every cross-combination of block
+    indices, one group per global draw, with
 
         log w = global prior + offset - log q_global
                 + sum_j (prior_j + lik_j - log q_j)[c_j]
 
-    One inner draw is plain importance sampling.  Every draw is made first,
-    in generator order: per proposal the global variates, then each block's
-    batch.  ``proposals`` is consumed lazily, one proposal per global draw,
-    so a generator may draw from ``rng`` to build each proposal just before
-    its draws are made.  The global draws are then scored together, one
-    batch per proposal class, and the model's global prior scores them
-    stacked, in one call.  Each block's draws of the whole call are scored
-    by one call of :func:`_block_terms`, stacked as ``(outer * inner_draws,
-    ...)`` with the global values repeated to align: one prior and one
-    likelihood call per block.  Raises
-    :class:`InflationBudgetError`, before its draws, for a global draw whose
-    combinations would take the total beyond ``MAX_UNCAPPED_COMBINATIONS``.
+    One inner draw is plain importance sampling.  ``prop``'s densities hold
+    scalar parameters, shared by every outer draw, or ``(outer_draws, 1)``
+    parameter columns, one row per outer draw.
+
+    The draw order is fixed by design; a generation of the generation loop
+    makes these generator calls, and no others, before it resamples:
+
+    1. in a kernel generation, one ``integers(population, size=outer_draws)``
+       call for the centers (made by the loop, before this call);
+    2. the global block's ``sample_batch(rng, outer_draws)``; the mixture's
+       label proposals make one ``dirichlet(size=outer_draws)`` call, then
+       one ``random((outer_draws, observations))`` call;
+    3. for each block in order, ``sample_batch(rng, (outer_draws,
+       inner_draws))``: one generator call per part, a tuple block's parts
+       stacked on a last axis.
+
+    Each density scores its own draws in one ``log_density_each`` call, in
+    their ``(outer_draws, ...)`` shape.  The model's global prior scores the
+    global draws in one call; each block's prior and likelihood score its
+    ``outer_draws * inner_draws`` values in one call each, flattened to rows
+    with the global values repeated to align.  Raises
+    :class:`InflationBudgetError`, before any draw, when the ``outer_draws *
+    inner_draws**K`` combinations exceed ``MAX_UNCAPPED_COMBINATIONS``.
     """
+    if outer_draws < 1:
+        raise ValueError("outer_draws must be >= 1")
     if inner_draws < 1:
         raise ValueError("inner_draws must be >= 1")
+    _check_blocks(model, prop)
     k = model.num_blocks
-    per_draw = inner_draws**k
-    drawn = []
-    for prop in proposals:
-        if (len(drawn) + 1) * per_draw > MAX_UNCAPPED_COMBINATIONS:
-            raise InflationBudgetError(
-                f"{len(drawn) * per_draw} + {inner_draws}^{k} combinations exceed {MAX_UNCAPPED_COMBINATIONS}"
-            )
-        variates = None if prop.global_proposal is None else prop.global_proposal.draw_variates(rng)
-        drawn.append((prop, variates, [block.sample_batch(rng, inner_draws) for block in prop.block_proposals]))
-    if not drawn:
-        return GroupedSampleSet(0.0, np.empty((0, k, inner_draws)), np.empty((0, k, inner_draws)))
-    global_values, log_q = _score_globals(drawn)
-    stacked = _stacked(global_values)
-    prior = model.global_log_prior(stacked)
-    if np.shape(prior) != (len(drawn),) and not (stacked is None and np.ndim(prior) == 0):
+    if outer_draws * inner_draws**k > MAX_UNCAPPED_COMBINATIONS:
+        raise InflationBudgetError(
+            f"{outer_draws} x {inner_draws}^{k} combinations exceed {MAX_UNCAPPED_COMBINATIONS}"
+        )
+    glob = prop.global_proposal
+    global_values = None if glob is None else glob.sample_batch(rng, outer_draws)
+    block_values = [density.sample_batch(rng, (outer_draws, inner_draws)) for density in prop.block_proposals]
+    log_q = 0.0 if glob is None else glob.log_density_each(global_values)
+    if np.any(log_q == -np.inf):
+        raise RuntimeError("proposal density is zero at its own draw (global block)")
+    prior = model.global_log_prior(global_values)
+    if np.shape(prior) != (outer_draws,) and not (glob is None and np.ndim(prior) == 0):
         raise ValueError("the global block's prior must return one term per outer draw")
     bases = (prior + model.log_evidence_offset) - log_q
-    props = [prop for prop, _, _ in drawn]
-    aligned_globals = _repeated(stacked, inner_draws)  # row g * inner_draws + i: outer draw g
-    terms, block_values = [], []
-    for j in range(k):
-        values = np.concatenate([block_draws[j] for _, _, block_draws in drawn])
-        terms.append(_block_terms(model, props, j, aligned_globals, values).reshape(len(drawn), inner_draws))
-        block_values.append(values.reshape((len(drawn), inner_draws) + values.shape[1:]))
-    return GroupedSampleSet(bases, np.stack(terms, axis=1), np.stack(block_values, axis=1), stacked)
+    aligned_globals = _repeated(global_values, inner_draws)  # row g * inner_draws + i: outer draw g
+    terms = [_block_terms(model, prop.block_proposals[j], j, aligned_globals, v) for j, v in enumerate(block_values)]
+    return GroupedSampleSet(bases, np.stack(terms, axis=1), np.stack(block_values, axis=1), global_values)
 
 
 def plain_factorized_sampler(
@@ -272,9 +248,7 @@ def inflate(
     The block likelihoods score ``outer_draws * inner_draws * num_blocks``
     values in all.
     """
-    if outer_draws < 1:
-        raise ValueError("outer_draws must be >= 1")
-    return recombine(model, itertools.repeat(prop, outer_draws), inner_draws, rng)
+    return recombine(model, prop, outer_draws, inner_draws, rng)
 
 
 def block_contributions(
@@ -289,13 +263,15 @@ def block_contributions(
     row ``i``'s log weight is ``base + sum_j contrib[i, j]``.  Only models
     with an empty global block are supported on this path.
     """
+    _check_blocks(model, prop)
     if prop.global_proposal is not None:
         raise ValueError("array-path weights require an empty global block")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != model.num_blocks:
         raise ValueError(f"points must be (n, {model.num_blocks}), got {pts.shape}")
     base = float(model.global_log_prior(None)) + model.log_evidence_offset
-    return base, np.column_stack([_block_terms(model, (prop,), j, None, pts[:, j]) for j in range(model.num_blocks)])
+    terms = [_block_terms(model, density, j, None, pts[:, j]) for j, density in enumerate(prop.block_proposals)]
+    return base, np.column_stack(terms)
 
 
 class GroupedSampleSet:

@@ -177,25 +177,20 @@ class _LabelProposal(Density):
     def __init__(self, spec: DmmSpec):
         self.spec = spec
 
-    def draw_variates(self, rng: RandomSource):
-        return MIXING_PRIOR.sample(rng), rng.generator.random(self.spec.data.size)
-
-    def sample(self, rng: RandomSource):
-        return self.score_variates([self], [self.draw_variates(rng)])[0][0]
-
-    @classmethod
-    def score_variates(cls, densities, variates):
-        weights = np.array([w for w, _ in variates])
-        table = cls._label_log_probs(densities, weights)
-        labels = cls._labels(weights, table, np.array([u for _, u in variates]))
-        return list(zip((w for w, _ in variates), labels)), _mixing_log_density(weights, labels, table)
+    def sample_batch(self, rng: RandomSource, shape):
+        """``(weights, labels)`` stacked part by part: one Dirichlet call for
+        every weight vector, then one call for every label's uniform."""
+        weights = MIXING_PRIOR.sample_batch(rng, shape)
+        uniforms = rng.generator.random(weights.shape[:-1] + self.spec.data.shape)
+        return weights, self._labels(weights, self._label_log_probs(weights), uniforms)
 
     def log_density_each(self, xs) -> np.ndarray:
         """Per-point log densities of ``(weights, labels)`` points stacked part
         by part, ``(N, K)`` and ``(N, observations)``, or of one point."""
         weights, labels = np.asarray(xs[0], dtype=float), np.asarray(xs[1])
-        table = self._label_log_probs([self], np.atleast_2d(weights))
-        return _mixing_log_density(weights, labels, table if weights.ndim > 1 else table[0])
+        if self.rows is not None and weights.shape[:-1] != (self.rows,):
+            raise ValueError(f"{self.rows} reference rows score {self.rows} weight rows, got shape {weights.shape}")
+        return _mixing_log_density(weights, labels, self._label_log_probs(weights))
 
 
 class MixtureGlobalProposal(_LabelProposal):
@@ -204,17 +199,16 @@ class MixtureGlobalProposal(_LabelProposal):
     prior it is the model's global prior, so the two cancel exactly in
     weights."""
 
-    @staticmethod
-    def _label_log_probs(densities, weights):
+    def _label_log_probs(self, weights):
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero weight's label has log probability -inf
             return np.log(weights)[..., None, :]
 
     @staticmethod
     def _labels(weights, table, uniforms):
-        cdf = np.cumsum(weights, axis=1)
-        cdf /= cdf[:, -1:]
+        cdf = np.cumsum(weights, axis=-1)
+        cdf /= cdf[..., -1:]
         # ``Generator.choice(p=weights)``: the normalized cdf, searched on the right
-        return (cdf[:, None, :] <= uniforms[..., None]).sum(axis=-1)
+        return (cdf[..., None, :] <= uniforms[..., None]).sum(axis=-1)
 
 
 class MixtureAssignmentProposal(_LabelProposal):
@@ -222,22 +216,26 @@ class MixtureAssignmentProposal(_LabelProposal):
 
     Mixing weights come from their Dirichlet prior; each observation's
     assignment is drawn from the posterior responsibility it would have under
-    the reference parameters (typically a resampled sample from the previous
+    the reference parameters (typically resampled samples from the previous
     generation, so the proposal never depends on the current generation).
     The importance weight fully accounts for this density, so estimates stay
     valid; blind prior assignments make the likelihood a lottery over label
     patterns that no amount of adaptation can win.
+
+    ``centers`` is one row of block values, ``(K, ...)``, shared by every
+    draw, or ``(outer, K, ...)`` rows, one per outer draw; the reference
+    table is ``(observations, K)`` or ``(outer, observations, K)``.
     """
 
-    def __init__(self, spec: DmmSpec, reference_params):
+    def __init__(self, spec: DmmSpec, centers):
         super().__init__(spec)
-        self._ref_each = np.ascontiguousarray(spec.component_log_density_each(spec.data, reference_params).T)
+        self._reference = np.swapaxes(spec.component_log_density_each(spec.data, centers), -1, -2)
+        self.rows = len(self._reference) if self._reference.ndim == 3 else None
 
-    @staticmethod
-    def _label_log_probs(densities, weights):
-        """Per-observation label log probabilities, row ``g`` under ``densities[g]``'s reference."""
+    def _label_log_probs(self, weights):
+        """Per-observation label log probabilities under each row's reference."""
         with np.errstate(divide="ignore", invalid="ignore"):  # rows off the simplex are masked by the Dirichlet term
-            scores = np.stack([d._ref_each for d in densities]) + np.log(weights)[..., None, :]
+            scores = self._reference + np.log(weights)[..., None, :]
             return scores - log_sum_exp(scores, -1)[0]
 
     @staticmethod
@@ -247,11 +245,12 @@ class MixtureAssignmentProposal(_LabelProposal):
 
 
 def informed_assignment_builder(spec: DmmSpec):
-    """Per-center global-proposal builder for the generation loop: assignments
-    follow the responsibilities under the center's row of component parameters."""
+    """Global-proposal builder for the generation loop: each outer draw's
+    assignments follow the responsibilities under its center's row of
+    component parameters."""
 
-    def build(center) -> MixtureAssignmentProposal:
-        return MixtureAssignmentProposal(spec, center)
+    def build(centers) -> MixtureAssignmentProposal:
+        return MixtureAssignmentProposal(spec, centers)
 
     return build
 
@@ -333,8 +332,10 @@ def make_synthetic(
         raise ValueError(f"unknown synthetic kind {kind!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = RandomSource(seed)
     means_arr = np.asarray(means, dtype=float)
+    if not np.all(np.isfinite(means_arr)):
+        raise ValueError(f"means must be finite, got {means!r}")
+    rng = RandomSource(seed)
     labels = (rng.generator.random(count) < (1.0 - mixing)).astype(int)
     if kind == GAUSSIAN:
         noise = rng.generator.standard_normal(count)

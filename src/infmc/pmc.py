@@ -1,15 +1,16 @@
 """Iterated importance sampling with proposals centered on earlier samples.
 
-Each generation draws a population of weighted samples whose per-draw
-proposals are Markov kernels centered on points resampled (with replacement,
-proportionally to weight) from the previous generation.  Weights always use
+Each generation draws a population of weighted samples; each outer draw's
+proposal is a Markov kernel centered on a point resampled (with replacement,
+proportionally to weight) from the previous generation, and a generation's
+kernels are one proposal whose parameters are columns, one row per outer
+draw.  Weights always use
 the drawing proposal's own density, so every generation is a valid importance
 sample; with more than one inner draw per block, generations are recombined
 at a matched likelihood-evaluation budget.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,10 +53,16 @@ class DegenerateGenerationError(DegenerateWeightsError):
 
 
 class Kernel:
-    """Builds a proposal density centered on one block's value of a previous sample."""
+    """Builds one proposal density centered on one block's values of
+    ``outer`` resampled points, ``(outer, ...)``: its parameters are
+    ``(outer, 1)`` columns, row ``g`` centered on point ``g``."""
 
-    def at(self, center) -> Density:
+    def at(self, centers) -> Density:
         raise NotImplementedError
+
+
+def _column(centers) -> np.ndarray:
+    return np.asarray(centers, dtype=float).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,8 @@ class GaussianKernel(Kernel):
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
 
-    def at(self, center) -> Density:
-        return DiagGaussian(center, self.bandwidth**2)
+    def at(self, centers) -> Density:
+        return DiagGaussian(_column(centers), self.bandwidth**2)
 
 
 @dataclass(frozen=True)
@@ -83,11 +90,8 @@ class GammaKernel(Kernel):
         if self.cv <= 0:
             raise ValueError("cv must be positive")
 
-    def at(self, center) -> Density:
-        center = float(center)
-        if center <= 0:
-            raise ValueError("gamma kernel needs a positive center")
-        return Gamma(shape=1.0 / self.cv**2, scale=center * self.cv**2)
+    def at(self, centers) -> Density:
+        return Gamma(shape=1.0 / self.cv**2, scale=_column(centers) * self.cv**2)
 
 
 @dataclass(frozen=True)
@@ -101,39 +105,37 @@ class VarianceKernel(Kernel):
         if self.cv <= 0:
             raise ValueError("cv must be positive")
 
-    def at(self, center) -> Density:
-        center = float(center)
-        if center <= 0:
-            raise ValueError("variance kernel needs a positive center")
+    def at(self, centers) -> Density:
         df = 2.0 * (2.0 + 1.0 / self.cv**2)
-        return ScalarInverseWishart(center * (df - 2.0), df)
+        return ScalarInverseWishart(_column(centers) * (df - 2.0), df)
 
 
 class TupleKernel(Kernel):
-    """One kernel per element of a tuple-valued block."""
+    """One kernel per element of a tuple-valued block; its centers are ``(outer, parts)``."""
 
     def __init__(self, parts):
         self.parts = tuple(parts)
 
-    def at(self, center) -> Density:
-        if len(center) != len(self.parts):
-            raise ValueError(f"center has {len(center)} parts, kernel expects {len(self.parts)}")
-        return TupleDensity([k.at(v) for k, v in zip(self.parts, center)])
+    def at(self, centers) -> Density:
+        centers = np.asarray(centers, dtype=float)
+        if centers.shape[-1:] != (len(self.parts),):
+            raise ValueError(f"centers have {centers.shape[-1:]} parts, kernel expects {len(self.parts)}")
+        return TupleDensity([k.at(centers[..., i]) for i, k in enumerate(self.parts)])
 
 
 @dataclass(frozen=True)
 class PmcConfig:
     """Population size and generation count, the per-block Markov kernel, the
     inner draws per block (1 is plain importance sampling), and optionally a
-    per-center builder for the global block's proposal (the default
-    re-proposes the global block from the initial proposal every
-    generation).  A center is a resampled sample's row of block values,
-    ``(K, ...)``: ``kernel.at`` gets one block's value, and
-    ``global_proposal_builder`` the whole row.
+    builder for the global block's proposal (the default re-proposes the
+    global block from the initial proposal every generation).
 
-    ``kernel.at`` and ``global_proposal_builder`` must be pure functions of
-    the center: a generation builds one proposal per distinct center and
-    reuses it for every outer draw centered there."""
+    A kernel generation draws ``outer`` centers, rows of block values
+    ``(K, ...)`` of the previous generation's resampled points, and builds
+    one proposal for all of them: ``kernel.at`` gets one block's ``(outer,
+    ...)`` centers, and ``global_proposal_builder`` the ``(outer, K, ...)``
+    centers; each returns one density whose parameters are ``(outer, 1)``
+    columns, row ``g`` for outer draw ``g``."""
 
     population_size: int
     generations: int
@@ -165,24 +167,14 @@ class Generation:
     block_evals: int
 
 
-def _kernel_proposals(cfg: PmcConfig, init: FactorizedProposal, centers: list, count: int, rng: RandomSource):
-    """``count`` kernel proposals, each at a center drawn uniformly from
-    ``centers`` just before the draws it centers.  Resampling repeats one
-    row object per distinct sample, so a proposal is built once per distinct
-    center object; the builds draw nothing from ``rng``."""
-    built: dict[int, FactorizedProposal] = {}
-    for _ in range(count):
-        center = centers[int(rng.generator.integers(len(centers)))]
-        prop = built.get(id(center))
-        if prop is None:
-            blocks = tuple(cfg.kernel.at(v) for v in center)
-            if cfg.global_proposal_builder is not None:
-                global_prop = cfg.global_proposal_builder(center)
-            else:
-                # default: the global block is re-proposed from the initial proposal
-                global_prop = init.global_proposal
-            prop = built[id(center)] = FactorizedProposal(block_proposals=blocks, global_proposal=global_prop)
-        yield prop
+def _kernel_proposal(cfg: PmcConfig, init: FactorizedProposal, population: list, outer: int, rng: RandomSource):
+    """One proposal for a kernel generation's ``outer`` draws, centered on
+    points drawn uniformly from ``population`` in one generator call."""
+    centers = np.asarray(population)[rng.generator.integers(len(population), size=outer)]
+    blocks = tuple(cfg.kernel.at(centers[:, j]) for j in range(init.num_blocks))
+    # default: the global block is re-proposed from the initial proposal
+    glob = init.global_proposal if cfg.global_proposal_builder is None else cfg.global_proposal_builder(centers)
+    return FactorizedProposal(block_proposals=blocks, global_proposal=glob)
 
 
 def _accumulate(numerator, total, gen_set: GroupedSampleSet, h: TestFunction):
@@ -209,7 +201,10 @@ def run_pmc(
     on uniformly chosen members of the previous generation's resampled
     population (never on samples from the same generation).  Each generation
     makes ``population_size / inner_draws`` outer draws, so its
-    block-likelihood evaluation count equals the plain run's.
+    block-likelihood evaluation count equals the plain run's.  A kernel
+    generation draws its outer draws' centers in one ``integers`` call and
+    builds one proposal for all of them; then :func:`recombine` makes its
+    draws, and :func:`resample` draws the next population.
     """
     outer = cfg.population_size // cfg.inner_draws
     block_evals = cfg.population_size * model.num_blocks  # outer * inner_draws values per block
@@ -218,11 +213,8 @@ def run_pmc(
     numerator = total = None  # the running signed sum of w h(x) and log sum of w over every generation so far
 
     for t in range(1, cfg.generations + 1):
-        if t == 1:
-            proposals = itertools.repeat(init, outer)
-        else:
-            proposals = _kernel_proposals(cfg, init, prev_resampled, outer, rng)
-        gen_set = recombine(model, proposals, cfg.inner_draws, rng)
+        prop = init if t == 1 else _kernel_proposal(cfg, init, prev_resampled, outer, rng)
+        gen_set = recombine(model, prop, outer, cfg.inner_draws, rng)
         if gen_set.log_weight_sum == -np.inf:
             raise DegenerateGenerationError(t)
 

@@ -132,6 +132,10 @@ class TestUsageErrors:
             (["gauss", "--budgets", "150"], "budget 150 must be a positive multiple of group_size 100"),
             (["dmm", "--budgets", "45"], "budget 45 must split into 20 generations"),
             (["emit-data", "--count", "0"], "count must be >= 1"),
+            (["emit-data", "--means", "nan,0"], "means must be finite"),
+            (["dmm", "--means", "inf,0"], "true_means must give the two component means, finite"),
+            (["dmm", "--kernel-bandwidth", "inf"], "kernel_bandwidth must be positive and finite"),
+            (["dmm", "--kernel-cv", "nan"], "kernel_cv must be positive and finite"),
         ]
         for argv, message in cases:
             out = tmp_path / "never.csv"
@@ -152,4 +156,13 @@ class TestUsageErrors:
                 main([*argv, "--seed", "1"])  # the defaults would run for minutes
             assert exit_info.value.code == 2
             assert "an --output path is required" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["gauss", "dmm"])
+    def test_output_that_names_no_file_is_refused_before_the_run(self, tmp_path, capsys, command):
+        for output in ("", str(tmp_path)):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--seed", "1", "--output", output])  # the defaults would run for minutes
+            assert exit_info.value.code == 2
+            assert f"--output must name a file, got {output!r}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())

@@ -151,34 +151,70 @@ class TestPositive:
         assert np.array_equal(_positive([0.5, 2.0], "x"), [0.5, 2.0])
 
 
-class TestSampleWithLogDensity:
-    @pytest.mark.parametrize(
-        "density",
-        [DiagGaussian(0.5, 2.0), StudentT(0.0, 1.5, 4.0), Dirichlet([1.0, 2.0, 3.0]),
-         TupleDensity([StudentT(0.0, 1.0, 1.0), ScalarInverseWishart(5.0, 1.0), Gamma(1.0, 1.0)])],
-        ids=["gaussian", "student-t", "dirichlet", "tuple"],
-    )
-    def test_equals_sample_then_log_density(self, density):
-        # ten draws' variates, then one scoring call for all of them
-        fused, separate = RandomSource(17), RandomSource(17)
-        points, log_q = type(density).score_variates([density] * 10, [density.draw_variates(fused) for _ in range(10)])
-        assert len(points) == len(log_q) == 10
-        for x, q in zip(points, log_q):
-            y = density.sample(separate)
-            assert np.array_equal(x, y)
-            assert q == density.log_density(y)
-        assert fused.generator.bit_generator.state == separate.generator.bit_generator.state
-
-
 DMM_T_PRIOR = TupleDensity([StudentT(0.0, 1.0, 1.0), ScalarInverseWishart(5.0, 1.0), Gamma(1.0, 1.0)])
+CENTERS = np.array([[0.5], [1.5], [3.0]])  # (outer, 1) parameter columns for three outer draws
+
+
+def _column_case(make):
+    """A density on the parameter columns, and row ``g``'s density on scalars."""
+    return make(CENTERS), lambda g: make(float(CENTERS[g, 0]))
+
+
+SCORED = {
+    "gaussian": (DiagGaussian(0.5, 2.0), None),
+    "student-t": (StudentT(0.0, 1.5, 4.0), None),
+    "dirichlet": (Dirichlet([1.0, 2.0, 3.0]), None),
+    "tuple": (DMM_T_PRIOR, None),
+    "gaussian-column": _column_case(lambda c: DiagGaussian(c, 0.0625)),
+    "student-t-column": _column_case(lambda c: StudentT(c, 0.5, 3.0)),
+    "gamma-column": _column_case(lambda c: Gamma(1.0 / 0.09, c * 0.09)),
+    "inverse-wishart-column": _column_case(lambda c: ScalarInverseWishart(c * 9.0, 22.0)),
+    "tuple-column": _column_case(
+        lambda c: TupleDensity([DiagGaussian(c, 0.0625), ScalarInverseWishart(c * 9.0, 22.0), Gamma(11.0, c * 0.09)])
+    ),
+}
+
+
+class TestSampleBatchThenLogDensityEach:
+    @pytest.mark.parametrize("name", SCORED)
+    def test_equals_log_density_row_by_row(self, name):
+        # one batch of three outer draws by four inner draws, then one scoring call for all of them
+        density, row_density = SCORED[name]
+        draws = density.sample_batch(RandomSource(17), (3, 4))
+        each = density.log_density_each(draws)
+        assert each.shape == (3, 4) and np.isfinite(each).all()
+        for g, i in np.ndindex(each.shape):
+            alone = density if row_density is None else row_density(g)
+            assert each[g, i] == alone.log_density(draws[g, i])
+
+
+class TestParameterColumns:
+    def test_draw_row_g_from_row_gs_parameters(self):
+        drawn = DiagGaussian(CENTERS, 1e-6).sample_batch(RandomSource(3), (3, 200))
+        assert np.abs(drawn.mean(axis=1) - CENTERS[:, 0]).max() < 1e-3
+
+    @pytest.mark.parametrize("name", [n for n in SCORED if n.endswith("column")])
+    def test_flat_values_are_refused(self, name):
+        # a (3, 1) column against flat values would broadcast into an outer product
+        density, _ = SCORED[name]
+        flat = density.sample_batch(RandomSource(4), (3, 2)).reshape((6,) + ((3,) if "tuple" in name else ()))
+        with pytest.raises(ValueError, match="parameter rows"):
+            density.log_density_each(flat)
+        with pytest.raises(ValueError, match="parameter rows"):
+            density.log_density_each(flat[:3])  # one value per row, but without the inner axis
+
+    def test_columns_must_share_one_length(self):
+        for mean, var in [(CENTERS, np.ones((2, 1))), (np.ones((3, 2)), 1.0), (np.ones((1, 3)), 1.0)]:
+            with pytest.raises(ValueError, match="must be scalars"):
+                DiagGaussian(mean, var)
 
 
 class TestSampleBatch:
     @pytest.mark.parametrize(
         "density",
-        [DiagGaussian(0.5, 2.0), TupleDensity([DiagGaussian(0.0, 1.0), DiagGaussian(1.0, 4.0)]), DMM_T_PRIOR,
-         Gamma(1.0 / 0.09, 4.0 * 0.09)],
-        ids=["gaussian", "gaussian-vector", "dmm-t-prior", "gamma-kernel"],
+        [DiagGaussian(0.5, 2.0), Gamma(1.0 / 0.09, 4.0 * 0.09), StudentT(0.0, 1.5, 4.0),
+         ScalarInverseWishart(5.0, 1.0), Dirichlet([1.0, 2.0, 3.0])],
+        ids=["gaussian", "gamma-kernel", "student-t", "inverse-wishart", "dirichlet"],
     )
     def test_equals_count_calls_of_sample(self, density):
         batched, single = RandomSource(23), RandomSource(23)
@@ -186,6 +222,18 @@ class TestSampleBatch:
         expected = np.array([density.sample(single) for _ in range(7)])
         assert drawn.shape == expected.shape and np.array_equal(drawn, expected)
         assert batched.generator.bit_generator.state == single.generator.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "density",
+        [TupleDensity([DiagGaussian(0.0, 1.0), DiagGaussian(1.0, 4.0)]), DMM_T_PRIOR],
+        ids=["gaussian-vector", "dmm-t-prior"],
+    )
+    def test_tuple_draw_stacks_each_parts_batch(self, density):
+        batched, parts = RandomSource(23), RandomSource(23)
+        drawn = density.sample_batch(batched, (3, 7))
+        expected = np.stack([part.sample_batch(parts, (3, 7)) for part in density.parts], axis=-1)
+        assert drawn.shape == (3, 7, len(density.parts)) and np.array_equal(drawn, expected)
+        assert batched.generator.bit_generator.state == parts.generator.bit_generator.state
 
 
 def _dirichlet_per_call(a, x) -> float:
@@ -317,7 +365,8 @@ class TestIndependentGaussianCoordinates:
     def test_draws_are_the_vector_formula_bitwise(self):
         rng, twin = RandomSource(31), RandomSource(31)
         drawn = self.PAIR.sample_batch(rng, 9)
-        expected = self.MEAN + np.sqrt(self.VAR) * twin.generator.standard_normal((9, 2))
+        # one generator call per coordinate, in coordinate order
+        expected = self.MEAN + np.sqrt(self.VAR) * twin.generator.standard_normal((2, 9)).T
         assert drawn.shape == (9, 2) and np.array_equal(drawn, expected)
         assert rng.generator.bit_generator.state == twin.generator.bit_generator.state
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from infmc.distributions import DiagGaussian, Gamma
 from infmc.estimators import (
@@ -30,13 +31,14 @@ from infmc.factorized import (
 )
 from infmc.models import (
     DmmSpec,
+    MixtureAssignmentProposal,
     GaussianToy,
     dmm_init_proposal,
     dmm_model,
     informed_assignment_builder,
     make_synthetic,
 )
-from infmc.pmc import GammaKernel, GaussianKernel, PmcConfig, TupleKernel, VarianceKernel, run_pmc
+from infmc.pmc import GammaKernel, GaussianKernel, PmcConfig, TupleKernel, VarianceKernel, _kernel_proposal, run_pmc
 from infmc.rng import RandomSource
 
 
@@ -228,8 +230,8 @@ class TestInflate:
     @pytest.mark.parametrize("inner_draws", [1, 2])
     def test_block_value_outside_its_proposal_is_refused(self, inner_draws):
         class DrawsZero(Gamma):  # a gamma with shape 2 has zero density at 0
-            def sample(self, rng):
-                return 0.0
+            def sample_batch(self, rng, shape):
+                return np.zeros(shape)
 
         model = priors_only_model(2)
         prop = FactorizedProposal(block_proposals=(DiagGaussian(0.0, 1.0), DrawsZero(2.0, 1.0)))
@@ -241,8 +243,8 @@ class TestInflate:
     )
     def test_degenerate_global_density_is_refused(self, log_q, error, match):
         class Degenerate(DiagGaussian):  # its density at its own draws is -inf or NaN
-            def log_density(self, x):
-                return log_q
+            def log_density_each(self, xs):
+                return np.full(np.shape(xs), log_q)
 
         model = dataclasses.replace(priors_only_model(2), global_log_prior=DiagGaussian(0.0, 1.0).log_density_each)
         model, calls = _counting_likelihoods(model)
@@ -286,35 +288,11 @@ class TestInflate:
             assert decomposition_residual(parts, h, kind) < 1e-10
 
 
-def _reference_recombine(model, proposals, inner_draws, rng):
-    """Per outer draw from public calls only: the global ``sample`` and
-    ``log_density``, each block's ``sample_batch``, the model factors and the
-    block density of one value at a time with its one global value, and log
-    weights ``((base + c_1) + c_2)`` over the combinations in lexicographic
-    order."""
-    points, log_weights = [], []
-    for prop in proposals:
-        global_value = prop.global_proposal.sample(rng)
-        base = float(model.global_log_prior(global_value)) + model.log_evidence_offset
-        base -= float(prop.global_proposal.log_density(global_value))
-        block_values, terms = [], []
-        for j, block_prop in enumerate(prop.block_proposals):
-            drawn = block_prop.sample_batch(rng, inner_draws)
-            values = drawn.tolist() if drawn.ndim == 1 else [tuple(row) for row in drawn.tolist()]
-            prior, lik = model.block_log_priors[j], model.block_log_likelihoods[j]
-            terms.append([(prior(v) + lik(global_value, v)) - block_prop.log_density(v) for v in values])
-            block_values.append(values)
-        for combo in itertools.product(range(inner_draws), repeat=len(block_values)):
-            log_weight = base
-            for j, i in enumerate(combo):
-                log_weight = log_weight + terms[j][i]
-            points.append((global_value, tuple(block_values[j][i] for j, i in enumerate(combo))))
-            log_weights.append(log_weight)
-    return points, np.array(log_weights)
-
-
 class TestRecombineStream:
-    """``recombine`` draws in the reference's order and weighs with its bits."""
+    """``recombine`` and a kernel generation's proposal make the documented
+    generator calls, and weigh each row with its own outer draw's proposal."""
+
+    OUTER = 7
 
     @staticmethod
     def _setup(family):
@@ -324,55 +302,100 @@ class TestRecombineStream:
         else:
             kernel = TupleKernel([GaussianKernel(0.25), VarianceKernel(0.3), GammaKernel(0.3)])
         model, init = dmm_model(spec), dmm_init_proposal(spec)
-        centers = list(recombine(model, [init] * 6, 1, RandomSource(8)).points)  # (K, ...) block-value rows
-        return spec, model, init, kernel, centers
+        population = list(recombine(model, init, 6, 1, RandomSource(8)).points)  # (K, ...) block-value rows
+        cfg = PmcConfig(TestRecombineStream.OUTER, 2, kernel, global_proposal_builder=informed_assignment_builder(spec))
+        return spec, model, init, cfg, population
+
+    def _drawn(self, family, proposal, inner_draws):
+        """The generation's draws, and the centers of a kernel generation (else None)."""
+        spec, model, init, cfg, population = self._setup(family)
+        rng = RandomSource(31)
+        prop, centers = init, None
+        if proposal == "kernel":
+            prop = _kernel_proposal(cfg, init, population, self.OUTER, rng)
+            centers = np.asarray(population)[RandomSource(31).generator.integers(len(population), size=self.OUTER)]
+        return spec, model, init, cfg, population, recombine(model, prop, self.OUTER, inner_draws, rng), rng, centers
 
     @staticmethod
-    def _kernel_proposals(spec, kernel, centers, count, rng):
-        build = informed_assignment_builder(spec)
-        for _ in range(count):
-            center = centers[int(rng.generator.integers(len(centers)))]
-            yield FactorizedProposal(tuple(kernel.at(v) for v in center), build(center))
+    def _reference_block(g, spec, centers, shape):
+        """Plain numpy: one generator call per part of a block, as documented."""
+        if centers is None:  # the prior
+            if spec.component_family == "gaussian":
+                return g.standard_normal(shape)
+            return np.stack([g.standard_t(1.0, shape), 2.5 / g.gamma(0.5, 1.0, shape), g.gamma(1.0, 1.0, shape)], -1)
+        if spec.component_family == "gaussian":
+            return centers[:, None] + 0.25 * g.standard_normal(shape)
+        df = 2.0 * (2.0 + 1.0 / 0.09)
+        mean = centers[:, None, 0] + 0.25 * g.standard_normal(shape)
+        var = (centers[:, None, 1] * (df - 2.0)) / 2.0 / g.gamma(df / 2.0, 1.0, shape)
+        dof = g.gamma(1.0 / 0.09, centers[:, None, 2] * 0.09, shape)
+        return np.stack([mean, var, dof], axis=-1)
 
     @pytest.mark.parametrize("inner_draws", [1, 2])
     @pytest.mark.parametrize("proposal", ["init", "kernel"])
     @pytest.mark.parametrize("family", ["gaussian", "student-t"])
-    def test_matches_the_per_draw_reference(self, family, proposal, inner_draws):
-        spec, model, init, kernel, centers = self._setup(family)
-        rng, ref_rng = RandomSource(31), RandomSource(31)
-        if proposal == "init":
-            props, ref_props = [init] * 7, [init] * 7
-        else:
-            props = self._kernel_proposals(spec, kernel, centers, 7, rng)
-            ref_props = self._kernel_proposals(spec, kernel, centers, 7, ref_rng)
-        drawn = recombine(model, props, inner_draws, rng)
-        ref_points, ref_log_weights = _reference_recombine(model, ref_props, inner_draws, ref_rng)
-        assert np.array_equal(drawn.log_weights, ref_log_weights)
-        assert len(drawn) == len(ref_points) == 7 * inner_draws**2
-        ref_globals, ref_blocks = zip(*ref_points)
-        ref_blocks = np.array(ref_blocks, dtype=float)
-        assert np.array_equal(drawn.points, ref_blocks)
-        (weights, labels), block_values = drawn.aligned()
-        assert np.array_equal(weights, np.array([w for w, _ in ref_globals]))
-        assert np.array_equal(labels, np.array([z for _, z in ref_globals]))
-        assert len(block_values) == 2
-        for j, values in enumerate(block_values):
-            assert np.array_equal(values, ref_blocks[:, j])
-        assert rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
+    def test_draws_are_the_documented_generator_calls(self, family, proposal, inner_draws):
+        spec, _, _, _, population, drawn, rng, _ = self._drawn(family, proposal, inner_draws)
+        g, outer = RandomSource(31).generator, self.OUTER
+        centers = np.asarray(population)[g.integers(len(population), size=outer)] if proposal == "kernel" else None
+        weights = g.dirichlet([1.0, 1.0], outer)
+        weights[:, -1] = np.maximum(0.0, 1.0 - weights[:, 0])
+        uniforms = g.random((outer, spec.data.size))
+        blocks = [
+            self._reference_block(g, spec, None if centers is None else centers[:, j], (outer, inner_draws))
+            for j in range(2)
+        ]
+        if centers is None:  # ``Generator.choice(p=weights)`` per observation
+            cdf = np.cumsum(weights, axis=1) / weights.sum(axis=1, keepdims=True)
+            labels = np.array([np.searchsorted(c, u, side="right") for c, u in zip(cdf, uniforms)])
+        else:  # the responsibilities under each row's center
+            log_r = np.swapaxes(spec.component_log_density_each(spec.data, centers), 1, 2) + np.log(weights)[:, None]
+            cdf = np.cumsum(np.exp(log_r - logsumexp(log_r, axis=-1, keepdims=True)), axis=-1)
+            labels = np.minimum((uniforms[..., None] > cdf).sum(axis=-1), 1)
+        assert np.array_equal(drawn.global_values[0], weights)
+        assert np.array_equal(drawn.global_values[1], labels)
+        assert np.array_equal(drawn.values, np.stack(blocks, axis=1))
+        assert rng.generator.bit_generator.state == g.bit_generator.state
+
+    @pytest.mark.parametrize("inner_draws", [1, 2])
+    @pytest.mark.parametrize("proposal", ["init", "kernel"])
+    @pytest.mark.parametrize("family", ["gaussian", "student-t"])
+    def test_each_row_is_weighed_with_its_own_outer_draws_proposal(self, family, proposal, inner_draws):
+        spec, model, init, cfg, _, drawn, _, centers = self._drawn(family, proposal, inner_draws)
+        weights, labels = drawn.global_values
+        for g in range(self.OUTER):
+            phi = (weights[g], labels[g])
+            if centers is None:
+                block_q = [density.log_density for density in init.block_proposals]
+                global_q = init.global_proposal.log_density(phi)
+            else:  # outer draw g's own kernels, as one-row columns, and its own assignment proposal
+                row_densities = [cfg.kernel.at(centers[g:g + 1, j]) for j in range(2)]
+                block_q = [lambda v, d=d: d.log_density(np.reshape(v, (1, 1) + np.shape(v))) for d in row_densities]
+                global_q = MixtureAssignmentProposal(spec, centers[g]).log_density(phi)
+            assert drawn.base[g] == (model.global_log_prior(phi) + model.log_evidence_offset) - global_q
+            for j, i in itertools.product(range(2), range(inner_draws)):
+                v = drawn.values[g, j, i]
+                own = (model.block_log_priors[j](v) + model.block_log_likelihoods[j](phi, v)) - block_q[j](v)
+                assert drawn.contributions[g, j, i] == own  # elementwise formulas: bitwise
+            for i0, i1 in itertools.product(range(inner_draws), repeat=2):
+                values = (drawn.values[g, 0, i0], drawn.values[g, 1, i1])
+                oracle = model.joint_log_density(phi, values) - (global_q + block_q[0](values[0]) + block_q[1](values[1]))
+                row = (g * inner_draws + i0) * inner_draws + i1
+                assert drawn.log_weights[row] == pytest.approx(oracle, abs=1e-12)
 
 
 class TestBatchedBlockScoring:
-    def test_one_call_per_block_and_per_distinct_block_proposal(self):
+    def test_one_log_density_each_per_density_and_one_factor_call_per_block(self):
         calls = []
 
         class Counted(DiagGaussian):
             def log_density_each(self, xs):
-                calls.append(("log q", id(self), np.size(xs)))
+                calls.append(("log q", id(self), np.shape(xs)))
                 return super().log_density_each(xs)
 
         def counted(kind, j, evaluator):
             def wrapped(*args):
-                calls.append((kind, j, len(args[-1])))
+                calls.append((kind, j, np.shape(args[-1])))
                 return evaluator(*args)
 
             return wrapped
@@ -384,23 +407,24 @@ class TestBatchedBlockScoring:
             block_log_priors=tuple(counted("prior", j, f) for j, f in enumerate(base.block_log_priors)),
             block_log_likelihoods=tuple(counted("lik", j, f) for j, f in enumerate(base.block_log_likelihoods)),
         )
-        shared = Counted(0.5, 2.0)
-        distinct = [FactorizedProposal((shared, Counted(c, 2.0)), DiagGaussian(0.0, 2.0)) for c in (-1.0, 0.0, 1.0)]
-        props = [distinct[i] for i in (0, 1, 0, 2, 2, 0, 1)]
-        outer, inner = len(props), 3
-        drawn = recombine(model, props, inner, RandomSource(5))
-        assert [c for c in calls if c[0] == "global prior"] == [("global prior", None, outer)]
-        assert sorted(c for c in calls if c[0] not in ("log q", "global prior")) == [
-            ("lik", 0, outer * inner), ("lik", 1, outer * inner), ("prior", 0, outer * inner), ("prior", 1, outer * inner)
+        outer, inner = 7, 3
+        centers = np.linspace(-1.0, 1.0, outer)[:, None]  # one block's kernel centers, a parameter column
+        shared, column, glob = Counted(0.5, 2.0), Counted(centers, 2.0), Counted(0.0, 2.0)
+        drawn = recombine(model, FactorizedProposal((shared, column), glob), outer, inner, RandomSource(5))
+        assert sorted(c[1:] for c in calls if c[0] == "log q") == sorted(
+            [(id(glob), (outer,)), (id(shared), (outer, inner)), (id(column), (outer, inner))]
+        )
+        assert [c for c in calls if c[0] == "global prior"] == [("global prior", None, (outer,))]
+        # the model factors take flat rows: perfbench counts evaluations by the first axis
+        assert sorted(c for c in calls if c[0] in ("prior", "lik")) == [
+            ("lik", 0, (outer * inner,)), ("lik", 1, (outer * inner,)),
+            ("prior", 0, (outer * inner,)), ("prior", 1, (outer * inner,)),
         ]
-        density_calls = sorted(c[1:] for c in calls if c[0] == "log q")
-        runs = {id(p.block_proposals[1]): props.count(p) for p in distinct}
-        expected = [(id(shared), outer * inner)] + [(key, count * inner) for key, count in runs.items()]
-        assert density_calls == sorted(expected)
-        # each gathered row is weighed with the proposal that drew it
+        # each row is weighed with its own outer draw's block-1 parameters
         per_draw = inner**2
         rows, log_weights = list(joint_rows(drawn)), drawn.log_weights
-        for g, prop in enumerate(props):
+        for g in range(outer):
+            prop = FactorizedProposal((DiagGaussian(0.5, 2.0), DiagGaussian(centers[g, 0], 2.0)), DiagGaussian(0.0, 2.0))
             for (phi, values), lw in zip(rows[g * per_draw:(g + 1) * per_draw], log_weights[g * per_draw:]):
                 oracle = base.joint_log_density(phi, values) - prop.joint_log_density(phi, values)
                 assert lw == pytest.approx(oracle, abs=1e-12)

@@ -96,11 +96,13 @@ def _subclasses(cls: type) -> list[type]:
 
 
 def test_each_density_writes_its_log_density_once():
-    """A density defines the batched ``log_density_each`` only, and the
-    one-point ``log_density`` is derived from it: one formula per density."""
+    """A density defines the batched ``log_density_each`` and ``sample_batch``
+    only, and the one-point ``log_density`` and ``sample`` are derived from
+    them: one formula and one sampler per density, none drawn point by point."""
     classes = {cls for cls in _subclasses(infmc.Density) if cls.__module__.startswith("infmc.")}
-    own = sorted(cls.__qualname__ for cls in classes if "log_density" in vars(cls))
-    assert len(classes) >= 8 and own == []
+    own = sorted(cls.__qualname__ for cls in classes if {"log_density", "sample"} & set(vars(cls)))
+    unbatched = sorted(cls.__qualname__ for cls in classes if cls.sample_batch is infmc.Density.sample_batch)
+    assert len(classes) >= 8 and own == [] and unbatched == []
 
 
 def _dotted(node: ast.AST) -> list[str] | None:

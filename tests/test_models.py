@@ -202,7 +202,7 @@ class TestComponentMeansFunction:
     @pytest.mark.parametrize("family", ["gaussian", "student-t"])
     def test_equals_per_point_extraction_bitwise(self, family):
         spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 4, count=20).observations, family)
-        points = recombine(dmm_model(spec), [dmm_init_proposal(spec)] * 5, 2, RandomSource(3)).points
+        points = recombine(dmm_model(spec), dmm_init_proposal(spec), 5, 2, RandomSource(3)).points
         if family == "gaussian":
             per_point = [list(p) for p in points]
         else:
@@ -290,20 +290,23 @@ class TestGlobalProposals:
         assert first_two.mean() < 0.2  # observations near -2 almost never map to component 1
 
     @pytest.mark.parametrize("informed", [False, True])
-    def test_fused_draw_equals_sample_then_log_density(self, informed):
+    def test_sample_batch_then_log_density_each_equals_log_density_row_by_row(self, informed):
         spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6).observations)
-        if informed:  # a batch mixes proposals, as a generation's kernel proposals do
-            props = [MixtureAssignmentProposal(spec, ref) for ref in [(-1.0, 2.5), (0.5, -3.0)] * 10]
-        else:
-            props = [MixtureGlobalProposal(spec)] * 20
-        fused, separate = RandomSource(21), RandomSource(21)
-        points, log_q = type(props[0]).score_variates(props, [prop.draw_variates(fused) for prop in props])
-        assert len(points) == len(log_q) == 20
-        for prop, (weights, labels), q in zip(props, points, log_q):
-            x = prop.sample(separate)
-            assert np.array_equal(weights, x[0]) and np.array_equal(labels, x[1])
-            assert q == prop.log_density(x)
-        assert fused.generator.bit_generator.state == separate.generator.bit_generator.state
+        references = np.array([(-1.0, 2.5), (0.5, -3.0)] * 10)
+        # one reference table row per outer draw, as a generation's kernel proposals are
+        prop = MixtureAssignmentProposal(spec, references) if informed else MixtureGlobalProposal(spec)
+        weights, labels = prop.sample_batch(RandomSource(21), 20)
+        assert weights.shape == (20, 2) and labels.shape == (20, spec.data.size)
+        log_q = prop.log_density_each((weights, labels))
+        assert log_q.shape == (20,) and np.isfinite(log_q).all()
+        for g in range(20):
+            alone = MixtureAssignmentProposal(spec, references[g]) if informed else prop
+            assert log_q[g] == alone.log_density((weights[g], labels[g]))
+        if informed:  # reference rows never broadcast against other weight rows
+            with pytest.raises(ValueError, match="reference rows"):
+                prop.log_density_each((weights[:5], labels[:5]))
+            with pytest.raises(ValueError, match="reference rows"):
+                prop.log_density((weights[0], labels[0]))
 
     def test_prior_proposal_labels_equal_generator_choice(self, monkeypatch):
         """Labels and generator use are ``Generator.choice``'s, also at
@@ -313,8 +316,8 @@ class TestGlobalProposals:
         all_weights = np.column_stack([first, 1.0 - first])
 
         class PinnedPrior(Dirichlet):
-            def sample(self, rng):
-                return next(pinned)
+            def sample_batch(self, rng, shape):
+                return np.array([next(pinned) for _ in range(shape)])
 
         monkeypatch.setattr(models, "MIXING_PRIOR", PinnedPrior((1.0, 1.0)))
         spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6).observations)
@@ -328,9 +331,8 @@ class TestGlobalProposals:
             assert np.array_equal(labels, chosen[-1])
             assert rng.generator.bit_generator.state == expected.bit_generator.state
         pinned, batch_rng = iter(all_weights), RandomSource(41)
-        variates = [prop.draw_variates(batch_rng) for _ in all_weights]
-        points, _ = MixtureGlobalProposal.score_variates([prop] * len(variates), variates)
-        assert all(np.array_equal(labels, c) for (_, labels), c in zip(points, chosen))
+        _, labels = prop.sample_batch(batch_rng, len(all_weights))
+        assert np.array_equal(labels, np.array(chosen))
         assert batch_rng.generator.bit_generator.state == rng.generator.bit_generator.state
 
     def test_init_proposal_shares_prior_blocks(self):

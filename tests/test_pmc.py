@@ -42,33 +42,44 @@ def scalar_block_model(log_density_each, num_blocks=1):
     )
 
 
+CENTERS = np.array([1.5, 4.0, 2.0])  # one block's centers for three outer draws
+
+
 class TestKernels:
     def test_gaussian_kernel_centers(self):
-        prop = GaussianKernel(0.5).at(1.5)
+        prop = GaussianKernel(0.5).at(CENTERS)
         assert isinstance(prop, DiagGaussian)
-        assert prop.mean == 1.5
+        assert np.array_equal(prop.mean, CENTERS[:, None]) and prop.rows == 3
         assert prop.var == 0.25
 
     def test_gamma_kernel_moment_matched(self):
-        prop = GammaKernel(0.3).at(4.0)
+        prop = GammaKernel(0.3).at(CENTERS)
         assert isinstance(prop, Gamma)
-        assert prop.shape * prop.scale == pytest.approx(4.0)  # mean at the center
-        assert np.sqrt(prop.shape) * prop.scale / (prop.shape * prop.scale) == pytest.approx(0.3)
+        np.testing.assert_allclose(prop.shape * prop.scale, CENTERS[:, None])  # mean at the center
+        np.testing.assert_allclose(np.sqrt(prop.shape) * prop.scale / (prop.shape * prop.scale), 0.3)
 
     def test_variance_kernel_mean_and_cv(self):
-        prop = VarianceKernel(0.3).at(2.0)
+        prop = VarianceKernel(0.3).at(CENTERS)
         assert isinstance(prop, ScalarInverseWishart)
         shape = prop.df / 2.0
         rate = prop.scale_sq / 2.0
-        assert rate / (shape - 1.0) == pytest.approx(2.0)  # inverse-gamma mean
+        np.testing.assert_allclose(rate / (shape - 1.0), CENTERS[:, None])  # inverse-gamma mean
         assert 1.0 / np.sqrt(shape - 2.0) == pytest.approx(0.3)
 
     def test_tuple_kernel_builds_parts(self):
         kernel = TupleKernel([GaussianKernel(0.1), GammaKernel(0.2)])
-        prop = kernel.at((0.5, 3.0))
-        value = prop.sample(RandomSource(0))
-        assert len(value) == 2
-        assert np.isfinite(prop.log_density(value))
+        prop = kernel.at(np.array([(0.5, 3.0), (-1.0, 0.5)]))
+        values = prop.sample_batch(RandomSource(0), (2, 4))
+        assert values.shape == (2, 4, 2)
+        assert np.isfinite(prop.log_density_each(values)).all()
+        with pytest.raises(ValueError, match="kernel expects 2"):
+            kernel.at(np.ones((2, 3)))
+
+    def test_nonpositive_or_non_finite_centers_are_refused(self):
+        for kernel in (GammaKernel(0.3), VarianceKernel(0.3)):
+            for bad in (0.0, -1.0, np.inf, np.nan):
+                with pytest.raises(ValueError, match="strictly positive and finite"):
+                    kernel.at(np.array([1.0, bad]))
 
     def test_positive_bandwidths_required(self):
         with pytest.raises(ValueError):
@@ -171,19 +182,44 @@ class TestRunPmc:
             run_pmc(model, init, cfg, RandomSource(0))
         assert excinfo.value.generation == 1
 
-    def test_kernel_proposal_is_built_once_per_distinct_center(self):
+    def test_kernel_at_is_called_once_per_block_per_generation(self):
         built = []
 
         class CountingKernel(GaussianKernel):
-            def at(self, center):
-                built.append(center)
-                return super().at(center)
+            def at(self, centers):
+                built.append(np.shape(centers))
+                return super().at(centers)
 
-        model = scalar_block_model(DiagGaussian(0.0, 1.0).log_density_each)
-        init = FactorizedProposal(block_proposals=(DiagGaussian(0.0, 4.0),))
-        gens = run_pmc(model, init, PmcConfig(40, 2, CountingKernel(0.5)), RandomSource(3))
-        distinct_centers = {id(p) for p in gens[0].resampled_points}
-        assert len(set(built)) == len(built) <= len(distinct_centers) < 40
+        model = scalar_block_model(DiagGaussian(0.0, 1.0).log_density_each, num_blocks=2)
+        init = FactorizedProposal(block_proposals=(DiagGaussian(0.0, 4.0),) * 2)
+        run_pmc(model, init, PmcConfig(40, 3, CountingKernel(0.5), inner_draws=2), RandomSource(3))
+        assert built == [(20,)] * 2 * 2  # two kernel generations of 40 / 2 outer draws, two blocks each
+
+    def test_a_dmm_t_generation_makes_one_generator_call_per_draw_kind(self):
+        """Per generation: the centers, the weights, the labels' uniforms,
+        and one call per part of each block; then resampling's one call."""
+        calls = []
+
+        class Recording:
+            def __init__(self, generator):
+                self._generator = generator
+
+            def __getattr__(self, name):
+                method = getattr(self._generator, name)
+                return lambda *args, **kwargs: calls.append(name) or method(*args, **kwargs)
+
+        spec = DmmSpec(make_synthetic("student-t", (-2.0, 2.0), 3, count=30).observations, "student-t")
+        kernel = TupleKernel([GaussianKernel(0.25), VarianceKernel(0.3), GammaKernel(0.3)])
+        cfg = PmcConfig(40, 2, kernel, 2, informed_assignment_builder(spec))
+        rng = RandomSource(4)
+        rng.generator = Recording(rng.generator)
+        run_pmc(dmm_model(spec), dmm_init_proposal(spec), cfg, rng)
+        prior_blocks = ["standard_t", "gamma", "gamma"] * 2
+        kernel_blocks = ["standard_normal", "gamma", "gamma"] * 2
+        first = ["dirichlet", "random", *prior_blocks]
+        second = ["integers", "dirichlet", "random", *kernel_blocks]
+        assert len(second) == 1 + 2 + 2 * 3
+        assert calls == [*first, "choice", *second, "choice"]
 
     def test_inflated_generations_match_plain_eval_budget(self, monkeypatch):
         ds = make_synthetic("gaussian", (-2.0, 2.0), 7, count=40)
