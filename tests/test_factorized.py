@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -294,8 +295,9 @@ class TestRecombineStream:
 
     OUTER = 7
 
-    @staticmethod
-    def _setup(family):
+    def _drawn(self, family, proposal, inner_draws):
+        """One generation's draws from the prior proposal or a kernel
+        proposal, with what made them; ``centers`` is None for the prior."""
         spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 4, count=40).observations, family)
         if family == "gaussian":
             kernel = GaussianKernel(0.25)
@@ -303,18 +305,13 @@ class TestRecombineStream:
             kernel = TupleKernel([GaussianKernel(0.25), VarianceKernel(0.3), GammaKernel(0.3)])
         model, init = dmm_model(spec), dmm_init_proposal(spec)
         population = list(recombine(model, init, 6, 1, RandomSource(8)).points)  # (K, ...) block-value rows
-        cfg = PmcConfig(TestRecombineStream.OUTER, 2, kernel, global_proposal_builder=informed_assignment_builder(spec))
-        return spec, model, init, cfg, population
-
-    def _drawn(self, family, proposal, inner_draws):
-        """The generation's draws, and the centers of a kernel generation (else None)."""
-        spec, model, init, cfg, population = self._setup(family)
-        rng = RandomSource(31)
-        prop, centers = init, None
+        cfg = PmcConfig(self.OUTER, 2, kernel, global_proposal_builder=informed_assignment_builder(spec))
+        rng, prop, centers = RandomSource(31), init, None
         if proposal == "kernel":
             prop = _kernel_proposal(cfg, init, population, self.OUTER, rng)
             centers = np.asarray(population)[RandomSource(31).generator.integers(len(population), size=self.OUTER)]
-        return spec, model, init, cfg, population, recombine(model, prop, self.OUTER, inner_draws, rng), rng, centers
+        drawn = recombine(model, prop, self.OUTER, inner_draws, rng)
+        return SimpleNamespace(spec=spec, model=model, init=init, kernel=kernel, drawn=drawn, rng=rng, centers=centers)
 
     @staticmethod
     def _reference_block(g, spec, centers, shape):
@@ -335,9 +332,11 @@ class TestRecombineStream:
     @pytest.mark.parametrize("proposal", ["init", "kernel"])
     @pytest.mark.parametrize("family", ["gaussian", "student-t"])
     def test_draws_are_the_documented_generator_calls(self, family, proposal, inner_draws):
-        spec, _, _, _, population, drawn, rng, _ = self._drawn(family, proposal, inner_draws)
+        run = self._drawn(family, proposal, inner_draws)
+        spec, centers, drawn = run.spec, run.centers, run.drawn
         g, outer = RandomSource(31).generator, self.OUTER
-        centers = np.asarray(population)[g.integers(len(population), size=outer)] if proposal == "kernel" else None
+        if centers is not None:
+            g.integers(6, size=outer)  # the centers' draw
         weights = g.dirichlet([1.0, 1.0], outer)
         weights[:, -1] = np.maximum(0.0, 1.0 - weights[:, 0])
         uniforms = g.random((outer, spec.data.size))
@@ -355,21 +354,22 @@ class TestRecombineStream:
         assert np.array_equal(drawn.global_values[0], weights)
         assert np.array_equal(drawn.global_values[1], labels)
         assert np.array_equal(drawn.values, np.stack(blocks, axis=1))
-        assert rng.generator.bit_generator.state == g.bit_generator.state
+        assert run.rng.generator.bit_generator.state == g.bit_generator.state
 
     @pytest.mark.parametrize("inner_draws", [1, 2])
     @pytest.mark.parametrize("proposal", ["init", "kernel"])
     @pytest.mark.parametrize("family", ["gaussian", "student-t"])
     def test_each_row_is_weighed_with_its_own_outer_draws_proposal(self, family, proposal, inner_draws):
-        spec, model, init, cfg, _, drawn, _, centers = self._drawn(family, proposal, inner_draws)
+        run = self._drawn(family, proposal, inner_draws)
+        spec, model, drawn, centers = run.spec, run.model, run.drawn, run.centers
         weights, labels = drawn.global_values
         for g in range(self.OUTER):
             phi = (weights[g], labels[g])
             if centers is None:
-                block_q = [density.log_density for density in init.block_proposals]
-                global_q = init.global_proposal.log_density(phi)
+                block_q = [density.log_density for density in run.init.block_proposals]
+                global_q = run.init.global_proposal.log_density(phi)
             else:  # outer draw g's own kernels, as one-row columns, and its own assignment proposal
-                row_densities = [cfg.kernel.at(centers[g:g + 1, j]) for j in range(2)]
+                row_densities = [run.kernel.at(centers[g:g + 1, j]) for j in range(2)]
                 block_q = [lambda v, d=d: d.log_density(np.reshape(v, (1, 1) + np.shape(v))) for d in row_densities]
                 global_q = MixtureAssignmentProposal(spec, centers[g]).log_density(phi)
             assert drawn.base[g] == (model.global_log_prior(phi) + model.log_evidence_offset) - global_q
