@@ -69,20 +69,28 @@ def _usage_errors(args: argparse.Namespace):
         args.parser.error(str(exc))
 
 
+def _refuse_non_file(flag: str, path: str | None) -> None:
+    """Every path flag's check, made before any work: a path that is empty
+    or names a directory is refused."""
+    if path is not None and (not path or Path(path).is_dir()):
+        raise ValueError(f"{flag} must name a file, got {path!r}")
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     """A flag beats the config file, and the file beats the subcommand's
     default experiment."""
     settings = {"experiment": args.experiments[0]}
     with _usage_errors(args):
-        if args.config:
+        _refuse_non_file("--config", args.config)
+        if args.config is not None:
             settings.update(ExperimentConfig.read_file(args.config))
         settings.update((k, v) for k, v in vars(args).items() if k in _FIELDS and v is not None)
         if settings["experiment"] not in args.experiments:
             raise ValueError(f"{args.command} cannot run experiment {settings['experiment']!r}")
         if settings.get("output") is None:
             raise ValueError("an --output path is required to write metrics")
-        if not settings["output"] or Path(settings["output"]).is_dir():
-            raise ValueError(f"--output must name a file, got {settings['output']!r}")
+        _refuse_non_file("--output", settings["output"])
+        _refuse_non_file("--traces", getattr(args, "traces", None))
         return ExperimentConfig(**settings)
 
 
@@ -102,18 +110,20 @@ def _cmd_dmm(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     series, traces = run_dmm(cfg)
     _write_series(series, cfg)
-    if args.traces:
+    if args.traces is not None:
         Path(args.traces).write_text(json.dumps({"schema_version": 1, "runs": traces}, indent=2) + "\n")
         print(f"wrote {len(traces)} replication traces to {args.traces}")
     return 0
 
 
 def _cmd_theorems(args: argparse.Namespace) -> int:
-    if args.instances < 1:
-        args.parser.error("instances must be >= 1")
+    with _usage_errors(args):
+        if args.instances < 1:
+            raise ValueError("instances must be >= 1")
+        _refuse_non_file("--output", args.output)
     report = run_theorem_suite(args.seed, instances=args.instances)
     payload = json.dumps(report.to_dict(), indent=2)
-    if args.output:
+    if args.output is not None:
         Path(args.output).write_text(payload + "\n")
     else:
         print(payload)
@@ -125,6 +135,7 @@ def _cmd_theorems(args: argparse.Namespace) -> int:
 
 def _cmd_emit_data(args: argparse.Namespace) -> int:
     with _usage_errors(args):
+        _refuse_non_file("--output", args.output)
         dataset = make_synthetic(args.kind, args.means, args.seed, count=args.count)
     save_dataset(dataset, args.output)
     print(f"wrote {dataset.observations.size} observations to {args.output}")

@@ -7,6 +7,7 @@ and across worker counts; aggregation always reduces in replication order.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -32,17 +33,17 @@ from .factorized import (
     FactorizedModel,
     FactorizedProposal,
     GroupedSampleSet,
-    block_contributions,
     grouped_inflate,
     inflate,
+    weigh,
 )
 from .models import (
     DmmSpec,
     GaussianToy,
+    MixtureAssignmentProposal,
     component_means_function,
     dmm_init_proposal,
     dmm_model,
-    informed_assignment_builder,
     make_synthetic,
 )
 from .pmc import GaussianKernel, GammaKernel, PmcConfig, TupleKernel, VarianceKernel, run_pmc
@@ -316,17 +317,14 @@ def gauss_replication(
     sanity: bool = False,
 ) -> dict:
     """One replication: the same proposal draws feed both methods; the plain
-    method estimates from them directly, the inflated method from every
-    recombination within each group, contracted per block rather than
-    enumerated."""
+    method estimates from them as groups of one, enumerated, the inflated
+    method from every recombination within each group, contracted per block
+    rather than enumerated."""
     pts = _gauss_draw(toy, center, budget, src, sanity)
     out: dict[str, dict] = {}
     if "plain" in methods:
         t0 = time.perf_counter()
-        log_w, contrib = block_contributions(model, prop, pts)
-        for column in contrib.T:  # ((base + c_0) + c_1): the recombined weight grid's order
-            log_w = log_w + column
-        sample_set = SampleSet(pts, log_w)
+        sample_set = weigh(model, prop, None, pts[:, :, None]).materialize()  # groups of one
         out["plain"] = {
             "expectation": self_normalized_estimate(sample_set, TestFunction.identity(toy.dimension)),
             "log_evidence": evidence_estimate(sample_set),
@@ -416,16 +414,16 @@ def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> di
     truth = np.asarray(cfg.true_means, dtype=float)
 
     out: dict[str, dict] = {"truth": truth, "dataset_seed": data_seed}
-    for mi, method in enumerate(cfg.methods):
+    for method in cfg.methods:
         pmc_cfg = PmcConfig(
             population_size=budget // cfg.generations,
             generations=cfg.generations,
             kernel=kernel,
             inner_draws=cfg.inner_draws if method == "inflated" else 1,
-            global_proposal_builder=informed_assignment_builder(spec),
+            global_proposal_builder=functools.partial(MixtureAssignmentProposal, spec),
         )
         t0 = time.perf_counter()
-        gens = run_pmc(model, init, pmc_cfg, src.child(1, mi), h)
+        gens = run_pmc(model, init, pmc_cfg, src.child(1, METHODS.index(method)), h)
         wall = time.perf_counter() - t0
         trace = trace_metrics(gens, truth)
         best_marginal = np.array([_best_marginal(spec, g.sample_set) for g in gens])

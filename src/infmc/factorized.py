@@ -25,7 +25,7 @@ __all__ = [
     "recombine",
     "plain_factorized_sampler",
     "inflate",
-    "block_contributions",
+    "weigh",
     "GroupedSampleSet",
     "grouped_inflate",
 ]
@@ -158,6 +158,45 @@ def _along_block(j: int, k: int, column: np.ndarray) -> np.ndarray:
     return column.reshape(shape)
 
 
+def weigh(model: FactorizedModel, prop: FactorizedProposal, global_values, block_values) -> GroupedSampleSet:
+    """The recombined set of values drawn from ``prop``: the one place log
+    weights are formed.
+
+    ``block_values`` is ``(groups, K, n, ...)``, ``n`` draws per block and
+    group (trailing axes hold a tuple block's parts); ``global_values`` holds
+    each group's global value stacked part by part, or is ``None`` without a
+    global block.  Combination ``(i_1, ..., i_K)`` of group ``g`` weighs
+
+        log w = global prior + offset - log q_global
+                + sum_j (prior_j + lik_j - log q_j)[i_j]
+
+    Each density scores its own values in one ``log_density_each`` call, in
+    their ``(groups, ...)`` shape.  The model's global prior scores the
+    global values in one call; each block's prior and likelihood score its
+    ``groups * n`` values in one call each, flattened to rows with the global
+    values repeated to align.
+    """
+    _check_blocks(model, prop)
+    block_values = np.asarray(block_values, dtype=float)
+    if block_values.ndim < 3 or block_values.shape[1] != model.num_blocks:
+        raise ValueError(f"block values must be (groups, {model.num_blocks}, n, ...), got {block_values.shape}")
+    groups, _, n = block_values.shape[:3]
+    glob = prop.global_proposal
+    log_q = 0.0 if glob is None else glob.log_density_each(global_values)
+    if np.any(log_q == -np.inf):
+        raise RuntimeError("proposal density is zero at its own draw (global block)")
+    prior = model.global_log_prior(global_values)
+    if np.shape(prior) != (groups,) and not (glob is None and np.ndim(prior) == 0):
+        raise ValueError("the global block's prior must return one term per outer draw")
+    bases = (prior + model.log_evidence_offset) - log_q
+    aligned_globals = _repeated(global_values, n)  # row g * n + i: group g
+    terms = [
+        _block_terms(model, density, j, aligned_globals, block_values[:, j])
+        for j, density in enumerate(prop.block_proposals)
+    ]
+    return GroupedSampleSet(bases, np.stack(terms, axis=1), block_values, global_values)
+
+
 def recombine(
     model: FactorizedModel,
     prop: FactorizedProposal,
@@ -168,13 +207,9 @@ def recombine(
     """The recombining sampler behind every object-path draw.
 
     Make ``outer_draws`` global draws and, per global draw, ``inner_draws``
-    draws per block; the result stands for every cross-combination of block
-    indices, one group per global draw, with
-
-        log w = global prior + offset - log q_global
-                + sum_j (prior_j + lik_j - log q_j)[c_j]
-
-    One inner draw is plain importance sampling.  ``prop``'s densities hold
+    draws per block, then :func:`weigh` them: the result stands for every
+    cross-combination of block indices, one group per global draw.  One
+    inner draw is plain importance sampling.  ``prop``'s densities hold
     scalar parameters, shared by every outer draw, or ``(outer_draws, 1)``
     parameter columns, one row per outer draw.
 
@@ -190,13 +225,9 @@ def recombine(
        inner_draws))``: one generator call per part, a tuple block's parts
        stacked on a last axis.
 
-    Each density scores its own draws in one ``log_density_each`` call, in
-    their ``(outer_draws, ...)`` shape.  The model's global prior scores the
-    global draws in one call; each block's prior and likelihood score its
-    ``outer_draws * inner_draws`` values in one call each, flattened to rows
-    with the global values repeated to align.  Raises
-    :class:`InflationBudgetError`, before any draw, when the ``outer_draws *
-    inner_draws**K`` combinations exceed ``MAX_UNCAPPED_COMBINATIONS``.
+    Raises :class:`InflationBudgetError`, before any draw, when the
+    ``outer_draws * inner_draws**K`` combinations exceed
+    ``MAX_UNCAPPED_COMBINATIONS``.
     """
     if outer_draws < 1:
         raise ValueError("outer_draws must be >= 1")
@@ -211,16 +242,7 @@ def recombine(
     glob = prop.global_proposal
     global_values = None if glob is None else glob.sample_batch(rng, outer_draws)
     block_values = [density.sample_batch(rng, (outer_draws, inner_draws)) for density in prop.block_proposals]
-    log_q = 0.0 if glob is None else glob.log_density_each(global_values)
-    if np.any(log_q == -np.inf):
-        raise RuntimeError("proposal density is zero at its own draw (global block)")
-    prior = model.global_log_prior(global_values)
-    if np.shape(prior) != (outer_draws,) and not (glob is None and np.ndim(prior) == 0):
-        raise ValueError("the global block's prior must return one term per outer draw")
-    bases = (prior + model.log_evidence_offset) - log_q
-    aligned_globals = _repeated(global_values, inner_draws)  # row g * inner_draws + i: outer draw g
-    terms = [_block_terms(model, prop.block_proposals[j], j, aligned_globals, v) for j, v in enumerate(block_values)]
-    return GroupedSampleSet(bases, np.stack(terms, axis=1), np.stack(block_values, axis=1), global_values)
+    return weigh(model, prop, global_values, np.stack(block_values, axis=1))
 
 
 def plain_factorized_sampler(
@@ -249,29 +271,6 @@ def inflate(
     values in all.
     """
     return recombine(model, prop, outer_draws, inner_draws, rng)
-
-
-def block_contributions(
-    model: FactorizedModel,
-    prop: FactorizedProposal,
-    points,
-) -> tuple[float, np.ndarray]:
-    """Log-weight terms of an ``(n, K)`` array of scalar block values.
-
-    Returns the base term (global prior plus offset) and the ``(n, K)``
-    per-block contributions, :func:`_block_terms` of each column, so that
-    row ``i``'s log weight is ``base + sum_j contrib[i, j]``.  Only models
-    with an empty global block are supported on this path.
-    """
-    _check_blocks(model, prop)
-    if prop.global_proposal is not None:
-        raise ValueError("array-path weights require an empty global block")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != model.num_blocks:
-        raise ValueError(f"points must be (n, {model.num_blocks}), got {pts.shape}")
-    base = float(model.global_log_prior(None)) + model.log_evidence_offset
-    terms = [_block_terms(model, density, j, None, pts[:, j]) for j, density in enumerate(prop.block_proposals)]
-    return base, np.column_stack(terms)
 
 
 class GroupedSampleSet:
@@ -402,15 +401,17 @@ def grouped_inflate(
     """Recombine pre-drawn joint samples within consecutive groups.
 
     ``points`` is an ``(n, K)`` array of scalar block values drawn from
-    ``prop``; each group of ``group_size`` rows is treated as that many inner
-    draws per block and stands for all ``group_size**K`` recombinations.
-    Nothing is enumerated: the result is a :class:`GroupedSampleSet`.
-    Weights come from :func:`block_contributions`, with its restrictions.
+    ``prop``, whose global block must be empty; each group of ``group_size``
+    rows is treated as that many inner draws per block and stands for all
+    ``group_size**K`` recombinations.  Nothing is enumerated: the result is
+    :func:`weigh` of the groups.
     """
-    base, contrib = block_contributions(model, prop, points)
-    n, k = contrib.shape
+    if prop.global_proposal is not None:
+        raise ValueError("array-path weights require an empty global block")
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != model.num_blocks:
+        raise ValueError(f"points must be (n, {model.num_blocks}), got {pts.shape}")
+    n, k = pts.shape
     if group_size < 1 or n % group_size != 0:
         raise ValueError(f"{n} samples do not divide into groups of {group_size}")
-    num_groups = n // group_size
-    grouped = np.asarray(points, dtype=float).reshape(num_groups, group_size, k).transpose(0, 2, 1)
-    return GroupedSampleSet(base, contrib.reshape(num_groups, group_size, k).transpose(0, 2, 1), grouped)
+    return weigh(model, prop, None, pts.reshape(n // group_size, group_size, k).transpose(0, 2, 1))

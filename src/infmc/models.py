@@ -34,7 +34,6 @@ __all__ = [
     "DmmSpec",
     "MixtureGlobalProposal",
     "MixtureAssignmentProposal",
-    "informed_assignment_builder",
     "dmm_model",
     "dmm_init_proposal",
     "component_means_function",
@@ -242,17 +241,6 @@ class MixtureAssignmentProposal(_LabelProposal):
     def _labels(weights, table, uniforms):
         cdf = np.cumsum(np.exp(table), axis=-1)
         return np.minimum((uniforms[..., None] > cdf).sum(axis=-1), NUM_COMPONENTS - 1)
-
-
-def informed_assignment_builder(spec: DmmSpec):
-    """Global-proposal builder for the generation loop: each outer draw's
-    assignments follow the responsibilities under its center's row of
-    component parameters."""
-
-    def build(centers) -> MixtureAssignmentProposal:
-        return MixtureAssignmentProposal(spec, centers)
-
-    return build
 
 
 def dmm_model(spec: DmmSpec) -> FactorizedModel:

@@ -21,7 +21,6 @@ from .estimators import (
     DegenerateWeightsError,
     TestFunction,
     combine,
-    log_sum_exp,
     resample,
     self_normalized_estimate,
 )
@@ -177,17 +176,6 @@ def _kernel_proposal(cfg: PmcConfig, init: FactorizedProposal, population: list,
     return FactorizedProposal(block_proposals=blocks, global_proposal=glob)
 
 
-def _accumulate(numerator, total, gen_set: GroupedSampleSet, h: TestFunction):
-    """The running self-normalized sums with ``gen_set`` added, from one
-    enumeration of it: ``numerator`` is ``log|sum w h(x)|`` and its sign per
-    component, ``total`` is ``log sum w``; ``None`` before the first set."""
-    log_abs, sign = log_sum_exp(gen_set.log_weights[:, None], 0, h(gen_set.points))
-    if numerator is None:
-        return (log_abs[0], sign[0]), gen_set.log_weight_sum
-    log_abs, sign = log_sum_exp(np.vstack([numerator[0], log_abs]), 0, np.vstack([numerator[1], sign]))
-    return (log_abs[0], sign[0]), float(np.logaddexp(total, gen_set.log_weight_sum))
-
-
 def run_pmc(
     model: FactorizedModel,
     init: FactorizedProposal,
@@ -205,12 +193,17 @@ def run_pmc(
     generation draws its outer draws' centers in one ``integers`` call and
     builds one proposal for all of them; then :func:`recombine` makes its
     draws, and :func:`resample` draws the next population.
+
+    The cumulative estimate over generations ``1..t`` is the union
+    decomposition of the pooled self-normalized estimate: each generation's
+    own estimate, weighted by its share of the total weight.
     """
     outer = cfg.population_size // cfg.inner_draws
     block_evals = cfg.population_size * model.num_blocks  # outer * inner_draws values per block
     generations: list[Generation] = []
     prev_resampled: list | None = None
-    numerator = total = None  # the running signed sum of w h(x) and log sum of w over every generation so far
+    log_sums: list[float] = []  # each generation's log weight sum, with its estimate of h
+    estimates: list[np.ndarray] = []
 
     for t in range(1, cfg.generations + 1):
         prop = init if t == 1 else _kernel_proposal(cfg, init, prev_resampled, outer, rng)
@@ -218,12 +211,14 @@ def run_pmc(
         if gen_set.log_weight_sum == -np.inf:
             raise DegenerateGenerationError(t)
 
+        materialized = gen_set.materialize()
         cum_est = None
         if test_function is not None:
-            numerator, total = _accumulate(numerator, total, gen_set, test_function)
-            cum_est = numerator[1] * np.exp(numerator[0] - total)
+            log_sums.append(gen_set.log_weight_sum)
+            estimates.append(self_normalized_estimate(materialized, test_function))
+            cum_est = np.exp(np.array(log_sums) - np.logaddexp.reduce(log_sums)) @ np.array(estimates)
         best = float(np.max(model.data_log_likelihood(*gen_set.aligned())))
-        resampled = resample(gen_set, cfg.population_size, rng)
+        resampled = resample(materialized, cfg.population_size, rng)
         generations.append(Generation(t, gen_set, resampled, cum_est, best, block_evals))
         prev_resampled = resampled
     return generations

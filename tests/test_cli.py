@@ -158,11 +158,23 @@ class TestUsageErrors:
             assert "an --output path is required" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("command", ["gauss", "dmm"])
-    def test_output_that_names_no_file_is_refused_before_the_run(self, tmp_path, capsys, command):
-        for output in ("", str(tmp_path)):
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["gauss", "--output", "{path}"], "--output"),
+            (["dmm", "--output", "{path}"], "--output"),
+            (["emit-data", "--output", "{path}"], "--output"),
+            (["theorems", "--output", "{path}"], "--output"),
+            (["dmm", "--output", "{file}", "--traces", "{path}"], "--traces"),
+            (["gauss", "--config", "{path}", "--output", "{file}"], "--config"),
+        ],
+        ids=["gauss", "dmm", "emit-data", "theorems", "dmm-traces", "gauss-config"],
+    )
+    def test_path_that_names_no_file_is_refused_before_any_work(self, tmp_path, capsys, argv, flag):
+        for path in ("", str(tmp_path)):
+            filled = [arg.format(path=path, file=tmp_path / "never.csv") for arg in argv]
             with pytest.raises(SystemExit) as exit_info:
-                main([command, "--seed", "1", "--output", output])  # the defaults would run for minutes
+                main([*filled, "--seed", "1"])  # the defaults would run for minutes
             assert exit_info.value.code == 2
-            assert f"--output must name a file, got {output!r}" in capsys.readouterr().err
+            assert f"{flag} must name a file, got {path!r}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())

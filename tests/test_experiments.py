@@ -219,6 +219,13 @@ class TestRunDmm:
         for row in series.rows:
             assert np.isnan(row.log_evidence_mse)
 
+    @pytest.mark.parametrize("method", ["plain", "inflated"])
+    def test_a_method_run_alone_reproduces_its_traces_in_both(self, method):
+        base = dict(experiment="dmm-gauss", seed=42, budgets=(40,), replications=2, generations=2, data_count=20)
+        _, both = run_dmm(ExperimentConfig(**base))
+        _, alone = run_dmm(ExperimentConfig(**base, method=method))
+        assert [record[method] for record in alone] == [record[method] for record in both]
+
     def test_budget_must_divide_generations(self):
         with pytest.raises(ValueError):
             ExperimentConfig(

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 from types import SimpleNamespace
 
@@ -24,11 +25,11 @@ from infmc.factorized import (
     FactorizedProposal,
     GroupedSampleSet,
     InflationBudgetError,
-    block_contributions,
     grouped_inflate,
     inflate,
     plain_factorized_sampler,
     recombine,
+    weigh,
 )
 from infmc.models import (
     DmmSpec,
@@ -36,7 +37,6 @@ from infmc.models import (
     GaussianToy,
     dmm_init_proposal,
     dmm_model,
-    informed_assignment_builder,
     make_synthetic,
 )
 from infmc.pmc import GammaKernel, GaussianKernel, PmcConfig, TupleKernel, VarianceKernel, _kernel_proposal, run_pmc
@@ -305,13 +305,15 @@ class TestRecombineStream:
             kernel = TupleKernel([GaussianKernel(0.25), VarianceKernel(0.3), GammaKernel(0.3)])
         model, init = dmm_model(spec), dmm_init_proposal(spec)
         population = list(recombine(model, init, 6, 1, RandomSource(8)).points)  # (K, ...) block-value rows
-        cfg = PmcConfig(self.OUTER, 2, kernel, global_proposal_builder=informed_assignment_builder(spec))
+        cfg = PmcConfig(self.OUTER, 2, kernel, 1, functools.partial(MixtureAssignmentProposal, spec))
         rng, prop, centers = RandomSource(31), init, None
         if proposal == "kernel":
             prop = _kernel_proposal(cfg, init, population, self.OUTER, rng)
             centers = np.asarray(population)[RandomSource(31).generator.integers(len(population), size=self.OUTER)]
         drawn = recombine(model, prop, self.OUTER, inner_draws, rng)
-        return SimpleNamespace(spec=spec, model=model, init=init, kernel=kernel, drawn=drawn, rng=rng, centers=centers)
+        return SimpleNamespace(
+            spec=spec, model=model, init=init, prop=prop, kernel=kernel, drawn=drawn, rng=rng, centers=centers
+        )
 
     @staticmethod
     def _reference_block(g, spec, centers, shape):
@@ -382,6 +384,33 @@ class TestRecombineStream:
                 oracle = model.joint_log_density(phi, values) - (global_q + block_q[0](values[0]) + block_q[1](values[1]))
                 row = (g * inner_draws + i0) * inner_draws + i1
                 assert drawn.log_weights[row] == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("inner_draws", [1, 2])
+    @pytest.mark.parametrize("proposal", ["init", "kernel"])
+    @pytest.mark.parametrize("family", ["gaussian", "student-t"])
+    def test_weights_are_weigh_of_the_draws(self, family, proposal, inner_draws):
+        run = self._drawn(family, proposal, inner_draws)
+        drawn = run.drawn
+        weighed = weigh(run.model, run.prop, drawn.global_values, drawn.values)
+        assert np.array_equal(drawn.base, weighed.base)
+        assert np.array_equal(drawn.contributions, weighed.contributions)
+
+
+class TestWeigh:
+    def test_grouped_inflate_is_weigh_of_its_groups(self):
+        toy = GaussianToy(dimension=3)
+        model, prop = toy.model(), toy.proposal(-1.0)
+        pts = toy.sample_proposal(60, RandomSource(12), -1.0)
+        grouped = grouped_inflate(pts, 4, model, prop)
+        weighed = weigh(model, prop, None, pts.reshape(15, 4, 3).transpose(0, 2, 1))
+        assert np.array_equal(grouped.base, weighed.base)
+        assert np.array_equal(grouped.contributions, weighed.contributions)
+        assert np.array_equal(grouped.values, weighed.values)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 3, 1)])
+    def test_block_values_of_another_shape_are_refused(self, shape):
+        with pytest.raises(ValueError, match="block values must be"):
+            weigh(priors_only_model(2), gaussian_proposal(2), None, np.zeros(shape))
 
 
 class TestBatchedBlockScoring:
@@ -490,7 +519,7 @@ class TestGroupedInflate:
         pts = toy.sample_proposal(4, RandomSource(0))
         model, prop = toy.model(), gaussian_proposal(num_blocks)
         calls = [
-            lambda: block_contributions(model, prop, pts),
+            lambda: weigh(model, prop, None, pts[:, :, None]),
             lambda: grouped_inflate(pts, 2, model, prop),
             lambda: inflate(model, prop, 2, 2, RandomSource(0)),
             lambda: run_pmc(model, prop, PmcConfig(4, 1, GaussianKernel()), RandomSource(0)),
@@ -548,8 +577,15 @@ class TestGroupedContraction:
         toy = GaussianToy()
         model, prop = toy.model(), toy.proposal(center)
         pts = toy.sample_proposal(500, RandomSource(23), center)
-        base, contrib = block_contributions(model, prop, pts)
-        plain = SampleSet(pts, base + contrib[:, 0] + contrib[:, 1])
+        # the plain weights summed by hand, in the recombined grid's order ((base + c_0) + c_1)
+        log_w = model.global_log_prior(None) + model.log_evidence_offset
+        for j, density in enumerate(prop.block_proposals):
+            prior, lik = model.block_log_priors[j](pts[:, j]), model.block_log_likelihoods[j](None, pts[:, j])
+            log_w = log_w + ((prior + lik) - density.log_density_each(pts[:, j]))
+        plain = SampleSet(pts, log_w)
+        groups_of_one = weigh(model, prop, None, pts[:, :, None]).materialize()
+        assert np.array_equal(groups_of_one.points, plain.points)
+        assert np.array_equal(groups_of_one.log_weights, plain.log_weights)
         grouped = grouped_inflate(pts, 1, model, prop)
         np.testing.assert_allclose(
             grouped.self_normalized_mean(),
@@ -569,7 +605,8 @@ class TestGroupedContraction:
         pts = toy.sample_proposal(20000, RandomSource(29), center)
         grouped = grouped_inflate(pts, 20000, model, prop)
         assert len(grouped) == 20000**2
-        base, contrib = block_contributions(model, prop, pts)
+        groups_of_one = weigh(model, prop, None, pts[:, :, None])
+        base, contrib = groups_of_one.base, groups_of_one.contributions[:, :, 0]
         per_block = [SampleSet(pts[:, [j]], contrib[:, j]) for j in range(2)]
         expected = [self_normalized_estimate(s, TestFunction.identity(1))[0] for s in per_block]
         np.testing.assert_allclose(grouped.self_normalized_mean(), expected, rtol=1e-12, atol=1e-12)

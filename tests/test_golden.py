@@ -2,8 +2,11 @@
 ``tests/golden/`` byte for byte, apart from the CSV's ``wall_seconds`` column.
 
 Regenerate them, only for a change that is meant to move the numbers, with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``; it prints, per file, whether
+it changed and the largest relative move of any number in it.
 """
+import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -48,6 +51,34 @@ def _outputs(name: str, directory: Path) -> dict[str, str]:
     }
 
 
+# a number in a CSV or JSON golden: a decimal literal, or NaN and infinities as Python and json write them
+_NUMBER = re.compile(r"(?<![\w.])-?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|inf|Infinity)|\bnan\b|\bNaN\b")
+
+
+def _largest_relative_move(old: str, new: str) -> float | None:
+    """The largest ``|a - b| / max(|a|, |b|)`` over the numbers of two
+    versions of a file, paired in order; None when the text around the
+    numbers differs too."""
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return None
+    move = 0.0
+    for a, b in zip(map(float, _NUMBER.findall(old)), map(float, _NUMBER.findall(new))):
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            move = max(move, abs(a - b) / max(abs(a), abs(b)))
+    return move
+
+
+def _move_report(filename: str, old: str | None, new: str) -> str:
+    if old is None:
+        return f"{filename}: new file"
+    if old == new:
+        return f"{filename}: unchanged"
+    move = _largest_relative_move(old, new)
+    if move is None:
+        return f"{filename}: changed beyond its numbers"
+    return f"{filename}: changed, largest relative move {move:.2g}"
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_cli_output_matches_golden(name, tmp_path):
     outputs = _outputs(name, tmp_path)
@@ -61,4 +92,6 @@ if __name__ == "__main__":
     for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             for filename, text in _outputs(name, Path(tmp)).items():
-                (GOLDEN / filename).write_text(text)
+                golden = GOLDEN / filename
+                print(_move_report(filename, golden.read_text() if golden.exists() else None, text))
+                golden.write_text(text)

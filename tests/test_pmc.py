@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 from infmc import factorized, pmc
 from infmc.distributions import DiagGaussian, Gamma, ScalarInverseWishart
-from infmc.estimators import SampleSet, TestFunction, self_normalized_estimate
+from infmc.estimators import SampleSet, TestFunction, combine, self_normalized_estimate
 from infmc.experiments import _counting_likelihoods
 from infmc.factorized import (
     FactorizedModel,
@@ -13,10 +15,11 @@ from infmc.factorized import (
 )
 from infmc.models import (
     DmmSpec,
+    GaussianToy,
+    MixtureAssignmentProposal,
     component_means_function,
     dmm_init_proposal,
     dmm_model,
-    informed_assignment_builder,
     make_synthetic,
 )
 from infmc.pmc import (
@@ -111,6 +114,27 @@ class TestRunPmc:
         assert np.array_equal(gens[0].sample_set.log_weights, direct.log_weights)
         expected = self_normalized_estimate(direct, h)
         assert np.array_equal(gens[0].cumulative_estimate, expected)
+
+    @pytest.mark.parametrize("inner_draws", [1, 2])
+    @pytest.mark.parametrize("target", ["dmm-gauss", "dmm-t", "toy at -1000"])
+    def test_cumulative_estimate_is_the_pooled_estimate_of_every_generation_so_far(self, target, inner_draws):
+        if target == "toy at -1000":
+            toy = GaussianToy()
+            assert toy.log_evidence_offset == -1000.0
+            model, init, h = toy.model(), toy.proposal(1.0), TestFunction.identity(2)
+            cfg = PmcConfig(20, 4, GaussianKernel(0.5), inner_draws)
+        else:
+            family = "gaussian" if target == "dmm-gauss" else "student-t"
+            spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 3, count=30).observations, family)
+            model, init, h = dmm_model(spec), dmm_init_proposal(spec), component_means_function(spec)
+            kernel = GaussianKernel(0.25)
+            if family == "student-t":
+                kernel = TupleKernel([kernel, VarianceKernel(0.3), GammaKernel(0.3)])
+            cfg = PmcConfig(20, 4, kernel, inner_draws, functools.partial(MixtureAssignmentProposal, spec))
+        gens = run_pmc(model, init, cfg, RandomSource(6), h)
+        for t in range(1, len(gens) + 1):
+            pooled = self_normalized_estimate(combine([g.sample_set.materialize() for g in gens[:t]]), h)
+            np.testing.assert_allclose(gens[t - 1].cumulative_estimate, pooled, rtol=1e-12, atol=1e-12)
 
     def test_stationary_toy_has_constant_weights_and_uniform_resampling(self):
         density = DiagGaussian(0.0, 1.0)
@@ -210,7 +234,7 @@ class TestRunPmc:
 
         spec = DmmSpec(make_synthetic("student-t", (-2.0, 2.0), 3, count=30).observations, "student-t")
         kernel = TupleKernel([GaussianKernel(0.25), VarianceKernel(0.3), GammaKernel(0.3)])
-        cfg = PmcConfig(40, 2, kernel, 2, informed_assignment_builder(spec))
+        cfg = PmcConfig(40, 2, kernel, 2, functools.partial(MixtureAssignmentProposal, spec))
         rng = RandomSource(4)
         rng.generator = Recording(rng.generator)
         run_pmc(dmm_model(spec), dmm_init_proposal(spec), cfg, rng)
@@ -258,7 +282,7 @@ class TestRunPmc:
             kernel = GaussianKernel(0.25)
         else:
             kernel = TupleKernel([GaussianKernel(0.25), VarianceKernel(0.3), GammaKernel(0.3)])
-        cfg = PmcConfig(20, 3, kernel, inner_draws, informed_assignment_builder(spec))
+        cfg = PmcConfig(20, 3, kernel, inner_draws, functools.partial(MixtureAssignmentProposal, spec))
         for gen in run_pmc(model, dmm_init_proposal(spec), cfg, RandomSource(4)):
             (weights, labels), _ = gen.sample_set.aligned()
             # one global value and one value per block at a time
