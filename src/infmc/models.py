@@ -32,7 +32,6 @@ from .rng import RandomSource
 __all__ = [
     "GaussianToy",
     "DmmSpec",
-    "MixtureGlobalProposal",
     "MixtureAssignmentProposal",
     "dmm_model",
     "dmm_init_proposal",
@@ -47,7 +46,7 @@ GAUSSIAN = "gaussian"
 STUDENT_T = "student-t"
 SYNTHETIC_T_DF = 30.0
 NUM_COMPONENTS = 2
-# one prior on the mixing weights, shared by the model and both global proposals
+# one prior on the mixing weights, shared by the model and every assignment proposal
 MIXING_PRIOR = Dirichlet((1.0,) * NUM_COMPONENTS)
 
 
@@ -167,21 +166,53 @@ def _mixing_log_density(weights: np.ndarray, labels: np.ndarray, table: np.ndarr
         return np.where(in_range & (prior > -np.inf), prior + gathered.sum(axis=-1), -np.inf)
 
 
-class _LabelProposal(Density):
-    """Mixing weights from their Dirichlet prior, then one component label
-    per observation from one uniform each.  Subclasses give each label's log
-    probability as one table per batch of weights; the density is the
-    Dirichlet term plus each label's entry of that table."""
+class MixtureAssignmentProposal(Density):
+    """Mixing weights from their Dirichlet prior, then one component
+    assignment per observation, each drawn from one uniform.
 
-    def __init__(self, spec: DmmSpec):
+    Without ``centers`` each assignment's probabilities are the drawn weights:
+    the model's global prior, which then cancels exactly against it in
+    weights.  With ``centers`` each observation's assignment is drawn from
+    the posterior responsibility it would have under reference component
+    parameters (typically resampled samples from the previous generation, so
+    the proposal never depends on the current generation).  The importance
+    weight fully accounts for this density, so estimates stay valid; blind
+    prior assignments make the likelihood a lottery over label patterns that
+    no amount of adaptation can win.
+
+    ``centers`` is one row of block values, ``(K, ...)``, shared by every
+    draw, or ``(outer, K, ...)`` rows, one per outer draw; the reference
+    table is ``(observations, K)`` or ``(outer, observations, K)``.  The
+    density is the Dirichlet term plus each label's entry of the label
+    log-probability table.
+    """
+
+    def __init__(self, spec: DmmSpec, centers=None):
         self.spec = spec
+        self._reference = None
+        if centers is not None:
+            self._reference = np.swapaxes(spec.component_log_density_each(spec.data, centers), -1, -2)
+            self.rows = len(self._reference) if self._reference.ndim == 3 else None
+
+    def _label_log_probs(self, weights):
+        """Per-observation label log probabilities: ``log(weights)`` without
+        a reference, else each row's normalized responsibilities."""
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows off the simplex are masked by the Dirichlet term
+            log_weights = np.log(weights)[..., None, :]
+            if self._reference is None:
+                return log_weights
+            scores = self._reference + log_weights
+            return scores - log_sum_exp(scores, -1)[0]
 
     def sample_batch(self, rng: RandomSource, shape):
         """``(weights, labels)`` stacked part by part: one Dirichlet call for
         every weight vector, then one call for every label's uniform."""
         weights = MIXING_PRIOR.sample_batch(rng, shape)
         uniforms = rng.generator.random(weights.shape[:-1] + self.spec.data.shape)
-        return weights, self._labels(weights, self._label_log_probs(weights), uniforms)
+        cdf = np.cumsum(np.exp(self._label_log_probs(weights)), axis=-1)
+        cdf /= cdf[..., -1:]
+        # ``Generator.choice(p)``: the normalized cdf, searched on the right
+        return weights, (cdf <= uniforms[..., None]).sum(axis=-1)
 
     def log_density_each(self, xs) -> np.ndarray:
         """Per-point log densities of ``(weights, labels)`` points stacked part
@@ -190,57 +221,6 @@ class _LabelProposal(Density):
         if self.rows is not None and weights.shape[:-1] != (self.rows,):
             raise ValueError(f"{self.rows} reference rows score {self.rows} weight rows, got shape {weights.shape}")
         return _mixing_log_density(weights, labels, self._label_log_probs(weights))
-
-
-class MixtureGlobalProposal(_LabelProposal):
-    """Draws mixing weights from their Dirichlet prior and one component
-    assignment per observation from the drawn weights.  With the Dirichlet
-    prior it is the model's global prior, so the two cancel exactly in
-    weights."""
-
-    def _label_log_probs(self, weights):
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero weight's label has log probability -inf
-            return np.log(weights)[..., None, :]
-
-    @staticmethod
-    def _labels(weights, table, uniforms):
-        cdf = np.cumsum(weights, axis=-1)
-        cdf /= cdf[..., -1:]
-        # ``Generator.choice(p=weights)``: the normalized cdf, searched on the right
-        return (cdf[..., None, :] <= uniforms[..., None]).sum(axis=-1)
-
-
-class MixtureAssignmentProposal(_LabelProposal):
-    """Assignment proposal informed by reference component parameters.
-
-    Mixing weights come from their Dirichlet prior; each observation's
-    assignment is drawn from the posterior responsibility it would have under
-    the reference parameters (typically resampled samples from the previous
-    generation, so the proposal never depends on the current generation).
-    The importance weight fully accounts for this density, so estimates stay
-    valid; blind prior assignments make the likelihood a lottery over label
-    patterns that no amount of adaptation can win.
-
-    ``centers`` is one row of block values, ``(K, ...)``, shared by every
-    draw, or ``(outer, K, ...)`` rows, one per outer draw; the reference
-    table is ``(observations, K)`` or ``(outer, observations, K)``.
-    """
-
-    def __init__(self, spec: DmmSpec, centers):
-        super().__init__(spec)
-        self._reference = np.swapaxes(spec.component_log_density_each(spec.data, centers), -1, -2)
-        self.rows = len(self._reference) if self._reference.ndim == 3 else None
-
-    def _label_log_probs(self, weights):
-        """Per-observation label log probabilities under each row's reference."""
-        with np.errstate(divide="ignore", invalid="ignore"):  # rows off the simplex are masked by the Dirichlet term
-            scores = self._reference + np.log(weights)[..., None, :]
-            return scores - log_sum_exp(scores, -1)[0]
-
-    @staticmethod
-    def _labels(weights, table, uniforms):
-        cdf = np.cumsum(np.exp(table), axis=-1)
-        return np.minimum((uniforms[..., None] > cdf).sum(axis=-1), NUM_COMPONENTS - 1)
 
 
 def dmm_model(spec: DmmSpec) -> FactorizedModel:
@@ -266,7 +246,7 @@ def dmm_model(spec: DmmSpec) -> FactorizedModel:
 
     return FactorizedModel(
         num_blocks=NUM_COMPONENTS,
-        global_log_prior=MixtureGlobalProposal(spec).log_density_each,
+        global_log_prior=MixtureAssignmentProposal(spec).log_density_each,
         block_log_priors=(prior.log_density_each,) * NUM_COMPONENTS,
         block_log_likelihoods=tuple(make_likelihood(j) for j in range(NUM_COMPONENTS)),
     )
@@ -277,7 +257,7 @@ def dmm_init_proposal(spec: DmmSpec) -> FactorizedProposal:
     parameters from their priors."""
     return FactorizedProposal(
         block_proposals=(spec.component_prior(),) * NUM_COMPONENTS,
-        global_proposal=MixtureGlobalProposal(spec),
+        global_proposal=MixtureAssignmentProposal(spec),
     )
 
 

@@ -9,7 +9,6 @@ from infmc.models import (
     DmmSpec,
     GaussianToy,
     MixtureAssignmentProposal,
-    MixtureGlobalProposal,
     SyntheticDataset,
     component_means_function,
     dmm_init_proposal,
@@ -232,7 +231,7 @@ class TestMixingLogProb:
 
     @staticmethod
     def _proposal(spec, informed):
-        return MixtureAssignmentProposal(spec, (-1.0, 2.5)) if informed else MixtureGlobalProposal(spec)
+        return MixtureAssignmentProposal(spec, (-1.0, 2.5)) if informed else MixtureAssignmentProposal(spec)
 
     @pytest.mark.parametrize("informed", [False, True])
     def test_equals_per_label_logs_on_proposal_draws(self, informed):
@@ -271,7 +270,7 @@ class TestGlobalProposals:
     def test_prior_proposal_cancels_model_prior(self):
         spec = small_spec()
         model = dmm_model(spec)
-        prop = MixtureGlobalProposal(spec)
+        prop = MixtureAssignmentProposal(spec)
         rng = RandomSource(12)
         for _ in range(25):
             phi = prop.sample(rng)
@@ -294,7 +293,7 @@ class TestGlobalProposals:
         spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6).observations)
         references = np.array([(-1.0, 2.5), (0.5, -3.0)] * 10)
         # one reference table row per outer draw, as a generation's kernel proposals are
-        prop = MixtureAssignmentProposal(spec, references) if informed else MixtureGlobalProposal(spec)
+        prop = MixtureAssignmentProposal(spec, references) if informed else MixtureAssignmentProposal(spec)
         weights, labels = prop.sample_batch(RandomSource(21), 20)
         assert weights.shape == (20, 2) and labels.shape == (20, spec.data.size)
         log_q = prop.log_density_each((weights, labels))
@@ -321,7 +320,7 @@ class TestGlobalProposals:
 
         monkeypatch.setattr(models, "MIXING_PRIOR", PinnedPrior((1.0, 1.0)))
         spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6).observations)
-        prop = MixtureGlobalProposal(spec)
+        prop = MixtureAssignmentProposal(spec)
         pinned, rng, chosen = iter(all_weights), RandomSource(41), []
         for weights in all_weights:
             expected = np.random.Generator(np.random.PCG64())
@@ -334,6 +333,22 @@ class TestGlobalProposals:
         _, labels = prop.sample_batch(batch_rng, len(all_weights))
         assert np.array_equal(labels, np.array(chosen))
         assert batch_rng.generator.bit_generator.state == rng.generator.bit_generator.state
+
+    @pytest.mark.parametrize("informed", [False, True])
+    def test_a_zero_uniform_never_names_a_zero_weight_component(self, monkeypatch, informed):
+        class PinnedPrior(Dirichlet):
+            def sample_batch(self, rng, shape):
+                return np.tile([0.0, 1.0], (shape, 1))
+
+        class ZeroUniforms:
+            generator = type("ZeroGenerator", (), {"random": staticmethod(np.zeros)})()
+
+        monkeypatch.setattr(models, "MIXING_PRIOR", PinnedPrior((1.0, 1.0)))
+        spec = small_spec()
+        prop = MixtureAssignmentProposal(spec, (-2.0, 2.0) if informed else None)
+        weights, labels = prop.sample_batch(ZeroUniforms(), 4)
+        assert labels.shape == (4, spec.data.size) and (labels == 1).all()
+        assert np.isfinite(prop.log_density_each((weights, labels))).all()
 
     def test_init_proposal_shares_prior_blocks(self):
         spec = small_spec()
