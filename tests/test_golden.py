@@ -3,8 +3,12 @@
 
 Regenerate them, only for a change that is meant to move the numbers, with
 ``PYTHONPATH=src python tests/test_golden.py``; it prints, per file, whether
-it changed and the largest relative move of any number in it.
+it changed, the largest relative move of any number in it, and the JSON keys
+or CSV columns whose values moved.
 """
+import csv
+import io
+import json
 import math
 import re
 import tempfile
@@ -68,15 +72,39 @@ def _largest_relative_move(old: str, new: str) -> float | None:
     return move
 
 
+def _moved_names(filename: str, old: str, new: str) -> list[str]:
+    """The CSV columns, or the JSON keys as dotted paths without list
+    indices, whose values differ between two versions of a file."""
+    moved = set()
+    if filename.endswith(".csv"):
+        for a, b in zip(*(csv.DictReader(io.StringIO(text)) for text in (old, new))):
+            moved |= {column for column in a.keys() | b.keys() if a.get(column) != b.get(column)}
+        return sorted(moved)
+
+    def walk(a, b, path):
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in a.keys() | b.keys():
+                walk(a.get(key), b.get(key), f"{path}.{key}" if path else key)
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            for x, y in zip(a, b):
+                walk(x, y, path)
+        elif repr(a) != repr(b):  # repr: nan equals nan
+            moved.add(path or "(whole file)")
+
+    walk(json.loads(old), json.loads(new), "")
+    return sorted(moved)
+
+
 def _move_report(filename: str, old: str | None, new: str) -> str:
     if old is None:
         return f"{filename}: new file"
     if old == new:
         return f"{filename}: unchanged"
     move = _largest_relative_move(old, new)
+    moved = f"; moved: {', '.join(_moved_names(filename, old, new))}"
     if move is None:
-        return f"{filename}: changed beyond its numbers"
-    return f"{filename}: changed, largest relative move {move:.2g}"
+        return f"{filename}: changed beyond its numbers{moved}"
+    return f"{filename}: changed, largest relative move {move:.2g}{moved}"
 
 
 @pytest.mark.parametrize("name", CASES)
