@@ -425,9 +425,11 @@ def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> di
         t0 = time.perf_counter()
         gens = run_pmc(model, init, pmc_cfg, src.child(1, METHODS.index(method)), h)
         wall = time.perf_counter() - t0
+        # every generation's estimate is measured as the final one is reported
+        gens = [replace(g, cumulative_estimate=_aligned_estimate(g.cumulative_estimate, truth)) for g in gens]
         trace = trace_metrics(gens, truth)
         best_marginal = np.array([_best_marginal(spec, g.sample_set) for g in gens])
-        aligned = _aligned_estimate(gens[-1].cumulative_estimate, truth)
+        aligned = gens[-1].cumulative_estimate
         out[method] = {
             "estimate": aligned,
             "error": float(np.linalg.norm(aligned - truth)),

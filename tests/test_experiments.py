@@ -226,6 +226,18 @@ class TestRunDmm:
         _, alone = run_dmm(ExperimentConfig(**base, method=method))
         assert [record[method] for record in alone] == [record[method] for record in both]
 
+    def test_each_trace_ends_at_its_final_error(self):
+        """Every generation's estimate error is taken after label alignment,
+        as the final error is; at this seed some runs switch labels."""
+        cfg = ExperimentConfig(
+            experiment="dmm-gauss", seed=42, budgets=(200,), replications=2, generations=5, data_count=40,
+        )
+        _, traces = run_dmm(cfg)
+        for record in traces:
+            for method in ("plain", "inflated"):
+                run = record[method]
+                assert run["estimate_error"][-1] == run["final_error"], (record["replication"], method)
+
     def test_budget_must_divide_generations(self):
         with pytest.raises(ValueError):
             ExperimentConfig(
