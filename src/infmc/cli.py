@@ -69,11 +69,16 @@ def _usage_errors(args: argparse.Namespace):
         args.parser.error(str(exc))
 
 
-def _refuse_non_file(flag: str, path: str | None) -> None:
-    """Every path flag's check, made before any work: a path that is empty
-    or names a directory is refused."""
-    if path is not None and (not path or Path(path).is_dir()):
-        raise ValueError(f"{flag} must name a file, got {path!r}")
+def _refuse_non_file(flag: str, path: str | None, existing: bool = False) -> None:
+    """Every path flag's check, made before any work: an output path must
+    name a file in a directory that exists, and an ``existing`` input path
+    must name a file that exists."""
+    if path is None:
+        return
+    if existing and not Path(path).is_file():
+        raise ValueError(f"{flag} must name an existing file, got {path!r}")
+    if not existing and (not path or Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise ValueError(f"{flag} must name a file in an existing directory, got {path!r}")
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -81,7 +86,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     default experiment."""
     settings = {"experiment": args.experiments[0]}
     with _usage_errors(args):
-        _refuse_non_file("--config", args.config)
+        _refuse_non_file("--config", args.config, existing=True)
         if args.config is not None:
             settings.update(ExperimentConfig.read_file(args.config))
         settings.update((k, v) for k, v in vars(args).items() if k in _FIELDS and v is not None)
@@ -149,8 +154,6 @@ def main(argv=None) -> int:
     gauss = sub.add_parser("gauss", help="Gaussian-target comparison at several budgets")
     _add_common_flags(gauss, GAUSS_EXPERIMENTS)
     gauss.add_argument("--group-size", type=int, default=None)
-    gauss.add_argument("--sanity-fq", action="store_true", default=None,
-                       help="target equals proposal: unit weights, zero log evidence")
     gauss.set_defaults(func=_cmd_gauss)
 
     dmm = sub.add_parser("dmm", help="mixture-model comparison at matched eval budgets")

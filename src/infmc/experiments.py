@@ -112,7 +112,6 @@ class ExperimentConfig:
     data_count: int = 100
     mixing: float = 0.5
     workers: int = 1
-    sanity_fq: bool = False
     output: str | None = None
     format: str = "csv"
 
@@ -166,8 +165,8 @@ class ExperimentConfig:
 
         Lines are ``key = value`` with ``#`` comments; keys are field names
         and values are parsed by the field's type: list values are comma
-        separated, booleans are ``true``/``false``.  A ``schema_version = 1``
-        entry is required, and a key may appear only once.
+        separated.  A ``schema_version = 1`` entry is required, and a key may
+        appear only once.
         """
         entries: dict[str, str] = {}
         for raw in Path(path).read_text().splitlines():
@@ -186,19 +185,15 @@ class ExperimentConfig:
         for key in entries:
             if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
-        return {key: _parse_config_value(key, types[key], value) for key, value in entries.items()}
+        return {key: _parse_config_value(types[key], value) for key, value in entries.items()}
 
 
-def _parse_config_value(key: str, kind, value: str):
+def _parse_config_value(kind, value: str):
     if type(None) in typing.get_args(kind):  # "X | None" parses as X
         kind = typing.get_args(kind)[0]
     if typing.get_origin(kind) is tuple:
         item = typing.get_args(kind)[0]
         return tuple(item(v.strip()) for v in value.split(","))
-    if kind is bool:
-        if value.lower() not in ("true", "false"):
-            raise ValueError(f"{key} must be true or false, got {value!r}")
-        return value.lower() == "true"
     return kind(value)
 
 
@@ -289,20 +284,9 @@ def _map_replications(cfg: ExperimentConfig, worker: Callable[[int], dict]) -> l
 
 
 def _gauss_setup(cfg: ExperimentConfig):
-    toy = GaussianToy(log_evidence_offset=0.0 if cfg.sanity_fq else -1000.0)
+    toy = GaussianToy()
     center = np.zeros(2) if cfg.experiment == "gauss-centered" else np.array([5.0, 5.0])
-    model = toy.model()
-    if cfg.sanity_fq:
-        prop = FactorizedProposal(block_proposals=(DiagGaussian(0.0, toy.variance),) * toy.dimension)
-    else:
-        prop = toy.proposal(center)
-    return toy, center, model, prop
-
-
-def _gauss_draw(toy: GaussianToy, center, count: int, src: RandomSource, sanity: bool):
-    if sanity:
-        return np.sqrt(toy.variance) * src.generator.standard_normal((count, toy.dimension))
-    return toy.sample_proposal(count, src, center)
+    return toy, center, toy.model(), toy.proposal(center)
 
 
 def gauss_replication(
@@ -314,13 +298,12 @@ def gauss_replication(
     group_size: int,
     src: RandomSource,
     methods=METHODS,
-    sanity: bool = False,
 ) -> dict:
     """One replication: the same proposal draws feed both methods; the plain
     method estimates from them as groups of one, enumerated, the inflated
     method from every recombination within each group, contracted per block
     rather than enumerated."""
-    pts = _gauss_draw(toy, center, budget, src, sanity)
+    pts = toy.sample_proposal(budget, src, center)
     out: dict[str, dict] = {}
     if "plain" in methods:
         t0 = time.perf_counter()
@@ -354,7 +337,7 @@ def run_gauss(cfg: ExperimentConfig) -> MetricSeries:
     series = MetricSeries()
     for bi, budget in enumerate(cfg.budgets):
         worker = lambda r: gauss_replication(
-            toy, model, prop, center, budget, cfg.group_size, root.child(bi, r), cfg.methods, cfg.sanity_fq
+            toy, model, prop, center, budget, cfg.group_size, root.child(bi, r), cfg.methods
         )
         results = _map_replications(cfg, worker)
         for method in cfg.methods:

@@ -171,10 +171,14 @@ class TestUsageErrors:
         ids=["gauss", "dmm", "emit-data", "theorems", "dmm-traces", "gauss-config"],
     )
     def test_path_that_names_no_file_is_refused_before_any_work(self, tmp_path, capsys, argv, flag):
-        for path in ("", str(tmp_path)):
+        paths = ["", str(tmp_path), str(tmp_path / "missing" / "never.csv")]
+        expected = "a file in an existing directory"
+        if flag == "--config":
+            paths, expected = [*paths, str(tmp_path / "never.cfg")], "an existing file"
+        for path in paths:
             filled = [arg.format(path=path, file=tmp_path / "never.csv") for arg in argv]
             with pytest.raises(SystemExit) as exit_info:
                 main([*filled, "--seed", "1"])  # the defaults would run for minutes
             assert exit_info.value.code == 2
-            assert f"{flag} must name a file, got {path!r}" in capsys.readouterr().err
+            assert f"{flag} must name {expected}, got {path!r}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())

@@ -84,7 +84,6 @@ class TestConfig:
                     "budgets = 100, 200",
                     "replications = 4",
                     "method = plain",
-                    "sanity_fq = true",
                     "kernel_bandwidth = 0.5",
                 ]
             )
@@ -93,7 +92,6 @@ class TestConfig:
         assert cfg.seed == 7
         assert cfg.budgets == (100, 200)
         assert cfg.method == "plain"
-        assert cfg.sanity_fq is True
         assert cfg.kernel_bandwidth == 0.5
 
     def test_config_file_requires_schema_version(self, tmp_path):
@@ -162,24 +160,6 @@ class TestRunGauss:
             run_gauss(tiny_gauss_config(budgets=(150,)))
         with pytest.raises(ValueError):
             run_gauss(tiny_gauss_config(budgets=(50, 100), group_size=100))
-
-    def test_sanity_mode_unit_weights(self):
-        from infmc.experiments import _gauss_setup, gauss_replication
-        from infmc.rng import RandomSource
-
-        cfg = tiny_gauss_config(sanity_fq=True, budgets=(200, 2000), replications=4)
-        toy, center, model, prop = _gauss_setup(cfg)
-        for r in range(3):
-            rep = gauss_replication(
-                toy, model, prop, center, 200, 100, RandomSource(5).child(r), sanity=True
-            )
-            assert rep["plain"]["log_evidence"] == 0.0  # unit weights, exactly
-        series = run_gauss(cfg)
-        for row in series.rows:
-            assert row.log_evidence_mse == 0.0
-        small = [r for r in series.rows if r.budget == 200 and r.method == "plain"]
-        large = [r for r in series.rows if r.budget == 2000 and r.method == "plain"]
-        assert sum(r.mse for r in large) < sum(r.mse for r in small)
 
     def test_determinism_and_worker_invariance(self):
         a = run_gauss(tiny_gauss_config())

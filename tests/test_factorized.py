@@ -88,7 +88,8 @@ def gaussian_proposal(num_blocks=2, with_global=False, center=0.0):
 
 
 class TestPlainSampler:
-    def test_model_equals_proposal_gives_zero_weights(self):
+    @pytest.mark.parametrize("sampler", ["plain", "grouped_inflate"])
+    def test_model_equals_proposal_gives_zero_weights(self, sampler):
         density = DiagGaussian(0.0, 1.0)
         model = FactorizedModel(
             num_blocks=2,
@@ -97,8 +98,12 @@ class TestPlainSampler:
             block_log_likelihoods=(lambda phi, g: np.zeros(np.shape(g)),) * 2,
         )
         prop = FactorizedProposal(block_proposals=(density, density))
-        drawn = plain_factorized_sampler(model, prop, 20, RandomSource(5))
+        if sampler == "plain":
+            drawn = plain_factorized_sampler(model, prop, 20, RandomSource(5))
+        else:
+            drawn = grouped_inflate(density.sample_batch(RandomSource(5), (200, 2)), 100, model, prop)
         assert np.all(drawn.log_weights == 0.0)
+        assert drawn.log_evidence() == 0.0  # unit weights, exactly
 
     def test_single_block_reduces_to_plain_importance_sampling(self):
         model = two_block_data_model()
