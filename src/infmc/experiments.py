@@ -408,7 +408,7 @@ def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> di
         t0 = time.perf_counter()
         gens = run_pmc(model, init, pmc_cfg, src.child(1, METHODS.index(method)), h)
         wall = time.perf_counter() - t0
-        # every generation's estimate is measured as the final one is reported
+        # components are exchangeable: every generation's estimate is aligned, as the final one is
         gens = [replace(g, cumulative_estimate=_aligned_estimate(g.cumulative_estimate, truth)) for g in gens]
         trace = trace_metrics(gens, truth)
         best_marginal = np.array([_best_marginal(spec, g.sample_set) for g in gens])

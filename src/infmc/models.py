@@ -171,8 +171,8 @@ class MixtureAssignmentProposal(Density):
     assignment per observation, each drawn from one uniform.
 
     Without ``centers`` each assignment's probabilities are the drawn weights:
-    the model's global prior, which then cancels exactly against it in
-    weights.  With ``centers`` each observation's assignment is drawn from
+    this is the model's global prior, so as a proposal it cancels that prior
+    exactly in weights.  With ``centers`` each observation's assignment is drawn from
     the posterior responsibility it would have under reference component
     parameters (typically resampled samples from the previous generation, so
     the proposal never depends on the current generation).  The importance

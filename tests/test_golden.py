@@ -61,14 +61,15 @@ _NUMBER = re.compile(r"(?<![\w.])-?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|inf|Infinit
 
 def _largest_relative_move(old: str, new: str) -> float | None:
     """The largest ``|a - b| / max(|a|, |b|)`` over the numbers of two
-    versions of a file, paired in order; None when the text around the
-    numbers differs too."""
+    versions of a file, paired in order (infinite where a NaN or an infinity
+    moved); None when the text around the numbers differs too."""
     if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
         return None
     move = 0.0
     for a, b in zip(map(float, _NUMBER.findall(old)), map(float, _NUMBER.findall(new))):
         if a != b and not (math.isnan(a) and math.isnan(b)):
-            move = max(move, abs(a - b) / max(abs(a), abs(b)))
+            relative = abs(a - b) / max(abs(a), abs(b))
+            move = max(move, relative if math.isfinite(relative) else math.inf)  # a NaN or infinity that moved
     return move
 
 
