@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
@@ -231,7 +233,7 @@ class TestMixingLogProb:
 
     @staticmethod
     def _proposal(spec, informed):
-        return MixtureAssignmentProposal(spec, (-1.0, 2.5)) if informed else MixtureAssignmentProposal(spec)
+        return MixtureAssignmentProposal(spec, (-1.0, 2.5) if informed else None)
 
     @pytest.mark.parametrize("informed", [False, True])
     def test_equals_per_label_logs_on_proposal_draws(self, informed):
@@ -293,7 +295,7 @@ class TestGlobalProposals:
         spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6).observations)
         references = np.array([(-1.0, 2.5), (0.5, -3.0)] * 10)
         # one reference table row per outer draw, as a generation's kernel proposals are
-        prop = MixtureAssignmentProposal(spec, references) if informed else MixtureAssignmentProposal(spec)
+        prop = MixtureAssignmentProposal(spec, references if informed else None)
         weights, labels = prop.sample_batch(RandomSource(21), 20)
         assert weights.shape == (20, 2) and labels.shape == (20, spec.data.size)
         log_q = prop.log_density_each((weights, labels))
@@ -340,13 +342,11 @@ class TestGlobalProposals:
             def sample_batch(self, rng, shape):
                 return np.tile([0.0, 1.0], (shape, 1))
 
-        class ZeroUniforms:
-            generator = type("ZeroGenerator", (), {"random": staticmethod(np.zeros)})()
-
         monkeypatch.setattr(models, "MIXING_PRIOR", PinnedPrior((1.0, 1.0)))
         spec = small_spec()
         prop = MixtureAssignmentProposal(spec, (-2.0, 2.0) if informed else None)
-        weights, labels = prop.sample_batch(ZeroUniforms(), 4)
+        zero_uniforms = SimpleNamespace(generator=SimpleNamespace(random=np.zeros))
+        weights, labels = prop.sample_batch(zero_uniforms, 4)
         assert labels.shape == (4, spec.data.size) and (labels == 1).all()
         assert np.isfinite(prop.log_density_each((weights, labels))).all()
 
