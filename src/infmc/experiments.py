@@ -14,7 +14,7 @@ import math
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -34,7 +34,7 @@ from .factorized import (
     FactorizedProposal,
     GroupedSampleSet,
     grouped_inflate,
-    inflate,
+    recombine,
     weigh,
 )
 from .models import (
@@ -67,20 +67,6 @@ GAUSS_EXPERIMENTS = ("gauss-centered", "gauss-offcenter")
 DMM_EXPERIMENTS = ("dmm-gauss", "dmm-t")
 EXPERIMENTS = GAUSS_EXPERIMENTS + DMM_EXPERIMENTS
 METHODS = ("plain", "inflated")
-
-CSV_COLUMNS = (
-    "experiment",
-    "method",
-    "budget",
-    "replications",
-    "component",
-    "squared_bias",
-    "variance",
-    "mse",
-    "mean_estimate",
-    "log_evidence_mse",
-    "wall_seconds",
-)
 
 
 @dataclass(frozen=True)
@@ -218,6 +204,9 @@ class MetricRow:
             raise ValueError("mse must decompose into variance plus squared bias")
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(MetricRow))
+
+
 @dataclass
 class MetricSeries:
     """Aggregated metrics, one row per (budget, method, component)."""
@@ -228,7 +217,7 @@ class MetricSeries:
         return len(self.rows)
 
     def to_records(self) -> list[dict]:
-        return [{col: getattr(row, col) for col in CSV_COLUMNS} for row in self.rows]
+        return [asdict(row) for row in self.rows]
 
     @classmethod
     def from_records(cls, records) -> MetricSeries:
@@ -271,11 +260,21 @@ def _metric_rows(
     return rows
 
 
-def _map_replications(cfg: ExperimentConfig, worker: Callable[[int], dict]) -> list[dict]:
-    if cfg.workers == 1:
-        return [worker(r) for r in range(cfg.replications)]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(worker, range(cfg.replications)))
+def _replicate(cfg: ExperimentConfig, replication: Callable[[ExperimentConfig, int, RandomSource], dict]):
+    """Yield ``(budget, results)`` per budget: ``replication(cfg, budget,
+    src)`` for every replication, in replication order, on ``cfg.workers``
+    threads.  Replication ``r`` at budget index ``bi`` draws only from
+    ``RandomSource(cfg.seed).child(bi, r)``, so the results do not depend on
+    the worker count."""
+    root = RandomSource(cfg.seed)
+    for bi, budget in enumerate(cfg.budgets):
+        run = lambda r: replication(cfg, budget, root.child(bi, r))
+        if cfg.workers == 1:
+            results = [run(r) for r in range(cfg.replications)]
+        else:
+            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+                results = list(pool.map(run, range(cfg.replications)))
+        yield budget, results
 
 
 # ---------------------------------------------------------------------------
@@ -283,29 +282,19 @@ def _map_replications(cfg: ExperimentConfig, worker: Callable[[int], dict]) -> l
 # ---------------------------------------------------------------------------
 
 
-def _gauss_setup(cfg: ExperimentConfig):
-    toy = GaussianToy()
-    center = np.zeros(2) if cfg.experiment == "gauss-centered" else np.array([5.0, 5.0])
-    return toy, center, toy.model(), toy.proposal(center)
-
-
-def gauss_replication(
-    toy: GaussianToy,
-    model: FactorizedModel,
-    prop: FactorizedProposal,
-    center,
-    budget: int,
-    group_size: int,
-    src: RandomSource,
-    methods=METHODS,
-) -> dict:
-    """One replication: the same proposal draws feed both methods; the plain
+def gauss_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> dict:
+    """One replication on :class:`GaussianToy`, proposing around 0 for
+    ``gauss-centered`` and around 5 in every coordinate for
+    ``gauss-offcenter``: the same proposal draws feed both methods; the plain
     method estimates from them as groups of one, enumerated, the inflated
-    method from every recombination within each group, contracted per block
-    rather than enumerated."""
+    method from every recombination within each group of ``cfg.group_size``,
+    contracted per block rather than enumerated."""
+    toy = GaussianToy()
+    center = 0.0 if cfg.experiment == "gauss-centered" else 5.0
+    model, prop = toy.model(), toy.proposal(center)
     pts = toy.sample_proposal(budget, src, center)
     out: dict[str, dict] = {}
-    if "plain" in methods:
+    if "plain" in cfg.methods:
         t0 = time.perf_counter()
         sample_set = weigh(model, prop, None, pts[:, :, None]).materialize()  # groups of one
         out["plain"] = {
@@ -314,9 +303,9 @@ def gauss_replication(
             "samples": len(sample_set),
             "wall": time.perf_counter() - t0,
         }
-    if "inflated" in methods:
+    if "inflated" in cfg.methods:
         t0 = time.perf_counter()
-        inflated = grouped_inflate(pts, group_size, model, prop)
+        inflated = grouped_inflate(pts, cfg.group_size, model, prop)
         out["inflated"] = {
             "expectation": inflated.self_normalized_mean(),
             "log_evidence": inflated.log_evidence(),
@@ -331,22 +320,16 @@ def run_gauss(cfg: ExperimentConfig) -> MetricSeries:
     budget and method, over seeded replications."""
     if cfg.experiment not in GAUSS_EXPERIMENTS:
         raise ValueError(f"run_gauss cannot run {cfg.experiment!r}")
-    toy, center, model, prop = _gauss_setup(cfg)
-    root = RandomSource(cfg.seed)
-    truth = toy.true_mean
+    toy = GaussianToy()
     series = MetricSeries()
-    for bi, budget in enumerate(cfg.budgets):
-        worker = lambda r: gauss_replication(
-            toy, model, prop, center, budget, cfg.group_size, root.child(bi, r), cfg.methods
-        )
-        results = _map_replications(cfg, worker)
+    for budget, results in _replicate(cfg, gauss_replication):
         for method in cfg.methods:
             estimates = np.array([res[method]["expectation"] for res in results])
             log_ev = np.array([res[method]["log_evidence"] for res in results])
             wall = float(sum(res[method]["wall"] for res in results))
             lev_mse = float(np.mean((log_ev - toy.true_log_evidence) ** 2))
             series.rows.extend(
-                _metric_rows(cfg.experiment, method, budget, estimates, truth, lev_mse, wall)
+                _metric_rows(cfg.experiment, method, budget, estimates, toy.true_mean, lev_mse, wall)
             )
     return series
 
@@ -430,13 +413,10 @@ def run_dmm(cfg: ExperimentConfig) -> tuple[MetricSeries, list[dict]]:
     per-replication traces (best log likelihood, errors, eval counts)."""
     if cfg.experiment not in DMM_EXPERIMENTS:
         raise ValueError(f"run_dmm cannot run {cfg.experiment!r}")
-    root = RandomSource(cfg.seed)
     truth = np.asarray(cfg.true_means, dtype=float)
     series = MetricSeries()
     all_traces: list[dict] = []
-    for bi, budget in enumerate(cfg.budgets):
-        worker = lambda r: dmm_replication(cfg, budget, root.child(bi, r))
-        results = _map_replications(cfg, worker)
+    for budget, results in _replicate(cfg, dmm_replication):
         for r, res in enumerate(results):
             record = {"budget": int(budget), "replication": r, "dataset_seed": res["dataset_seed"]}
             for method in cfg.methods:
@@ -503,7 +483,7 @@ def _random_partition(rng: RandomSource, max_size: int, span: float):
 def _random_small_instance(rng: RandomSource):
     """A small factorized model/proposal pair with a nontrivial global block
     and at most 3 observations per block (9 data points total), with outer
-    and inner draw counts for :func:`inflate`."""
+    and inner draw counts for :func:`recombine`."""
     g = rng.generator
     k = int(g.integers(1, 4))
     data = [g.standard_normal(int(g.integers(1, 4))) for _ in range(k)]
@@ -584,7 +564,7 @@ def run_theorem_suite(seed: int, instances: int = 500, inflation_instances: int 
         inst_rng = rng.child(4, i)
         model, proposal, outer, inner = _random_small_instance(inst_rng)
         counted_model, counts = _counting_likelihoods(model)
-        sample_set = inflate(counted_model, proposal, outer, inner, inst_rng)
+        sample_set = recombine(counted_model, proposal, outer, inner, inst_rng)
         if sum(counts) != outer * inner * model.num_blocks:
             count_mismatches += 1
         global_values, block_values = sample_set.aligned()

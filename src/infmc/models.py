@@ -294,15 +294,21 @@ def make_synthetic(
     two unit-scale components centered on ``means``.
 
     The gaussian kind uses unit-variance normals; the student-t kind uses
-    unit-scale t components with 30 degrees of freedom.
+    unit-scale t components with 30 degrees of freedom.  Raises
+    ``ValueError``, before any draw, for means that are not two finite
+    values and for a ``mixing`` outside [0, 1].
     """
     if kind not in (GAUSSIAN, STUDENT_T):
         raise ValueError(f"unknown synthetic kind {kind!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     means_arr = np.asarray(means, dtype=float)
+    if means_arr.shape != (NUM_COMPONENTS,):
+        raise ValueError(f"means must give the two component means, got {means!r}")
     if not np.all(np.isfinite(means_arr)):
         raise ValueError(f"means must be finite, got {means!r}")
+    if not 0.0 <= mixing <= 1.0:
+        raise ValueError(f"mixing must lie in [0, 1], got {mixing!r}")
     rng = RandomSource(seed)
     labels = (rng.generator.random(count) < (1.0 - mixing)).astype(int)
     if kind == GAUSSIAN:

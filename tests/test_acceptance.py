@@ -10,13 +10,13 @@ from scipy import integrate
 from infmc.estimators import SampleSet, resample
 from infmc.experiments import (
     ExperimentConfig,
-    _gauss_setup,
     emit,
     gauss_replication,
     run_dmm,
     run_gauss,
     run_theorem_suite,
 )
+from infmc.models import GaussianToy
 from infmc.rng import RandomSource
 
 ACCEPTANCE_SEED = 20240817
@@ -60,14 +60,13 @@ def gauss_runs():
     """Per (seed, budget): plain and inflated expectation estimates and log
     evidences, sharing each replication's proposal draws."""
     cfg = _gauss_config()
-    toy, center, model, prop = _gauss_setup(cfg)
     root = RandomSource(cfg.seed)
     start = time.perf_counter()
     results = {budget: [] for budget in GAUSS_BUDGETS}
     for bi, budget in enumerate(GAUSS_BUDGETS):
         for r in range(REPLICATIONS):
             results[budget].append(
-                gauss_replication(toy, model, prop, center, budget, GROUP_SIZE, root.child(bi, r))
+                gauss_replication(cfg, budget, root.child(bi, r))
             )
     elapsed = time.perf_counter() - start
     return results, elapsed
@@ -151,7 +150,7 @@ def test_criterion_5_centered_mse_comparison(gauss_runs):
     inflated = np.array([np.sum(rep["inflated"]["expectation"] ** 2) for rep in reps])
     aggregate_ok = inflated.mean() <= plain.mean()
 
-    _, _, model, prop = _gauss_setup(_gauss_config())
+    model, prop = GaussianToy().model(), GaussianToy().proposal(0.0)
     chi2 = _block_chi_square(model.block_log_priors[0], prop.block_proposals[0].log_density_each)
     inflated_vec = np.array([rep["inflated"]["expectation"] for rep in reps])
     delta = np.array([rep["plain"]["expectation"] for rep in reps]) - inflated_vec

@@ -11,6 +11,7 @@ from infmc.experiments import (
     MetricSeries,
     _counting_likelihoods,
     emit,
+    gauss_replication,
     run_dmm,
     run_gauss,
     run_theorem_suite,
@@ -137,19 +138,8 @@ class TestRunGauss:
         # the stored mse must match a directly computed mean squared error
         cfg = tiny_gauss_config(replications=6, budgets=(200,), method="plain")
         series = run_gauss(cfg)
-        from infmc.experiments import _gauss_setup, gauss_replication
-        from infmc.rng import RandomSource
-
-        toy, center, model, prop = _gauss_setup(cfg)
         root = RandomSource(cfg.seed)
-        est = np.array(
-            [
-                gauss_replication(toy, model, prop, center, 200, 100, root.child(0, r), ("plain",))[
-                    "plain"
-                ]["expectation"]
-                for r in range(6)
-            ]
-        )
+        est = np.array([gauss_replication(cfg, 200, root.child(0, r))["plain"]["expectation"] for r in range(6)])
         for comp in range(2):
             direct = float(np.mean(est[:, comp] ** 2))
             row = series.rows[comp]

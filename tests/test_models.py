@@ -383,6 +383,19 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             make_synthetic("poisson", (0.0, 1.0), 0)
 
+    @pytest.mark.parametrize(
+        "means, mixing, problem",
+        [
+            ((-2.0, 2.0, 5.0), 0.5, "means must give the two component means"),
+            ((1.0,), 0.5, "means must give the two component means"),
+            ((-2.0, 2.0), 3.0, r"mixing must lie in \[0, 1\]"),
+        ],
+        ids=["three-means", "one-mean", "mixing-above-one"],
+    )
+    def test_refuses_means_and_mixing_it_cannot_honour(self, means, mixing, problem):
+        with pytest.raises(ValueError, match=problem):
+            make_synthetic("gaussian", means, 1, mixing=mixing)
+
     def test_round_trip_serialization(self, tmp_path):
         ds = make_synthetic("student-t", (-2.0, 2.0), 99)
         path = tmp_path / "data.txt"
