@@ -104,6 +104,52 @@ class TestLogSumExp:
         out, sign = log_sum_exp(a, 0, b)
         assert out[0, 3] == -np.inf and sign[0, 3] == 0.0  # every weight zero
 
+    def test_short_axes_in_the_library_layouts_match_scipy_bitwise(self):
+        """Length-1 and length-2 axes as the mixture and the block sums pass
+        them: swapaxes views, (G, K, 1) block columns, a length-1 axis that is
+        not the last, Fortran order and empty batches; sign bits included."""
+        edges = [-np.inf, np.inf, np.nan, -0.0, 0.0, 1.5, -3.0, -1000.25, 7e-17]
+        pairs = np.array([(x, y) for x in edges for y in edges])  # every ordered pair: ties, all -inf, +inf, NaN
+        rng = np.random.default_rng(17)
+        noise = np.round(rng.normal(0.0, 4.0, size=(300, 2)), 1)  # rounding leaves ties
+        rows = np.concatenate([pairs, noise, noise - 1000.0, noise[:, ::-1] * 1e-16])
+        table = rows[: 3 * 100].reshape(3, 100, 2)  # (outer, observations, K)
+        swapped = np.swapaxes(np.ascontiguousarray(np.swapaxes(table, -1, -2)), -1, -2)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(rng.dirichlet((1.0, 1.0), size=3))
+        with np.errstate(invalid="ignore"):
+            marginal = swapped + log_w[:, None, :]  # the marginal likelihood's layout
+        columns = rows.reshape(-1, 2, 1)  # (G, K, 1): one inner draw per block
+        cases = [
+            (rows, -1),
+            (rows, 1),
+            (table, -1),
+            (swapped, -1),
+            (swapped, 2),
+            (marginal, -1),
+            (columns, 2),
+            (columns, 1),
+            (rows[:, None, :], 1),  # a length-1 axis that is not the last
+            (rows.T[None], 0),
+            (np.asfortranarray(rows), -1),
+            (np.asfortranarray(rows.T), 0),
+            (np.asfortranarray(table), 2),
+            (np.zeros((0, 2)), -1),  # empty batches
+            (np.zeros((4, 0, 2)), -1),
+            (np.zeros((0, 3, 1)), 2),
+        ]
+        for a, axis in cases:
+            assert_same_bits_as_scipy(a, axis)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                want = logsumexp(a, axis=axis, keepdims=True, return_sign=True)
+            for got, expected in zip(log_sum_exp(a, axis), want):
+                number = ~np.isnan(expected)
+                assert np.array_equal(np.signbit(got[number]), np.signbit(expected[number]))
+
+    def test_an_empty_reduced_axis_is_refused(self):
+        with pytest.raises(ValueError):
+            log_sum_exp(np.zeros((3, 0)), -1)
+
     def test_one_dimensional_total(self):
         rng = np.random.default_rng(3)
         a = np.round(rng.normal(0.0, 5.0, size=1001))

@@ -336,6 +336,44 @@ class TestGlobalProposals:
         assert np.array_equal(labels, np.array(chosen))
         assert batch_rng.generator.bit_generator.state == rng.generator.bit_generator.state
 
+    def test_informed_proposal_labels_equal_generator_choice(self, monkeypatch):
+        """Each observation's label is ``Generator.choice(K, p=exp(row))`` of
+        its normalized responsibilities, drawn from the same stream, also at
+        responsibilities within 1e-12 of 0 and 1; one batch draws the same."""
+        edges = [1e-300, 5e-13, 0.5, 1.0 - 5e-13, 1.0]
+        first = np.concatenate([edges, RandomSource(42).generator.random(150)])
+        all_weights = np.column_stack([first, 1.0 - first])
+
+        class PinnedPrior(Dirichlet):
+            def sample_batch(self, rng, shape):
+                return np.array([next(pinned) for _ in range(shape)])
+
+        monkeypatch.setattr(models, "MIXING_PRIOR", PinnedPrior((1.0, 1.0)))
+        # at equal weights an observation at x has responsibility 1 / (1 + exp(4x)) for
+        # component 0, so |x| near 6.9 puts it within about 1e-12 of 0 or 1
+        data = np.concatenate([make_synthetic("gaussian", (-2.0, 2.0), 7).observations, np.linspace(-7.5, 7.5, 31)])
+        spec = DmmSpec(data)
+        centers = (-2.0, 2.0)
+        prop = MixtureAssignmentProposal(spec, centers)
+        comp = spec.component_log_density_each(spec.data, np.asarray(centers)).T
+        pinned, rng, chosen, extremes = iter(all_weights), RandomSource(43), [], 0
+        for weights in all_weights:
+            with np.errstate(divide="ignore"):
+                scores = comp + np.log(weights)
+            p = np.exp(scores - logsumexp(scores, axis=-1, keepdims=True))
+            extremes += np.count_nonzero((p[:, 0] < 1e-12) | (p[:, 0] > 1.0 - 1e-12))
+            expected = np.random.Generator(np.random.PCG64())
+            expected.bit_generator.state = rng.generator.bit_generator.state
+            _, labels = prop.sample(rng)
+            chosen.append([expected.choice(2, p=row) for row in p])
+            assert np.array_equal(labels, chosen[-1])
+            assert rng.generator.bit_generator.state == expected.bit_generator.state
+        assert extremes > 100
+        pinned, batch_rng = iter(all_weights), RandomSource(43)
+        _, labels = prop.sample_batch(batch_rng, len(all_weights))
+        assert np.array_equal(labels, np.array(chosen))
+        assert batch_rng.generator.bit_generator.state == rng.generator.bit_generator.state
+
     @pytest.mark.parametrize("informed", [False, True])
     def test_a_zero_uniform_never_names_a_zero_weight_component(self, monkeypatch, informed):
         class PinnedPrior(Dirichlet):
