@@ -48,7 +48,16 @@ def log_sum_exp(a: np.ndarray, axis: int, b: np.ndarray | None = None):
     Entries where ``b`` is zero are dropped; the shifted sum leaves out the
     terms at the maximum and divides by their weight ``m``, giving
     ``log1p(s) + log|m| + max``; where that is not finite, the direct
-    ``log|sum(b * exp(a))|`` is returned instead.
+    ``log|sum(b * exp(a))|`` is returned instead.  An empty ``axis`` raises
+    ``ValueError`` (scipy returns ``-inf``).
+
+    Without ``b``, a float64 array with other axes reduced over an axis of
+    length 1 or 2 (a mixture's K = 2 components, one inner draw per block)
+    takes elementwise passes over that axis's slices: ``0.0 + x``, or
+    ``log1p(exp(lo - hi)) + hi`` with ``hi``, ``lo`` the larger and smaller
+    term.  These are the general path's bits: at a tie ``log1p(1.0)`` is
+    ``log(2.0)``, else ``log(m)`` adds ``0.0``; the non-finite fallback is
+    shared.  Longer axes (K > 2) take the general reductions.
 
     ``b``, when given, has the full shape and ``a`` broadcasts to it.  An
     ``(n, 1)`` column of log weights against ``(n, d)`` values is
@@ -57,42 +66,67 @@ def log_sum_exp(a: np.ndarray, axis: int, b: np.ndarray | None = None):
     summed as C-ordered ``b``-shaped arrays, so a sum over axis 0 adds row
     by row exactly as scipy's does.
     """
-    kept = a
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if b is not None:
-            b = np.ascontiguousarray(b, dtype=float)
-            if (b == 0).any():
-                kept = np.where(b == 0, -np.inf, a)
-        # ufunc reductions called directly: np.max's and np.sum's bits without their argument handling
-        a_max = np.maximum.reduce(kept, axis=axis, keepdims=True)
-        is_max = kept == a_max
-        shifted = np.where(is_max, -np.inf, kept)
-        shifted -= a_max
-        np.exp(shifted, out=shifted)
-        if b is None:
-            # s >= 0 and m >= 1 wherever the result is finite: no sign to track
-            m = np.add.reduce(is_max, axis=axis, keepdims=True, dtype=float)
-            s = np.add.reduce(shifted, axis=axis, keepdims=True) / m
-            sign = np.sign(m)
+        if b is None and a.ndim > 1 and a.dtype == np.float64 and 0 < a.shape[axis] <= 2:
+            out = _short_log_sum_exp(a, axis)
+            sign = np.ones_like(out)
         else:
-            if kept is a and a.size == a.shape[axis] and np.count_nonzero(is_max) == 1:
-                # One maximum shared by every column: its weight is the masked
-                # sum in any order.  The other terms are zeros, or non-finite,
-                # and then so is s, and the direct sum replaces the result.
-                m = np.take(b, np.flatnonzero(is_max), axis=axis)
-            else:
-                m = np.sum(b * is_max, axis=axis, keepdims=True)
-            s = np.sum(b * shifted, axis=axis, keepdims=True)
-            s = np.where(s == 0, s, s / m)
-            sign = np.sign(s + 1) * np.sign(m)
-            s, m = np.where(s < -1, -s - 2, s), np.abs(m)
-        out = np.log1p(s) + np.log(m) + a_max
+            out, sign = _general_log_sum_exp(a, axis, b)
         finite = np.isfinite(out)
         if not finite.all():
             total = np.sum(np.exp(a) if b is None else b * np.exp(a), axis=axis, keepdims=True)
             out = np.where(finite, out, np.log(np.abs(total)))
             sign = np.where(finite, sign, np.sign(total))
     return out, sign
+
+
+def _short_log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
+    """The shifted-sum result over an axis of length 1 or 2, from its slices."""
+    head = (slice(None),) * (axis % a.ndim)
+    first = a[head + (slice(0, 1),)]
+    if a.shape[axis] == 1:
+        return 0.0 + first
+    second = a[head + (slice(1, 2),)]
+    hi = np.maximum(first, second)
+    out = np.minimum(first, second)
+    out -= hi
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += hi
+    return out
+
+
+def _general_log_sum_exp(a: np.ndarray, axis: int, b: np.ndarray | None):
+    """The shifted-sum result and its sign over any axis, before the fallback."""
+    kept = a
+    if b is not None:
+        b = np.ascontiguousarray(b, dtype=float)
+        if (b == 0).any():
+            kept = np.where(b == 0, -np.inf, a)
+    # ufunc reductions called directly: np.max's and np.sum's bits without their argument handling
+    a_max = np.maximum.reduce(kept, axis=axis, keepdims=True)
+    is_max = kept == a_max
+    shifted = np.where(is_max, -np.inf, kept)
+    shifted -= a_max
+    np.exp(shifted, out=shifted)
+    if b is None:
+        # s >= 0 and m >= 1 wherever the result is finite: no sign to track
+        m = np.add.reduce(is_max, axis=axis, keepdims=True, dtype=float)
+        s = np.add.reduce(shifted, axis=axis, keepdims=True) / m
+        sign = np.sign(m)
+    else:
+        if kept is a and a.size == a.shape[axis] and np.count_nonzero(is_max) == 1:
+            # One maximum shared by every column: its weight is the masked
+            # sum in any order.  The other terms are zeros, or non-finite,
+            # and then so is s, and the direct sum replaces the result.
+            m = np.take(b, np.flatnonzero(is_max), axis=axis)
+        else:
+            m = np.sum(b * is_max, axis=axis, keepdims=True)
+        s = np.sum(b * shifted, axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        sign = np.sign(s + 1) * np.sign(m)
+        s, m = np.where(s < -1, -s - 2, s), np.abs(m)
+    return np.log1p(s) + np.log(m) + a_max, sign
 
 
 def _check_log_weights(log_weights: np.ndarray) -> None:

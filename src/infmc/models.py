@@ -160,7 +160,9 @@ def _mixing_log_density(weights: np.ndarray, labels: np.ndarray, table: np.ndarr
     of ``table``, the per-label log probabilities ``(..., observations or 1,
     K)``; ``-inf`` off the simplex or for a label that names no component."""
     in_range = np.all((labels >= 0) & (labels < NUM_COMPONENTS), axis=-1)
-    gathered = np.take_along_axis(table, np.clip(labels, 0, NUM_COMPONENTS - 1)[..., None], axis=-1)[..., 0]
+    gathered = table[..., NUM_COMPONENTS - 1]  # out-of-range labels land here and are masked
+    for k in range(NUM_COMPONENTS - 2, -1, -1):
+        gathered = np.where(labels == k, table[..., k], gathered)
     prior = MIXING_PRIOR.log_density_each(weights)
     with np.errstate(invalid="ignore"):  # rows off the simplex may sum NaN or opposite infinities; masked here
         return np.where(in_range & (prior > -np.inf), prior + gathered.sum(axis=-1), -np.inf)
@@ -206,13 +208,21 @@ class MixtureAssignmentProposal(Density):
 
     def sample_batch(self, rng: RandomSource, shape):
         """``(weights, labels)`` stacked part by part: one Dirichlet call for
-        every weight vector, then one call for every label's uniform."""
+        every weight vector, then one call for every label's uniform.
+
+        Each label is ``Generator.choice(K, p=exp(table row))``'s: the cdf
+        ``c_k = c_{k-1} + p_k`` is ``cumsum``'s, built slice by slice over
+        the K components, and the label counts the ``c_k / c_K <= u``."""
         weights = MIXING_PRIOR.sample_batch(rng, shape)
         uniforms = rng.generator.random(weights.shape[:-1] + self.spec.data.shape)
-        cdf = np.cumsum(np.exp(self._label_log_probs(weights)), axis=-1)
-        cdf /= cdf[..., -1:]
-        # ``Generator.choice(p)``: the normalized cdf, searched on the right
-        return weights, (cdf <= uniforms[..., None]).sum(axis=-1)
+        probs = np.exp(self._label_log_probs(weights))
+        cdf = [probs[..., 0]]
+        for k in range(1, probs.shape[-1]):
+            cdf.append(cdf[-1] + probs[..., k])
+        labels = np.zeros(uniforms.shape, dtype=int)
+        for c_k in cdf:
+            labels += c_k / cdf[-1] <= uniforms
+        return weights, labels
 
     def log_density_each(self, xs) -> np.ndarray:
         """Per-point log densities of ``(weights, labels)`` points stacked part
