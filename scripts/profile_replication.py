@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Profile one replication with cProfile: the total call count, then the 15
 entries with the largest cumulative time and the 15 with the largest
-internal time.
+internal time.  The last line is the replication's wall time without the
+profiler, the median of 5 runs after one warm-up run.
 
     PYTHONPATH=src python scripts/profile_replication.py --experiment dmm-gauss --seed 1
 
@@ -11,6 +12,8 @@ gauss`` (budget 20000, groups of 100) would run at that seed.
 import argparse
 import cProfile
 import pstats
+import statistics
+import time
 
 from infmc import experiments
 from infmc.rng import RandomSource
@@ -22,13 +25,27 @@ args = parser.parse_args()
 
 cfg = experiments.ExperimentConfig(args.experiment, args.seed)
 budget = cfg.budgets[-1]
-src = RandomSource(args.seed).child(len(cfg.budgets) - 1, 0)  # the run's key for (budget, replication 0)
 gauss = args.experiment in experiments.GAUSS_EXPERIMENTS
 replication = experiments.gauss_replication if gauss else experiments.dmm_replication
 
+
+def source():
+    """A fresh copy of the run's stream for (budget, replication 0)."""
+    return RandomSource(args.seed).child(len(cfg.budgets) - 1, 0)
+
+
 profile = cProfile.Profile()
-profile.runcall(replication, cfg, budget, src)
+profile.runcall(replication, cfg, budget, source())
 stats = pstats.Stats(profile)
 print(f"total calls: {stats.total_calls}")
 stats.sort_stats("cumulative").print_stats(15)
 stats.sort_stats("tottime").print_stats(15)
+
+replication(cfg, budget, source())  # warm-up
+walls = []
+for _ in range(5):
+    src = source()
+    start = time.perf_counter()
+    replication(cfg, budget, src)
+    walls.append(time.perf_counter() - start)
+print(f"wall time without the profiler: {statistics.median(walls):.4f} s (median of 5 runs after one warm-up)")

@@ -52,12 +52,13 @@ def log_sum_exp(a: np.ndarray, axis: int, b: np.ndarray | None = None):
     ``ValueError`` (scipy returns ``-inf``).
 
     Without ``b``, a float64 array with other axes reduced over an axis of
-    length 1 or 2 (a mixture's K = 2 components, one inner draw per block)
-    takes elementwise passes over that axis's slices: ``0.0 + x``, or
-    ``log1p(exp(lo - hi)) + hi`` with ``hi``, ``lo`` the larger and smaller
-    term.  These are the general path's bits: at a tie ``log1p(1.0)`` is
-    ``log(2.0)``, else ``log(m)`` adds ``0.0``; the non-finite fallback is
-    shared.  Longer axes (K > 2) take the general reductions.
+    length 1 or 2 (a mixture's K = 2 components, a block's one or two
+    inner draws) takes elementwise passes over that axis's slices: ``0.0 +
+    x``, or ``log1p(exp(lo - hi)) + hi`` with ``hi``, ``lo`` the larger and
+    smaller term.  These are the general path's bits: at a tie
+    ``log1p(1.0)`` is ``log(2.0)``, else ``log(m)`` adds ``0.0``; the
+    non-finite fallback is shared.  Longer axes (K > 2) take the general
+    reductions.
 
     ``b``, when given, has the full shape and ``a`` broadcasts to it.  An
     ``(n, 1)`` column of log weights against ``(n, d)`` values is

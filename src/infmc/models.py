@@ -160,8 +160,10 @@ def _mixing_log_density(weights: np.ndarray, labels: np.ndarray, table: np.ndarr
     of ``table``, the per-label log probabilities ``(..., observations or 1,
     K)``; ``-inf`` off the simplex or for a label that names no component."""
     in_range = np.all((labels >= 0) & (labels < NUM_COMPONENTS), axis=-1)
-    gathered = table[..., NUM_COMPONENTS - 1]  # out-of-range labels land here and are masked
-    for k in range(NUM_COMPONENTS - 2, -1, -1):
+    last = NUM_COMPONENTS - 1
+    # a fold over the K slices; out-of-range labels gather component 0's entry and are masked below
+    gathered = np.where(labels == last, table[..., last], table[..., 0])
+    for k in range(1, last):
         gathered = np.where(labels == k, table[..., k], gathered)
     prior = MIXING_PRIOR.log_density_each(weights)
     with np.errstate(invalid="ignore"):  # rows off the simplex may sum NaN or opposite infinities; masked here

@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` run end to end as subprocesses."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,6 @@ def test_profile_replication_runs(experiment):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("total calls:")
+    last = done.stdout.rstrip("\n").splitlines()[-1]
+    wall = re.fullmatch(r"wall time without the profiler: (\d+\.\d{4}) s \(median of 5 runs after one warm-up\)", last)
+    assert wall and float(wall.group(1)) > 0.0, last
