@@ -33,6 +33,8 @@ def assert_same_bits_as_scipy(a, axis, b=None):
     for got, want in zip(log_sum_exp(a, axis, b), expected):
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
+        number = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))  # -0.0 is not 0.0
 
 
 class TestLogSumExp:
@@ -140,11 +142,6 @@ class TestLogSumExp:
         ]
         for a, axis in cases:
             assert_same_bits_as_scipy(a, axis)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                want = logsumexp(a, axis=axis, keepdims=True, return_sign=True)
-            for got, expected in zip(log_sum_exp(a, axis), want):
-                number = ~np.isnan(expected)
-                assert np.array_equal(np.signbit(got[number]), np.signbit(expected[number]))
 
     def test_an_empty_reduced_axis_is_refused(self):
         with pytest.raises(ValueError):
