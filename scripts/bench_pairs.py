@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Run the benchmark in alternating parent/change pairs and write every run,
+with a per-workload summary of the end-to-end metrics, to one JSON file.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload dmm-gauss --workload gauss-20k --pairs 10 --seconds 30 --seed 1 --output BENCH.json
+
+Each run is ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
+with the side's directory as the working directory, so each side runs its
+own checkout's ``src/`` and ``perfbench/``; runs go one at a time.  Pair
+``p`` runs every workload at seed ``S0 + p`` on both sides, the parent first
+when ``p`` is even.  A run that exits nonzero or whose last line is not a
+result object is kept with its exit code and the tail of its stderr.  The
+file is rewritten after every run, so a stopped session keeps what it ran.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def better_directions(benchmark: dict) -> dict[str, str]:
+    """Each end-to-end metric's ``better`` direction, ``lower`` or ``higher``."""
+    return {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+
+
+def run_once(directory: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One timed benchmark run: its exit code, environment line and result."""
+    command = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    done = subprocess.run(command, cwd=directory, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    entry = {"returncode": done.returncode, "info": None, "result": None}
+    try:
+        result = json.loads(lines[-1])
+        if isinstance(result, dict) and isinstance(result.get("metrics"), dict):
+            entry["result"] = result
+            entry["info"] = json.loads(lines[-2])
+    except (IndexError, json.JSONDecodeError):
+        pass
+    if done.returncode != 0 or entry["result"] is None:
+        entry["stderr_tail"] = done.stderr[-2000:]
+    return entry
+
+
+def _value(run: dict, metric: str) -> float | None:
+    result = run.get("result")
+    if run.get("returncode", 0) != 0 or not result:
+        return None
+    value = result["metrics"].get(metric, {}).get("value")
+    return None if value is None else float(value)
+
+
+def _rounded(value: float | None) -> float | None:
+    return None if value is None else round(value, 4)
+
+
+def _spread(values: list[float]) -> tuple[float | None, list[float] | None]:
+    """Median and inclusive quartiles, each rounded to four decimals."""
+    if not values:
+        return None, None
+    quartiles = None
+    if len(values) >= 2:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        quartiles = [round(q1, 4), round(q3, 4)]
+    return round(statistics.median(values), 4), quartiles
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per workload of the timed (``trace`` 0) runs and per end-to-end
+    metric: each side's values in pair order, rounded to four decimals
+    (``None`` where a run failed); their medians and quartiles; the parent's
+    interquartile range; and the pairs in which the change's value is
+    better, ties counting for neither side."""
+    timed = [run for run in runs if run["trace"] == 0]
+    summary = {}
+    for workload in dict.fromkeys(run["workload"] for run in timed):
+        own = [run for run in timed if run["workload"] == workload]
+        pairs = sorted({run["pair"] for run in own})
+        entry = {"pairs": len(pairs), "seed": min(run["seed"] for run in own)}
+        for metric, direction in better.items():
+            by_run = {(run["pair"], run["side"]): _rounded(_value(run, metric)) for run in own}
+            values = {side: [by_run.get((pair, side)) for pair in pairs] for side in SIDES}
+            wins = sum(
+                1
+                for parent, change in zip(values["parent"], values["change"])
+                if parent is not None and change is not None
+                and (change < parent if direction == "lower" else change > parent)
+            )
+            (parent_median, parent_q), (change_median, change_q) = (
+                _spread([v for v in values[side] if v is not None]) for side in SIDES
+            )
+            entry[metric] = {
+                **values,
+                "parent_median": parent_median,
+                "change_median": change_median,
+                "parent_quartiles": parent_q,
+                "change_quartiles": change_q,
+                "change_wins": wins,
+                "parent_iqr": None if parent_q is None else round(parent_q[1] - parent_q[0], 4),
+            }
+        summary[workload] = entry
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", action="append", required=True, help="repeat for several workloads")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, required=True, help="pair p runs at this seed + p")
+    parser.add_argument("--output", type=Path, required=True)
+    args = parser.parse_args(argv)
+    for directory in (args.parent, args.change):
+        if not (directory / "perfbench" / "run.py").is_file():
+            parser.error(f"{directory} holds no perfbench/run.py")
+    if args.pairs < 1 or args.seconds <= 0:
+        parser.error("--pairs must be >= 1 and --seconds positive")
+
+    better = better_directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    directories = {"parent": args.parent, "change": args.change}
+    runs: list[dict] = []
+    for pair in range(args.pairs):
+        seed = args.seed + pair
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for workload in args.workload:
+            for side in order:
+                entry = run_once(directories[side], workload, seed, args.seconds)
+                runs.append({
+                    "side": side, "workload": workload, "seed": seed, "trace": 0,
+                    "pair": pair, "first": order[0], **entry,
+                })
+                print(f"pair {pair} {workload} {side}: exit {entry['returncode']}", file=sys.stderr, flush=True)
+                payload = {
+                    "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
+                               f"--seconds {args.seconds:g} --trace 0",
+                    "summary": summarize(runs, better),
+                    "runs": runs,
+                }
+                args.output.write_text(json.dumps(payload, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -58,7 +58,6 @@ from .pmc import (
 from .experiments import (
     ExperimentConfig,
     MetricRow,
-    MetricSeries,
     TheoremReport,
     emit,
     run_dmm,

@@ -83,12 +83,14 @@ def _refuse_non_file(flag: str, path: str | None, existing: bool = False) -> Non
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     """A flag beats the config file, and the file beats the subcommand's
-    default experiment."""
+    default experiment; a file's seed must equal the mandatory ``--seed``."""
     settings = {"experiment": args.experiments[0]}
     with _usage_errors(args):
         _refuse_non_file("--config", args.config, existing=True)
         if args.config is not None:
             settings.update(ExperimentConfig.read_file(args.config))
+            if settings.get("seed", args.seed) != args.seed:
+                raise ValueError(f"the config file's seed {settings['seed']} differs from --seed {args.seed}")
         settings.update((k, v) for k, v in vars(args).items() if k in _FIELDS and v is not None)
         if settings["experiment"] not in args.experiments:
             raise ValueError(f"{args.command} cannot run experiment {settings['experiment']!r}")
@@ -99,22 +101,21 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         return ExperimentConfig(**settings)
 
 
-def _write_series(series, cfg: ExperimentConfig) -> None:
-    emit(series, cfg.output, cfg.format)
-    print(f"wrote {len(series)} rows to {cfg.output}")
+def _write_rows(rows, cfg: ExperimentConfig) -> None:
+    emit(rows, cfg.output, cfg.format)
+    print(f"wrote {len(rows)} rows to {cfg.output}")
 
 
 def _cmd_gauss(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    series = run_gauss(cfg)
-    _write_series(series, cfg)
+    _write_rows(run_gauss(cfg), cfg)
     return 0
 
 
 def _cmd_dmm(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    series, traces = run_dmm(cfg)
-    _write_series(series, cfg)
+    rows, traces = run_dmm(cfg)
+    _write_rows(rows, cfg)
     if args.traces is not None:
         Path(args.traces).write_text(json.dumps({"schema_version": 1, "runs": traces}, indent=2) + "\n")
         print(f"wrote {len(traces)} replication traces to {args.traces}")

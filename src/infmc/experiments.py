@@ -14,7 +14,7 @@ import math
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -30,6 +30,7 @@ from .estimators import (
     self_normalized_estimate,
 )
 from .factorized import (
+    MAX_UNCAPPED_COMBINATIONS,
     FactorizedModel,
     FactorizedProposal,
     GroupedSampleSet,
@@ -38,6 +39,7 @@ from .factorized import (
     weigh,
 )
 from .models import (
+    NUM_COMPONENTS,
     DmmSpec,
     GaussianToy,
     MixtureAssignmentProposal,
@@ -53,7 +55,6 @@ from .rng import RandomSource
 __all__ = [
     "ExperimentConfig",
     "MetricRow",
-    "MetricSeries",
     "run_gauss",
     "run_dmm",
     "run_theorem_suite",
@@ -81,7 +82,8 @@ class ExperimentConfig:
     otherwise.  A Gaussian budget must be a positive multiple of
     ``group_size``; a mixture budget counts the plain run's samples over all
     ``generations``, so it must split into that many populations, each a
-    multiple of ``inner_draws``.
+    multiple of ``inner_draws``, and an inflated generation's combinations
+    must stay within ``MAX_UNCAPPED_COMBINATIONS``.
     """
 
     experiment: str
@@ -131,6 +133,12 @@ class ExperimentConfig:
                     raise ValueError(
                         f"budget {budget} must split into {self.generations} generations, "
                         f"each a positive multiple of inner_draws {self.inner_draws}"
+                    )
+                combinations = population // self.inner_draws * self.inner_draws**NUM_COMPONENTS
+                if combinations > MAX_UNCAPPED_COMBINATIONS:
+                    raise ValueError(
+                        f"budget {budget} at inner_draws {self.inner_draws} makes {combinations} "
+                        f"combinations per generation, beyond the cap of {MAX_UNCAPPED_COMBINATIONS}"
                     )
             elif budget < self.group_size or budget % self.group_size:
                 raise ValueError(f"budget {budget} must be a positive multiple of group_size {self.group_size}")
@@ -205,24 +213,6 @@ class MetricRow:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(MetricRow))
-
-
-@dataclass
-class MetricSeries:
-    """Aggregated metrics, one row per (budget, method, component)."""
-
-    rows: list[MetricRow] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def to_records(self) -> list[dict]:
-        return [asdict(row) for row in self.rows]
-
-    @classmethod
-    def from_records(cls, records) -> MetricSeries:
-        """Rows from :meth:`to_records`' dicts, reading JSON's ``None`` as NaN."""
-        return cls([MetricRow(**{c: math.nan if r[c] is None else r[c] for c in CSV_COLUMNS}) for r in records])
 
 
 def _metric_rows(
@@ -315,23 +305,21 @@ def gauss_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> 
     return out
 
 
-def run_gauss(cfg: ExperimentConfig) -> MetricSeries:
-    """Expectation and log-evidence metrics for the Gaussian target, per
-    budget and method, over seeded replications."""
+def run_gauss(cfg: ExperimentConfig) -> list[MetricRow]:
+    """Expectation and log-evidence metrics for the Gaussian target, one row
+    per (budget, method, component), over seeded replications."""
     if cfg.experiment not in GAUSS_EXPERIMENTS:
         raise ValueError(f"run_gauss cannot run {cfg.experiment!r}")
     toy = GaussianToy()
-    series = MetricSeries()
+    rows: list[MetricRow] = []
     for budget, results in _replicate(cfg, gauss_replication):
         for method in cfg.methods:
             estimates = np.array([res[method]["expectation"] for res in results])
             log_ev = np.array([res[method]["log_evidence"] for res in results])
             wall = float(sum(res[method]["wall"] for res in results))
             lev_mse = float(np.mean((log_ev - toy.true_log_evidence) ** 2))
-            series.rows.extend(
-                _metric_rows(cfg.experiment, method, budget, estimates, toy.true_mean, lev_mse, wall)
-            )
-    return series
+            rows.extend(_metric_rows(cfg.experiment, method, budget, estimates, toy.true_mean, lev_mse, wall))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +347,14 @@ def _aligned_estimate(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return best[1]
 
 
-def _best_marginal(spec: DmmSpec, sample_set: GroupedSampleSet) -> float:
-    """Largest mixture marginal likelihood over a generation's combinations,
-    as one batch from one enumeration."""
-    (weights, _), blocks = sample_set.aligned()
-    return float(np.max(spec.marginal_data_log_likelihood(weights, np.stack(blocks, axis=1))))
+def _best_log_likelihoods(model: FactorizedModel, spec: DmmSpec, sample_set: GroupedSampleSet) -> tuple[float, float]:
+    """The largest data log-likelihood given the labels and the largest
+    mixture marginal likelihood over a generation's combinations: two
+    batches from one enumeration, both outside the generation's budget."""
+    (weights, labels), blocks = sample_set.aligned()
+    best = float(np.max(model.data_log_likelihood((weights, labels), blocks)))
+    marginal = spec.marginal_data_log_likelihood(weights, np.stack(blocks, axis=1))
+    return best, float(np.max(marginal))
 
 
 def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> dict:
@@ -392,13 +383,13 @@ def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> di
         gens = run_pmc(model, init, pmc_cfg, src.child(1, METHODS.index(method)), h)
         wall = time.perf_counter() - t0
         # components are exchangeable: every generation's estimate is aligned, as the final one is
-        gens = [replace(g, cumulative_estimate=_aligned_estimate(g.cumulative_estimate, truth)) for g in gens]
-        trace = trace_metrics(gens, truth)
-        best_marginal = np.array([_best_marginal(spec, g.sample_set) for g in gens])
-        aligned = gens[-1].cumulative_estimate
+        estimates = [_aligned_estimate(g.cumulative_estimate, truth) for g in gens]
+        best, best_marginal = map(np.array, zip(*(_best_log_likelihoods(model, spec, g.sample_set) for g in gens)))
+        errors = [np.linalg.norm(e - truth) for e in estimates]
+        trace = trace_metrics(best, errors, [g.block_evals for g in gens])
         out[method] = {
-            "estimate": aligned,
-            "error": float(np.linalg.norm(aligned - truth)),
+            "estimate": estimates[-1],
+            "error": float(errors[-1]),
             "trace": trace,
             "best_marginal": best_marginal,
             "block_evals": int(trace.block_evals.sum()),
@@ -408,13 +399,13 @@ def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> di
     return out
 
 
-def run_dmm(cfg: ExperimentConfig) -> tuple[MetricSeries, list[dict]]:
-    """Mixture-model comparison; returns the aggregate series plus the raw
+def run_dmm(cfg: ExperimentConfig) -> tuple[list[MetricRow], list[dict]]:
+    """Mixture-model comparison; returns the metric rows plus the raw
     per-replication traces (best log likelihood, errors, eval counts)."""
     if cfg.experiment not in DMM_EXPERIMENTS:
         raise ValueError(f"run_dmm cannot run {cfg.experiment!r}")
     truth = np.asarray(cfg.true_means, dtype=float)
-    series = MetricSeries()
+    rows: list[MetricRow] = []
     all_traces: list[dict] = []
     for budget, results in _replicate(cfg, dmm_replication):
         for r, res in enumerate(results):
@@ -436,10 +427,8 @@ def run_dmm(cfg: ExperimentConfig) -> tuple[MetricSeries, list[dict]]:
         for method in cfg.methods:
             estimates = np.array([res[method]["estimate"] for res in results])
             wall = float(sum(res[method]["wall"] for res in results))
-            series.rows.extend(
-                _metric_rows(cfg.experiment, method, budget, estimates, truth, float("nan"), wall)
-            )
-    return series, all_traces
+            rows.extend(_metric_rows(cfg.experiment, method, budget, estimates, truth, float("nan"), wall))
+    return rows, all_traces
 
 
 # ---------------------------------------------------------------------------
@@ -597,21 +586,22 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def emit(series: MetricSeries, path, format: str = "csv") -> None:
-    """Write the series; CSV columns are fixed, JSON mirrors rows as objects,
+def emit(rows: list[MetricRow], path, format: str = "csv") -> None:
+    """Write the rows; CSV columns are fixed, JSON mirrors rows as objects,
     with ``null`` for an undefined (NaN) value.  Refuses to create a file for
-    an empty series."""
+    no rows."""
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}")
-    if len(series) == 0:
-        raise ValueError("refusing to emit an empty series")
+    if not rows:
+        raise ValueError("refusing to emit no rows")
     path = Path(path)
+    records = [asdict(row) for row in rows]
     if format == "csv":
         lines = [",".join(CSV_COLUMNS)]
-        for record in series.to_records():
+        for record in records:
             lines.append(",".join(_format_value(record[col]) for col in CSV_COLUMNS))
         path.write_text("\n".join(lines) + "\n")
     else:
         undefined = lambda v: isinstance(v, float) and math.isnan(v)
-        rows = [{c: None if undefined(v) else v for c, v in r.items()} for r in series.to_records()]
-        path.write_text(json.dumps({"schema_version": 1, "rows": rows}, indent=2, allow_nan=False) + "\n")
+        objects = [{c: None if undefined(v) else v for c, v in r.items()} for r in records]
+        path.write_text(json.dumps({"schema_version": 1, "rows": objects}, indent=2, allow_nan=False) + "\n")

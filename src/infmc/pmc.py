@@ -162,7 +162,6 @@ class Generation:
     sample_set: GroupedSampleSet
     resampled_points: list
     cumulative_estimate: Optional[np.ndarray]
-    best_log_likelihood: float
     block_evals: int
 
 
@@ -188,8 +187,9 @@ def run_pmc(
     Generation 1 draws from ``init``; later generations center block kernels
     on uniformly chosen members of the previous generation's resampled
     population (never on samples from the same generation).  Each generation
-    makes ``population_size / inner_draws`` outer draws, so its
-    block-likelihood evaluation count equals the plain run's.  A kernel
+    makes ``population_size / inner_draws`` outer draws, so its block
+    likelihoods score exactly ``population_size * num_blocks`` values, the
+    plain run's count, and nothing else scores them.  A kernel
     generation draws its outer draws' centers in one ``integers`` call and
     builds one proposal for all of them; then :func:`recombine` makes its
     draws, and :func:`resample` draws the next population.
@@ -217,9 +217,8 @@ def run_pmc(
             log_sums.append(gen_set.log_weight_sum)
             estimates.append(self_normalized_estimate(materialized, test_function))
             cum_est = np.exp(np.array(log_sums) - np.logaddexp.reduce(log_sums)) @ np.array(estimates)
-        best = float(np.max(model.data_log_likelihood(*gen_set.aligned())))
         resampled = resample(materialized, cfg.population_size, rng)
-        generations.append(Generation(t, gen_set, resampled, cum_est, best, block_evals))
+        generations.append(Generation(t, gen_set, resampled, cum_est, block_evals))
         prev_resampled = resampled
     return generations
 
@@ -233,7 +232,7 @@ def pooled_estimate(generations: list[Generation], h: TestFunction) -> np.ndarra
 
 @dataclass
 class GenerationTrace:
-    """Per-generation series extracted from a finished run."""
+    """Per-generation series of a finished run."""
 
     best_log_likelihood: np.ndarray
     best_log_likelihood_so_far: np.ndarray
@@ -244,24 +243,16 @@ class GenerationTrace:
         return int(self.best_log_likelihood.size)
 
 
-def trace_metrics(generations: list[Generation], truth) -> GenerationTrace:
-    """Best data log-likelihood and cumulative-estimate error against
-    ``truth``, per generation."""
-    if not generations:
+def trace_metrics(best_log_likelihood, estimate_error, block_evals) -> GenerationTrace:
+    """Pack one value per generation of the best data log-likelihood, the
+    cumulative estimate's error and the block evaluations, with the running
+    best log-likelihood."""
+    best = np.asarray(best_log_likelihood, dtype=float)
+    if best.size == 0:
         raise ValueError("trace_metrics needs at least one generation")
-    truth = np.asarray(truth, dtype=float)
-    best = np.array([g.best_log_likelihood for g in generations])
-    errors = np.array(
-        [
-            np.linalg.norm(g.cumulative_estimate - truth)
-            if g.cumulative_estimate is not None
-            else np.nan
-            for g in generations
-        ]
-    )
     return GenerationTrace(
         best_log_likelihood=best,
         best_log_likelihood_so_far=np.maximum.accumulate(best),
-        estimate_error=errors,
-        block_evals=np.array([g.block_evals for g in generations]),
+        estimate_error=np.asarray(estimate_error, dtype=float),
+        block_evals=np.asarray(block_evals),
     )

@@ -124,6 +124,9 @@ class TestUsageErrors:
             "schema_version = 1\nexperiment = dmm-gauss\nbudgets = 40\ngenerations = 2\ndata_count = 20\n"
             f"replications = 2\ntrue_means = -2, 0, 2\noutput = {tmp_path / 'never.csv'}\n"
         )
+        # without the refusal this small run would go ahead at --seed 1
+        other_seed = tmp_path_factory.mktemp("config") / "other-seed.cfg"
+        other_seed.write_text("schema_version = 1\nseed = 42\nbudgets = 200\nreplications = 2\n")
         cases = [
             (["dmm", "--config", str(three_means)], "true_means must give the two component means"),
             (["gauss", "--group-size", "0"], "group_size must be >= 1"),
@@ -136,6 +139,11 @@ class TestUsageErrors:
             (["dmm", "--means", "inf,0"], "true_means must give the two component means, finite"),
             (["dmm", "--kernel-bandwidth", "inf"], "kernel_bandwidth must be positive and finite"),
             (["dmm", "--kernel-cv", "nan"], "kernel_cv must be positive and finite"),
+            (
+                ["dmm", "--budgets", "10001", "--generations", "1", "--inner-draws", "10001", "--replications", "2"],
+                "budget 10001 at inner_draws 10001 makes 100020001 combinations per generation, beyond the cap",
+            ),
+            (["gauss", "--config", str(other_seed)], "the config file's seed 42 differs from --seed 1"),
         ]
         for argv, message in cases:
             out = tmp_path / "never.csv"

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from infmc.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
     MetricRow,
-    MetricSeries,
     _counting_likelihoods,
     emit,
     gauss_replication,
@@ -128,21 +129,21 @@ class TestMetricRow:
 
 class TestRunGauss:
     def test_row_shape_and_budget_order(self):
-        series = run_gauss(tiny_gauss_config())
+        rows = run_gauss(tiny_gauss_config())
         # 2 budgets x 2 methods x 2 components
-        assert len(series) == 8
-        assert [r.budget for r in series.rows] == [200] * 4 + [400] * 4
-        assert {r.method for r in series.rows} == {"plain", "inflated"}
+        assert len(rows) == 8
+        assert [r.budget for r in rows] == [200] * 4 + [400] * 4
+        assert {r.method for r in rows} == {"plain", "inflated"}
 
     def test_mse_decomposition_against_direct_mean(self):
         # the stored mse must match a directly computed mean squared error
         cfg = tiny_gauss_config(replications=6, budgets=(200,), method="plain")
-        series = run_gauss(cfg)
+        rows = run_gauss(cfg)
         root = RandomSource(cfg.seed)
         est = np.array([gauss_replication(cfg, 200, root.child(0, r))["plain"]["expectation"] for r in range(6)])
         for comp in range(2):
             direct = float(np.mean(est[:, comp] ** 2))
-            row = series.rows[comp]
+            row = rows[comp]
             assert abs(row.mse - direct) <= 1e-9 * max(1.0, row.mse)
 
     def test_budget_divisibility_validation(self):
@@ -155,9 +156,7 @@ class TestRunGauss:
         a = run_gauss(tiny_gauss_config())
         b = run_gauss(tiny_gauss_config())
         c = run_gauss(tiny_gauss_config(workers=3))
-        strip = lambda series: [
-            {k: v for k, v in rec.items() if k != "wall_seconds"} for rec in series.to_records()
-        ]
+        strip = lambda rows: [{k: v for k, v in asdict(row).items() if k != "wall_seconds"} for row in rows]
         assert strip(a) == strip(b) == strip(c)
 
     def test_offcenter_proposal_inflates_error(self):
@@ -168,8 +167,8 @@ class TestRunGauss:
             tiny_gauss_config(experiment="gauss-offcenter", budgets=(2000,), replications=4)
         )
         for method in ("plain", "inflated"):
-            mse_c = sum(r.mse for r in centered.rows if r.method == method)
-            mse_o = sum(r.mse for r in offcenter.rows if r.method == method)
+            mse_c = sum(r.mse for r in centered if r.method == method)
+            mse_o = sum(r.mse for r in offcenter if r.method == method)
             assert mse_o > 10 * mse_c
 
 
@@ -179,14 +178,14 @@ class TestRunDmm:
             experiment="dmm-gauss", seed=11, budgets=(40,), replications=2,
             generations=2, data_count=30,
         )
-        series, traces = run_dmm(cfg)
-        assert len(series) == 4  # 1 budget x 2 methods x 2 components
+        rows, traces = run_dmm(cfg)
+        assert len(rows) == 4  # 1 budget x 2 methods x 2 components
         assert len(traces) == 2
         for record in traces:
             assert record["plain"]["block_evals"] == record["inflated"]["block_evals"]
             assert len(record["plain"]["best_log_likelihood"]) == 2
             assert len(record["inflated"]["best_marginal_so_far"]) == 2
-        for row in series.rows:
+        for row in rows:
             assert np.isnan(row.log_evidence_mse)
 
     @pytest.mark.parametrize("method", ["plain", "inflated"])
@@ -220,8 +219,8 @@ class TestRunDmm:
             experiment="dmm-gauss", seed=17, budgets=(20,), replications=2,
             generations=1, data_count=20,
         )
-        series, traces = run_dmm(cfg)
-        assert len(series) == 4
+        rows, traces = run_dmm(cfg)
+        assert len(rows) == 4
         for record in traces:
             assert len(record["plain"]["best_log_likelihood"]) == 1
             assert len(record["inflated"]["estimate_error"]) == 1
@@ -231,9 +230,9 @@ class TestRunDmm:
             experiment="dmm-t", seed=13, budgets=(40,), replications=2,
             generations=2, data_count=20,
         )
-        series, traces = run_dmm(cfg)
-        assert len(series) == 4
-        assert all(np.isfinite(r.mean_estimate) for r in series.rows)
+        rows, traces = run_dmm(cfg)
+        assert len(rows) == 4
+        assert all(np.isfinite(r.mean_estimate) for r in rows)
 
     def test_worker_invariance(self):
         base = dict(
@@ -242,9 +241,9 @@ class TestRunDmm:
         )
         serial, traces_serial = run_dmm(ExperimentConfig(**base))
         threaded, traces_threaded = run_dmm(ExperimentConfig(**base, workers=3))
-        strip = lambda series: [
-            {k: repr(v) for k, v in rec.items() if k != "wall_seconds"}  # repr: nan == nan
-            for rec in series.to_records()
+        strip = lambda rows: [
+            {k: repr(v) for k, v in asdict(row).items() if k != "wall_seconds"}  # repr: nan == nan
+            for row in rows
         ]
         assert strip(serial) == strip(threaded)
         for a, b in zip(traces_serial, traces_threaded):
@@ -305,46 +304,45 @@ class TestTheoremSuite:
 
 
 class TestEmit:
-    def _series(self):
-        rows = [
+    def _rows(self):
+        return [
             MetricRow("gauss-centered", m, b, 5, c, 0.25, 0.5, 0.75, 0.1, 0.01, 1.5)
             for b in (100, 200)
             for m in ("plain", "inflated")
             for c in (0, 1)
         ]
-        return MetricSeries(rows)
 
     def test_csv_rows_and_header(self, tmp_path):
         path = tmp_path / "out.csv"
-        emit(self._series(), path, "csv")
+        emit(self._rows(), path, "csv")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 9  # 2 budgets x 2 methods x 2 components + header
 
     def test_json_round_trip_is_exact(self, tmp_path):
         path = tmp_path / "out.json"
-        series = self._series()
+        rows = self._rows()
         # the mixture experiments' rows leave the log-evidence error undefined
-        series.rows.append(MetricRow("dmm-gauss", "plain", 40, 2, 0, 0.25, 0.5, 0.75, 0.1, float("nan"), 1.5))
-        emit(series, path, "json")
+        rows.append(MetricRow("dmm-gauss", "plain", 40, 2, 0, 0.25, 0.5, 0.75, 0.1, float("nan"), 1.5))
+        emit(rows, path, "json")
 
         def refuse(token):
             raise ValueError(f"{token} is not JSON")
 
         payload = json.loads(path.read_text(), parse_constant=refuse)
         assert payload["rows"][-1]["log_evidence_mse"] is None
-        rebuilt = MetricSeries.from_records(payload["rows"])
-        # repr: nan == nan
-        assert [{k: repr(v) for k, v in rec.items()} for rec in rebuilt.to_records()] == [
-            {k: repr(v) for k, v in rec.items()} for rec in series.to_records()
+        # JSON's null reads back as NaN; repr: nan == nan
+        rebuilt = [MetricRow(**{c: math.nan if r[c] is None else r[c] for c in CSV_COLUMNS}) for r in payload["rows"]]
+        assert [{k: repr(v) for k, v in asdict(row).items()} for row in rebuilt] == [
+            {k: repr(v) for k, v in asdict(row).items()} for row in rows
         ]
 
     def test_empty_series_refused_without_file(self, tmp_path):
         path = tmp_path / "never.csv"
         with pytest.raises(ValueError):
-            emit(MetricSeries([]), path, "csv")
+            emit([], path, "csv")
         assert not path.exists()
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
-            emit(self._series(), tmp_path / "x", "yaml")
+            emit(self._rows(), tmp_path / "x", "yaml")

@@ -6,7 +6,7 @@ import pytest
 from infmc import factorized, pmc
 from infmc.distributions import DiagGaussian, Gamma, ScalarInverseWishart
 from infmc.estimators import SampleSet, TestFunction, combine, self_normalized_estimate
-from infmc.experiments import _counting_likelihoods
+from infmc.experiments import _best_log_likelihoods, _counting_likelihoods
 from infmc.factorized import (
     FactorizedModel,
     FactorizedProposal,
@@ -190,7 +190,6 @@ class TestRunPmc:
         for ga, gb in zip(a, b):
             assert np.array_equal(ga.sample_set.log_weights, gb.sample_set.log_weights)
             assert np.array_equal(ga.cumulative_estimate, gb.cumulative_estimate)
-            assert ga.best_log_likelihood == gb.best_log_likelihood
 
     def test_degenerate_generation_reports_index(self):
         density = DiagGaussian(0.0, 1.0)
@@ -251,9 +250,7 @@ class TestRunPmc:
         model, counts = _counting_likelihoods(dmm_model(spec))
         init = dmm_init_proposal(spec)
         h = component_means_function(spec)
-        # values scored by each generation's draws; the best-log-likelihood
-        # diagnostic evaluates the likelihoods again outside the budget
-        sampled = []
+        sampled = []  # values scored by each generation's draws
 
         def tallied(*args):
             before = sum(counts)
@@ -266,16 +263,19 @@ class TestRunPmc:
         infl_cfg = PmcConfig(population_size=40, generations=2, kernel=GaussianKernel(0.25),
                              inner_draws=2)
         plain = run_pmc(model, init, plain_cfg, RandomSource(1), h)
+        plain_scored = sum(counts)
         inflated = run_pmc(model, init, infl_cfg, RandomSource(2), h)
         assert sampled == [gen.block_evals for gen in plain + inflated] == [40 * 2] * 4
+        # the loop scores only its budget: every value the likelihoods scored was a draw's
+        scored = [plain_scored, sum(counts) - plain_scored]
+        assert scored == [sum(sampled[:2]), sum(sampled[2:])] == [160, 160]
         for gp, gi in zip(plain, inflated):
             assert len(gi.sample_set) == 2 * len(gp.sample_set)  # inner_draws**(blocks-1) more
             assert len(gi.resampled_points) == len(gp.resampled_points) == 40
 
 
-    @pytest.mark.parametrize("inner_draws", [1, 2])
-    @pytest.mark.parametrize("family", ["gaussian", "student-t"])
-    def test_best_log_likelihood_is_the_per_point_maximum_bitwise(self, family, inner_draws):
+    @staticmethod
+    def _mixture_run(family, inner_draws):
         spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 3, count=30).observations, family)
         model = dmm_model(spec)
         if family == "gaussian":
@@ -283,14 +283,34 @@ class TestRunPmc:
         else:
             kernel = TupleKernel([GaussianKernel(0.25), VarianceKernel(0.3), GammaKernel(0.3)])
         cfg = PmcConfig(20, 3, kernel, inner_draws, functools.partial(MixtureAssignmentProposal, spec))
-        for gen in run_pmc(model, dmm_init_proposal(spec), cfg, RandomSource(4)):
+        return spec, model, run_pmc(model, dmm_init_proposal(spec), cfg, RandomSource(4))
+
+    @pytest.mark.parametrize("inner_draws", [1, 2])
+    @pytest.mark.parametrize("family", ["gaussian", "student-t"])
+    def test_best_log_likelihood_is_the_per_point_maximum_bitwise(self, family, inner_draws):
+        """The harness's diagnostic, on the generations the loop returns."""
+        spec, model, gens = self._mixture_run(family, inner_draws)
+        for gen in gens:
             (weights, labels), _ = gen.sample_set.aligned()
             # one global value and one value per block at a time
             per_point = [
                 float(model.data_log_likelihood((w, z), values))
                 for w, z, values in zip(weights, labels, gen.sample_set.points)
             ]
-            assert gen.best_log_likelihood == max(per_point)
+            assert _best_log_likelihoods(model, spec, gen.sample_set)[0] == max(per_point)
+
+    @pytest.mark.parametrize("inner_draws", [1, 2])
+    @pytest.mark.parametrize("family", ["gaussian", "student-t"])
+    def test_best_marginal_is_the_per_combination_maximum_bitwise(self, family, inner_draws):
+        spec, model, gens = self._mixture_run(family, inner_draws)
+        for gen in gens:
+            (weights, _), _ = gen.sample_set.aligned()
+            # one combination's weights and block values at a time
+            per_combination = [
+                float(spec.marginal_data_log_likelihood(w, values))
+                for w, values in zip(weights, gen.sample_set.points)
+            ]
+            assert _best_log_likelihoods(model, spec, gen.sample_set)[1] == max(per_combination)
 
     def test_combination_cap_applies_before_any_block_evaluation(self, monkeypatch):
         ds = make_synthetic("gaussian", (-2.0, 2.0), 7, count=20)
@@ -325,30 +345,32 @@ class TestResamplingLaw:
 
 
 class TestTraceMetrics:
-    def _toy_generations(self, generations=3):
+    def _toy_series(self, generations=3):
+        """Per generation of a toy run: the best data log-likelihood, the
+        cumulative estimate's error against 0 and the block evaluations."""
         density = DiagGaussian(0.0, 2.0)
         model = scalar_block_model(density.log_density_each)
         init = FactorizedProposal(block_proposals=(DiagGaussian(0.0, 4.0),))
         cfg = PmcConfig(30, generations, GaussianKernel(0.3))
-        return run_pmc(model, init, cfg, RandomSource(21), TestFunction.identity(1))
+        gens = run_pmc(model, init, cfg, RandomSource(21), TestFunction.identity(1))
+        best = [float(np.max(model.data_log_likelihood(*g.sample_set.aligned()))) for g in gens]
+        return best, [np.linalg.norm(g.cumulative_estimate) for g in gens], [g.block_evals for g in gens]
 
     def test_single_generation_series(self):
-        trace = trace_metrics(self._toy_generations(1), np.zeros(1))
+        trace = trace_metrics(*self._toy_series(1))
         assert len(trace) == 1
         assert trace.best_log_likelihood.shape == (1,)
         assert np.isfinite(trace.estimate_error).all()
 
     def test_identical_generations_give_constant_series(self):
-        gens = self._toy_generations(1)
-        clones = [gens[0], gens[0], gens[0]]
-        trace = trace_metrics(clones, np.zeros(1))
+        trace = trace_metrics(*(series * 3 for series in self._toy_series(1)))
         assert np.all(trace.best_log_likelihood == trace.best_log_likelihood[0])
         assert np.all(trace.estimate_error == trace.estimate_error[0])
 
     def test_best_so_far_is_monotone(self):
-        trace = trace_metrics(self._toy_generations(4), np.zeros(1))
+        trace = trace_metrics(*self._toy_series(4))
         assert np.all(np.diff(trace.best_log_likelihood_so_far) >= 0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            trace_metrics([], np.zeros(1))
+            trace_metrics([], [], [])
