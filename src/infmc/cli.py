@@ -10,14 +10,16 @@ from pathlib import Path
 
 from .experiments import (
     DMM_EXPERIMENTS,
+    FORMATS,
     GAUSS_EXPERIMENTS,
+    METHODS,
     ExperimentConfig,
     emit,
     run_dmm,
     run_gauss,
     run_theorem_suite,
 )
-from .models import make_synthetic, save_dataset
+from .models import GAUSSIAN, STUDENT_T, make_synthetic, save_dataset
 
 __all__ = ["main"]
 
@@ -31,31 +33,20 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in text.split(","))
-
-
-def _float_pair(text: str) -> tuple[float, float]:
-    values = tuple(float(v.strip()) for v in text.split(","))
-    if len(values) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated values, got {text!r}")
-    return values
-
-
 def _add_common_flags(parser: argparse.ArgumentParser, experiments: tuple[str, ...]) -> None:
-    """Flags shared by ``gauss`` and ``dmm``.  Every flag but ``--config``
-    sets the ``ExperimentConfig`` field named by its ``dest``, and an unset
-    flag is ``None``, so the config file or the field's default applies."""
+    """Flags shared by ``gauss`` and ``dmm``.  Every flag of theirs but
+    ``--config`` and ``--traces`` sets the ``ExperimentConfig`` field named by
+    its ``dest``, its text parsed as a config file's value is; an unset flag
+    is ``None``, so the config file or the field's default applies."""
     parser.add_argument("--seed", type=_seed, required=True, help="base seed; mandatory for reproducibility")
-    parser.add_argument("--config", type=str, default=None, help="flat key=value config file (schema 1)")
-    parser.add_argument("--experiment", choices=list(experiments), default=None,
-                        help=f"default: the config file's, else {experiments[0]}")
-    parser.add_argument("--budgets", type=_int_list, default=None, help="comma-separated, strictly increasing")
-    parser.add_argument("--replications", type=int, default=None)
-    parser.add_argument("--method", choices=["plain", "inflated", "both"], default=None)
-    parser.add_argument("--workers", type=int, default=None, help="thread workers across replications")
-    parser.add_argument("--output", type=str, default=None, help="metrics file to write")
-    parser.add_argument("--format", choices=["csv", "json"], default=None)
+    parser.add_argument("--config", help="flat key=value config file (schema 1)")
+    parser.add_argument("--experiment", choices=experiments, help=f"default: the config file's, else {experiments[0]}")
+    parser.add_argument("--budgets", help="comma-separated, strictly increasing")
+    parser.add_argument("--replications")
+    parser.add_argument("--method", choices=[*METHODS, "both"])
+    parser.add_argument("--workers", help="thread workers across replications")
+    parser.add_argument("--output", help="metrics file to write")
+    parser.add_argument("--format", choices=FORMATS)
     parser.set_defaults(parser=parser, experiments=experiments)
 
 
@@ -84,14 +75,15 @@ def _refuse_non_file(flag: str, path: str | None, existing: bool = False) -> Non
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     """A flag beats the config file, and the file beats the subcommand's
     default experiment; a file's seed must equal the mandatory ``--seed``."""
-    settings = {"experiment": args.experiments[0]}
+    settings = {"experiment": args.experiments[0], "seed": args.seed}
     with _usage_errors(args):
         _refuse_non_file("--config", args.config, existing=True)
         if args.config is not None:
             settings.update(ExperimentConfig.read_file(args.config))
-            if settings.get("seed", args.seed) != args.seed:
+            if settings["seed"] != args.seed:
                 raise ValueError(f"the config file's seed {settings['seed']} differs from --seed {args.seed}")
-        settings.update((k, v) for k, v in vars(args).items() if k in _FIELDS and v is not None)
+        settings.update((k, ExperimentConfig.parse_value(k, v)) for k, v in vars(args).items()
+                        if k in _FIELDS and k != "seed" and v is not None)
         if settings["experiment"] not in args.experiments:
             raise ValueError(f"{args.command} cannot run experiment {settings['experiment']!r}")
         if settings.get("output") is None:
@@ -142,31 +134,29 @@ def _cmd_theorems(args: argparse.Namespace) -> int:
 def _cmd_emit_data(args: argparse.Namespace) -> int:
     with _usage_errors(args):
         _refuse_non_file("--output", args.output)
-        dataset = make_synthetic(args.kind, args.means, args.seed, count=args.count)
+        means = ExperimentConfig.parse_value("true_means", args.means)
+        dataset = make_synthetic(args.kind, means, args.seed, count=args.count)
     save_dataset(dataset, args.output)
     print(f"wrote {dataset.observations.size} observations to {args.output}")
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="infmc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gauss = sub.add_parser("gauss", help="Gaussian-target comparison at several budgets")
     _add_common_flags(gauss, GAUSS_EXPERIMENTS)
-    gauss.add_argument("--group-size", type=int, default=None)
+    gauss.add_argument("--group-size")
     gauss.set_defaults(func=_cmd_gauss)
 
     dmm = sub.add_parser("dmm", help="mixture-model comparison at matched eval budgets")
     _add_common_flags(dmm, DMM_EXPERIMENTS)
-    dmm.add_argument("--generations", type=int, default=None)
-    dmm.add_argument("--inner-draws", type=int, default=None)
-    dmm.add_argument("--kernel-bandwidth", type=float, default=None)
-    dmm.add_argument("--kernel-cv", type=float, default=None)
-    dmm.add_argument("--means", type=_float_pair, default=None, dest="true_means", metavar="MEANS")
-    dmm.add_argument("--data-count", type=int, default=None)
-    dmm.add_argument("--mixing", type=float, default=None, help="proportion of the first component")
-    dmm.add_argument("--traces", type=str, default=None, help="optional per-generation trace JSON")
+    dmm.add_argument("--generations")
+    dmm.add_argument("--inner-draws")
+    dmm.add_argument("--means", dest="true_means", metavar="MEANS", help="comma-separated")
+    dmm.add_argument("--data-count")
+    dmm.add_argument("--traces", help="optional per-generation trace JSON")
     dmm.set_defaults(func=_cmd_dmm)
 
     theorems = sub.add_parser("theorems", help="run the property suite; nonzero exit on failure")
@@ -177,13 +167,16 @@ def main(argv=None) -> int:
 
     emit_data = sub.add_parser("emit-data", help="write a synthetic mixture dataset")
     emit_data.add_argument("--seed", type=_seed, required=True)
-    emit_data.add_argument("--kind", choices=["gaussian", "student-t"], default="gaussian")
-    emit_data.add_argument("--means", type=_float_pair, default=(-2.0, 2.0))
+    emit_data.add_argument("--kind", choices=[GAUSSIAN, STUDENT_T], default=GAUSSIAN)
+    emit_data.add_argument("--means", default="-2,2", help="comma-separated")
     emit_data.add_argument("--count", type=int, default=100)
     emit_data.add_argument("--output", type=str, required=True)
     emit_data.set_defaults(func=_cmd_emit_data, parser=emit_data)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -39,7 +39,9 @@ from .factorized import (
     weigh,
 )
 from .models import (
+    GAUSSIAN,
     NUM_COMPONENTS,
+    STUDENT_T,
     DmmSpec,
     GaussianToy,
     MixtureAssignmentProposal,
@@ -65,25 +67,32 @@ __all__ = [
 ]
 
 GAUSS_EXPERIMENTS = ("gauss-centered", "gauss-offcenter")
-DMM_EXPERIMENTS = ("dmm-gauss", "dmm-t")
+# each mixture experiment's component family and per-block kernel, at the library defaults
+_MIXTURES = {
+    "dmm-gauss": (GAUSSIAN, GaussianKernel()),
+    "dmm-t": (STUDENT_T, TupleKernel([GaussianKernel(), VarianceKernel(), GammaKernel()])),
+}
+DMM_EXPERIMENTS = tuple(_MIXTURES)
 EXPERIMENTS = GAUSS_EXPERIMENTS + DMM_EXPERIMENTS
 METHODS = ("plain", "inflated")
+FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a harness run needs: the one declaration of each setting's
     name, type, default and validity.  Config-file keys and the ``dest`` of
-    every ``gauss``/``dmm`` flag are these field names, and config values are
-    parsed by the field's type.
+    every ``gauss``/``dmm`` flag are these field names, and config-file and
+    flag values are parsed alike, by :meth:`parse_value`.
 
     Unset ``budgets`` and ``replications`` resolve per experiment family:
     (2000,) x 25 for the mixture experiments, (200, 2000, 20000) x 50
-    otherwise.  A Gaussian budget must be a positive multiple of
-    ``group_size``; a mixture budget counts the plain run's samples over all
-    ``generations``, so it must split into that many populations, each a
-    multiple of ``inner_draws``, and an inflated generation's combinations
-    must stay within ``MAX_UNCAPPED_COMBINATIONS``.
+    otherwise.  A budget must be positive, and a mixture budget counts the
+    plain run's samples over all ``generations``, so it must split into that
+    many populations.  Only the inflated method groups its draws: with it, a
+    Gaussian budget must be a multiple of ``group_size``, each mixture
+    population a multiple of ``inner_draws``, and an inflated generation's
+    combinations must stay within ``MAX_UNCAPPED_COMBINATIONS``.
     """
 
     experiment: str
@@ -94,11 +103,8 @@ class ExperimentConfig:
     group_size: int = 100
     generations: int = 20
     inner_draws: int = 2
-    kernel_bandwidth: float = 0.25
-    kernel_cv: float = 0.3
     true_means: tuple[float, float] = (-2.0, 2.0)
     data_count: int = 100
-    mixing: float = 0.5
     workers: int = 1
     output: str | None = None
     format: str = "csv"
@@ -108,7 +114,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.method not in METHODS + ("both",):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.format not in ("csv", "json"):
+        if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
         mixture = self.experiment in DMM_EXPERIMENTS
         if self.replications is None:
@@ -126,27 +132,22 @@ class ExperimentConfig:
         for name in ("workers", "group_size", "generations", "inner_draws", "data_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        inflated = "inflated" in self.methods
         for budget in budgets:
             if mixture:
                 population, rest = divmod(budget, self.generations)
-                if population < 1 or rest or population % self.inner_draws:
-                    raise ValueError(
-                        f"budget {budget} must split into {self.generations} generations, "
-                        f"each a positive multiple of inner_draws {self.inner_draws}"
-                    )
+                if population < 1 or rest or (inflated and population % self.inner_draws):
+                    each = f", each a positive multiple of inner_draws {self.inner_draws}" if inflated else ""
+                    raise ValueError(f"budget {budget} must split into {self.generations} generations{each}")
                 combinations = population // self.inner_draws * self.inner_draws**NUM_COMPONENTS
-                if combinations > MAX_UNCAPPED_COMBINATIONS:
+                if inflated and combinations > MAX_UNCAPPED_COMBINATIONS:
                     raise ValueError(
                         f"budget {budget} at inner_draws {self.inner_draws} makes {combinations} "
                         f"combinations per generation, beyond the cap of {MAX_UNCAPPED_COMBINATIONS}"
                     )
-            elif budget < self.group_size or budget % self.group_size:
-                raise ValueError(f"budget {budget} must be a positive multiple of group_size {self.group_size}")
-        for name in ("kernel_bandwidth", "kernel_cv"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0.0 <= self.mixing <= 1.0:
-            raise ValueError(f"mixing must lie in [0, 1], got {self.mixing!r}")
+            elif budget < 1 or (inflated and budget % self.group_size):
+                multiple = f"multiple of group_size {self.group_size}" if inflated else "number of draws"
+                raise ValueError(f"budget {budget} must be a positive {multiple}")
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -158,9 +159,8 @@ class ExperimentConfig:
         into keyword arguments of this class.
 
         Lines are ``key = value`` with ``#`` comments; keys are field names
-        and values are parsed by the field's type: list values are comma
-        separated.  A ``schema_version = 1`` entry is required, and a key may
-        appear only once.
+        and values are parsed by :meth:`parse_value`.  A ``schema_version =
+        1`` entry is required, and a key may appear only once.
         """
         entries: dict[str, str] = {}
         for raw in Path(path).read_text().splitlines():
@@ -175,20 +175,24 @@ class ExperimentConfig:
             entries[key] = value
         if entries.pop("schema_version", None) != "1":
             raise ValueError("config file must declare schema_version = 1")
-        types = typing.get_type_hints(cls)
-        for key in entries:
-            if key not in types:
-                raise ValueError(f"unknown config key {key!r}")
-        return {key: _parse_config_value(types[key], value) for key, value in entries.items()}
+        return {key: cls.parse_value(key, value) for key, value in entries.items()}
 
-
-def _parse_config_value(kind, value: str):
-    if type(None) in typing.get_args(kind):  # "X | None" parses as X
-        kind = typing.get_args(kind)[0]
-    if typing.get_origin(kind) is tuple:
-        item = typing.get_args(kind)[0]
-        return tuple(item(v.strip()) for v in value.split(","))
-    return kind(value)
+    @classmethod
+    def parse_value(cls, key: str, value: str):
+        """One setting's value from its text in a config file or a flag:
+        parsed by the field's type, ``X | None`` as ``X`` and a tuple as
+        comma-separated items.  A ``ValueError`` names the setting."""
+        kind = typing.get_type_hints(cls).get(key)
+        if kind is None:
+            raise ValueError(f"unknown config key {key!r}")
+        if type(None) in typing.get_args(kind):
+            kind = typing.get_args(kind)[0]
+        try:
+            if typing.get_origin(kind) is tuple:
+                return tuple(typing.get_args(kind)[0](v.strip()) for v in value.split(","))
+            return kind(value)
+        except ValueError as exc:
+            raise ValueError(f"invalid {key} value {value!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -327,14 +331,6 @@ def run_gauss(cfg: ExperimentConfig) -> list[MetricRow]:
 # ---------------------------------------------------------------------------
 
 
-def _dmm_kernel(cfg: ExperimentConfig):
-    if cfg.experiment == "dmm-gauss":
-        return GaussianKernel(cfg.kernel_bandwidth)
-    return TupleKernel(
-        [GaussianKernel(cfg.kernel_bandwidth), VarianceKernel(cfg.kernel_cv), GammaKernel(cfg.kernel_cv)]
-    )
-
-
 def _aligned_estimate(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Component labels are exchangeable; align the estimate to the truth by
     the error-minimizing permutation before computing metrics."""
@@ -360,14 +356,13 @@ def _best_log_likelihoods(model: FactorizedModel, spec: DmmSpec, sample_set: Gro
 def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> dict:
     """One (plain, inflated) pair on a fresh synthetic dataset at matched
     likelihood-evaluation budgets."""
-    family = "gaussian" if cfg.experiment == "dmm-gauss" else "student-t"
+    family, kernel = _MIXTURES[cfg.experiment]
     data_seed = int(src.child(0).generator.integers(2**63))
-    dataset = make_synthetic(family, cfg.true_means, data_seed, cfg.data_count, cfg.mixing)
+    dataset = make_synthetic(family, cfg.true_means, data_seed, cfg.data_count)
     spec = DmmSpec(dataset.observations, family)
     model = dmm_model(spec)
     init = dmm_init_proposal(spec)
     h = component_means_function(spec)
-    kernel = _dmm_kernel(cfg)
     truth = np.asarray(cfg.true_means, dtype=float)
 
     out: dict[str, dict] = {"truth": truth, "dataset_seed": data_seed}
@@ -590,7 +585,7 @@ def emit(rows: list[MetricRow], path, format: str = "csv") -> None:
     """Write the rows; CSV columns are fixed, JSON mirrors rows as objects,
     with ``null`` for an undefined (NaN) value.  Refuses to create a file for
     no rows."""
-    if format not in ("csv", "json"):
+    if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
     if not rows:
         raise ValueError("refusing to emit no rows")

@@ -158,7 +158,6 @@ class PmcConfig:
 class Generation:
     """One generation's weighted population and its summaries."""
 
-    index: int
     sample_set: GroupedSampleSet
     resampled_points: list
     cumulative_estimate: Optional[np.ndarray]
@@ -218,7 +217,7 @@ def run_pmc(
             estimates.append(self_normalized_estimate(materialized, test_function))
             cum_est = np.exp(np.array(log_sums) - np.logaddexp.reduce(log_sums)) @ np.array(estimates)
         resampled = resample(materialized, cfg.population_size, rng)
-        generations.append(Generation(t, gen_set, resampled, cum_est, block_evals))
+        generations.append(Generation(gen_set, resampled, cum_est, block_evals))
         prev_resampled = resampled
     return generations
 

@@ -1,9 +1,12 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from infmc.cli import main
+from infmc.cli import _parser, main
+from infmc.experiments import ExperimentConfig
 from infmc.models import load_dataset
 
 
@@ -73,6 +76,35 @@ class TestConfigPrecedence:
             assert not out.exists()
 
 
+class TestPlainMethod:
+    """The plain method never groups its draws, so only the inflated method's
+    grouping constrains ``group_size`` and ``inner_draws``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gauss", "--budgets", "150"],
+        ["dmm", "--inner-draws", "3", "--budgets", "40", "--generations", "2", "--data-count", "20"],
+    ], ids=["gauss-group-size", "dmm-inner-draws"])
+    def test_runs_where_inflated_grouping_would_not_fit(self, tmp_path, argv):
+        out = tmp_path / "plain.csv"
+        code = main([*argv, "--seed", "1", "--method", "plain", "--replications", "2", "--output", str(out)])
+        assert code == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 2 and {row.split(",")[1] for row in rows} == {"plain"}
+
+
+def test_gauss_and_dmm_flags_are_the_config_fields():
+    """Every ``gauss``/``dmm`` option but ``--config``, ``--traces`` and
+    ``--help`` sets one ``ExperimentConfig`` field, and every field has one."""
+    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    dests = {
+        action.dest
+        for command in ("gauss", "dmm")
+        for action in commands[command]._actions
+        if action.option_strings and action.dest not in ("config", "traces", "help")
+    }
+    assert dests == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
 class TestDmmCommand:
     def test_writes_metrics_and_traces(self, tmp_path):
         out = tmp_path / "dmm.csv"
@@ -127,23 +159,28 @@ class TestUsageErrors:
         # without the refusal this small run would go ahead at --seed 1
         other_seed = tmp_path_factory.mktemp("config") / "other-seed.cfg"
         other_seed.write_text("schema_version = 1\nseed = 42\nbudgets = 200\nreplications = 2\n")
+        bad_budget = tmp_path_factory.mktemp("config") / "bad-budget.cfg"
+        bad_budget.write_text("schema_version = 1\nbudgets = 200, x\n")
         cases = [
             (["dmm", "--config", str(three_means)], "true_means must give the two component means"),
             (["gauss", "--group-size", "0"], "group_size must be >= 1"),
-            (["dmm", "--mixing", "1.5"], "mixing must lie in [0, 1]"),
             (["theorems", "--instances", "0"], "instances must be >= 1"),
             (["gauss", "--budgets", "150"], "budget 150 must be a positive multiple of group_size 100"),
             (["dmm", "--budgets", "45"], "budget 45 must split into 20 generations"),
             (["emit-data", "--count", "0"], "count must be >= 1"),
             (["emit-data", "--means", "nan,0"], "means must be finite"),
             (["dmm", "--means", "inf,0"], "true_means must give the two component means, finite"),
-            (["dmm", "--kernel-bandwidth", "inf"], "kernel_bandwidth must be positive and finite"),
-            (["dmm", "--kernel-cv", "nan"], "kernel_cv must be positive and finite"),
             (
                 ["dmm", "--budgets", "10001", "--generations", "1", "--inner-draws", "10001", "--replications", "2"],
                 "budget 10001 at inner_draws 10001 makes 100020001 combinations per generation, beyond the cap",
             ),
             (["gauss", "--config", str(other_seed)], "the config file's seed 42 differs from --seed 1"),
+            (["gauss", "--config", str(bad_budget)], "invalid budgets value '200, x'"),
+            (["gauss", "--budgets", "200,x"], "invalid budgets value '200,x'"),
+            (
+                ["dmm", "--method", "both", "--inner-draws", "3", "--budgets", "40", "--generations", "2"],
+                "budget 40 must split into 2 generations, each a positive multiple of inner_draws 3",
+            ),
         ]
         for argv, message in cases:
             out = tmp_path / "never.csv"

@@ -53,8 +53,7 @@ class TestConfig:
     def test_replications_floor(self):
         below_floor = [
             ("replications", 1), ("workers", 0), ("group_size", 0), ("generations", 0), ("inner_draws", 0),
-            ("data_count", 0), ("kernel_bandwidth", 0.0), ("kernel_cv", 0.0),
-            ("mixing", -0.1), ("mixing", 1.5),
+            ("data_count", 0),
         ]
         for field, value in below_floor:
             with pytest.raises(ValueError):
@@ -86,7 +85,7 @@ class TestConfig:
                     "budgets = 100, 200",
                     "replications = 4",
                     "method = plain",
-                    "kernel_bandwidth = 0.5",
+                    "true_means = -1.5, 2.5",
                 ]
             )
         )
@@ -94,7 +93,7 @@ class TestConfig:
         assert cfg.seed == 7
         assert cfg.budgets == (100, 200)
         assert cfg.method == "plain"
-        assert cfg.kernel_bandwidth == 0.5
+        assert cfg.true_means == (-1.5, 2.5)
 
     def test_config_file_requires_schema_version(self, tmp_path):
         path = tmp_path / "run.cfg"
