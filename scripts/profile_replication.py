@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Profile one replication with cProfile: the total call count, then the 15
-entries with the largest cumulative time and the 15 with the largest
-internal time.  The last line is the replication's wall time without the
-profiler, the median of 5 runs after one warm-up run.
+"""Profile one warm replication with cProfile: the total call count, then
+the 15 entries with the largest cumulative time and the 15 with the largest
+internal time.  One unprofiled run goes first, so that imports made on first
+use (``scipy.special`` in a Student-t run) and other one-time set-up stay out
+of the profile.  The last line is the replication's wall time without the
+profiler, the median of 5 runs after that warm-up.
 
     PYTHONPATH=src python scripts/profile_replication.py --experiment dmm-gauss --seed 1
 
@@ -34,6 +36,7 @@ def source():
     return RandomSource(args.seed).child(len(cfg.budgets) - 1, 0)
 
 
+replication(cfg, budget, source())  # warm-up
 profile = cProfile.Profile()
 profile.runcall(replication, cfg, budget, source())
 stats = pstats.Stats(profile)
@@ -41,7 +44,6 @@ print(f"total calls: {stats.total_calls}")
 stats.sort_stats("cumulative").print_stats(15)
 stats.sort_stats("tottime").print_stats(15)
 
-replication(cfg, budget, source())  # warm-up
 walls = []
 for _ in range(5):
     src = source()

@@ -72,6 +72,19 @@ def _refuse_non_file(flag: str, path: str | None, existing: bool = False) -> Non
         raise ValueError(f"{flag} must name a file in an existing directory, got {path!r}")
 
 
+def _refuse_shared_file(paths: dict[str, str | None]) -> None:
+    """Made before any work, beside each flag's own check: no two path flags
+    may name one file, or the later write would replace the earlier."""
+    seen: dict[Path, str] = {}
+    for flag, path in paths.items():
+        if path is None:
+            continue
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise ValueError(f"{seen[resolved]} and {flag} name the same file, got {path!r}")
+        seen[resolved] = flag
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     """A flag beats the config file, and the file beats the subcommand's
     default experiment; a file's seed must equal the mandatory ``--seed``."""
@@ -90,6 +103,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError("an --output path is required to write metrics")
         _refuse_non_file("--output", settings["output"])
         _refuse_non_file("--traces", getattr(args, "traces", None))
+        _refuse_shared_file({"--config": args.config, "--output": settings["output"],
+                             "--traces": getattr(args, "traces", None)})
         return ExperimentConfig(**settings)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .rng import RandomSource
 
@@ -24,9 +23,72 @@ __all__ = [
     "ScalarInverseWishart",
     "TupleDensity",
     "student_t_logpdf",
+    "log_gamma",
 ]
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
+
+# Cephes ``lgam``'s constants, as scipy.special.gammaln runs them
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+# Cephes leaves C's leading 1 implied (p1evl); written out, 1.0 * x is x exactly
+_LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LOG_SQRT_2PI = 0.91893853320467274178
+_MAXLGM = 2.556348e305
+
+
+def _polevl(x: float, coef) -> float:
+    """Horner's rule over ``coef``, leading coefficient first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _lgam(x: float) -> float:
+    """Cephes ``lgam`` for ``0 < x < MAXLGM``, step for step and with libm's
+    ``log``: a recurrence onto [2, 3) and a rational fit below 13, Stirling's
+    series above, shortened from 1000 and cut to its leading terms above 1e8."""
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x = x + (p - 2.0)
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
+def log_gamma(x):
+    """``scipy.special.gammaln(x)``, bit for bit.
+
+    A 0-d float in (0, MAXLGM), which is every scalar parameter a density
+    takes, goes through a Python port of the Cephes routine gammaln runs;
+    anything else (arrays, zero, negatives, NaN, infinities) goes to scipy,
+    whose ``special`` module, tens of MB once loaded, is imported only here.
+    """
+    arr = np.asarray(x)
+    if arr.ndim == 0 and arr.dtype == np.float64 and 0.0 < arr < _MAXLGM:
+        return np.float64(_lgam(float(arr)))
+    from scipy.special import gammaln
+
+    return gammaln(x)
 
 
 class Density:
@@ -108,7 +170,7 @@ def student_t_logpdf(x, loc, scale, df, log_norm=None):
     """Elementwise Student-t log density with location, scale and degrees of
     freedom; ``log_norm``, its x-free part, may be passed in precomputed."""
     if log_norm is None:
-        log_norm = gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * np.pi) - np.log(scale)
+        log_norm = log_gamma((df + 1.0) / 2.0) - log_gamma(df / 2.0) - 0.5 * np.log(df * np.pi) - np.log(scale)
     z = (x - loc) / scale
     return log_norm - (df + 1.0) / 2.0 * np.log1p(z * z / df)
 
@@ -140,8 +202,8 @@ class Dirichlet(Density):
         self._free = np.flatnonzero(a != 1.0)
         self._exponents = a[self._free] - 1.0
         # the normalizer as two terms, added and subtracted in the per-call formula's order
-        self._log_gamma_total = gammaln(a.sum())
-        self._log_gamma_parts = np.sum(gammaln(a))
+        self._log_gamma_total = log_gamma(a.sum())
+        self._log_gamma_parts = np.sum([log_gamma(v) for v in a])  # entry by entry: scalars take the port
 
     def sample_batch(self, rng: RandomSource, shape) -> np.ndarray:
         draws = rng.generator.dirichlet(self.concentration, shape)
@@ -169,7 +231,7 @@ class Gamma(Density):
     def __init__(self, shape, scale):
         self.shape, self.scale = _positive(shape, "shape"), _positive(scale, "scale")
         self.rows = _rows(self.shape, self.scale)
-        self._log_norm = -gammaln(self.shape) - self.shape * np.log(self.scale)
+        self._log_norm = -log_gamma(self.shape) - self.shape * np.log(self.scale)
 
     def sample_batch(self, rng: RandomSource, shape) -> np.ndarray:
         return rng.generator.gamma(self.shape, self.scale, shape)
@@ -195,7 +257,7 @@ class ScalarInverseWishart(Density):
         self.rows = _rows(self.scale_sq, self.df)
         self._shape = self.df / 2.0
         self._rate = self.scale_sq / 2.0
-        self._log_norm = self._shape * np.log(self._rate) - gammaln(self._shape)
+        self._log_norm = self._shape * np.log(self._rate) - log_gamma(self._shape)
 
     def sample_batch(self, rng: RandomSource, shape) -> np.ndarray:
         return self._rate / rng.generator.gamma(self._shape, 1.0, shape)

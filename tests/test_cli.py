@@ -181,6 +181,11 @@ class TestUsageErrors:
                 ["dmm", "--method", "both", "--inner-draws", "3", "--budgets", "40", "--generations", "2"],
                 "budget 40 must split into 2 generations, each a positive multiple of inner_draws 3",
             ),
+            (  # the traces would replace the metrics
+                ["dmm", "--budgets", "40", "--generations", "2", "--replications", "2", "--data-count", "20",
+                 "--traces", f"{tmp_path}/./never.csv"],
+                "--output and --traces name the same file",
+            ),
         ]
         for argv, message in cases:
             out = tmp_path / "never.csv"

@@ -12,7 +12,10 @@ from infmc.distributions import (
     StudentT,
     TupleDensity,
     _positive,
+    log_gamma,
 )
+from infmc.models import MIXING_PRIOR, STUDENT_T, DmmSpec, GaussianToy
+from infmc.pmc import GammaKernel, VarianceKernel
 from infmc.rng import RandomSource
 
 
@@ -282,6 +285,107 @@ class TestNormalizersFixedAtConstruction:
         points = self.DIRICHLET_POINTS[len(concentration)] + [d.sample(RandomSource(s)) for s in range(20)]
         for x in points:
             assert d.log_density(np.array(x, dtype=float)) == _dirichlet_per_call(concentration, x), x
+
+
+MAXLGM = 2.556348e305  # Cephes' bound above which lgam overflows
+
+
+def _same_bits(ours, theirs) -> bool:
+    """Equal as int64 views, so a sign bit or a NaN payload counts."""
+    return np.array_equal(np.asarray(ours, dtype=float).view(np.int64), np.asarray(theirs, dtype=float).view(np.int64))
+
+
+def _steps(value: float, count: int) -> list[float]:
+    """``count`` representable neighbours of ``value`` on each side of it, and ``value``."""
+    below, above, out = value, value, [value]
+    for _ in range(count):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        out += [float(below), float(above)]
+    return out
+
+
+class TestLogGamma:
+    """``log_gamma`` gives ``scipy.special.gammaln``'s bits: a 0-d float in
+    (0, MAXLGM) through the Cephes port, anything else through scipy."""
+
+    @staticmethod
+    def _assert_port_matches(values):
+        values = np.asarray(values, dtype=float)
+        ours = np.array([log_gamma(v) for v in values])
+        differ = values[ours.view(np.int64) != gammaln(values).view(np.int64)]
+        assert differ.size == 0, f"{differ.size} of {values.size} differ, first {differ[:5].tolist()}"
+
+    def test_port_matches_scipy_over_ranges(self):
+        rng = np.random.default_rng(25)
+        self._assert_port_matches(np.concatenate([
+            rng.uniform(1e-6, 1.0, 20_000),
+            rng.uniform(0.5, 13.0, 20_000),  # the recurrence and rational fit
+            rng.uniform(13.0, 2000.0, 20_000),  # Stirling's series, either side of 1000
+            np.exp(rng.uniform(-20.0, 30.0, 20_000)),
+            np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 20_000)),
+            np.arange(1, 400) / 2.0,  # the half-integers and integers a parameter halves to
+        ]))
+
+    def test_port_matches_scipy_at_branch_edges(self):
+        edges = [v for c in (1.0, 2.0, 3.0, 13.0, 1000.0, 1e8) for v in _steps(c, 50)]
+        edges += [float(v) for v in _steps(MAXLGM, 50) if v < MAXLGM]
+        subnormals = [5e-324, 1e-320, 1e-310, np.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308]
+        # the library's own arguments: the kernels' shapes at cv 0.3, the toy's df 20 as (df + 1)/2 and df/2, the
+        # t-mixture prior's halved dfs and unit shape, the uniform Dirichlet's total; then a df of 5 as tests use it
+        constants = [1.0 / 0.3**2, 2.0 * (2.0 + 1.0 / 0.3**2) / 2.0, 10.5, 10.0, 0.5, 1.0, 2.0, 3.0, 2.5]
+        self._assert_port_matches(edges + subnormals + constants)
+
+    def test_everything_else_takes_scipys_path(self, monkeypatch):
+        import scipy.special
+
+        calls = []
+        scipys = scipy.special.gammaln
+        monkeypatch.setattr(scipy.special, "gammaln", lambda x: calls.append(x) or scipys(x))
+        others = [0.0, -0.0, -0.5, -3.0, -1e300, np.nan, np.inf, -np.inf, MAXLGM, np.finfo(float).max]
+        for x in others:
+            assert _same_bits(log_gamma(x), scipys(x)), x
+        arrays = [np.array([0.5, 2.5, 13.0]), np.array([[1.0], [20.0]]), np.array(others), np.array([3.5])]
+        for x in arrays:
+            got = log_gamma(x)
+            assert got.shape == x.shape and _same_bits(got, scipys(x)), x
+        assert len(calls) == len(others) + len(arrays)
+        calls.clear()
+        for x in (2.5, np.float64(2.5), np.array(7.25)):  # 0-d floats in range take the port
+            assert _same_bits(log_gamma(x), scipys(x)), x
+        assert type(log_gamma(2.5)) is np.float64 and calls == []
+
+
+def _normalizer_through_scipy(d) -> np.ndarray:
+    """A density's normalizer written out with ``scipy.special.gammaln``."""
+    if isinstance(d, StudentT):
+        df = d.df
+        return gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * np.pi) - np.log(d.scale)
+    if isinstance(d, Gamma):
+        return -gammaln(d.shape) - d.shape * np.log(d.scale)
+    shape, rate = d.df / 2.0, d.scale_sq / 2.0
+    return shape * np.log(rate) - gammaln(shape)
+
+
+def test_library_normalizers_equal_scipys():
+    """Every normalizer the library builds, on its own parameters, has the
+    bits it has with scipy's gammaln throughout."""
+    centers = np.array([0.05, 0.3, 1.0, 2.5, 40.0])
+    densities = [
+        *GaussianToy().proposal(0.0).block_proposals,
+        *GaussianToy().proposal(5.0).block_proposals,
+        *DmmSpec(np.zeros(3), STUDENT_T).component_prior().parts,
+        GammaKernel().at(centers),
+        VarianceKernel().at(centers),
+        StudentT(centers[:, None], np.sqrt(centers)[:, None], (20.0 * centers)[:, None]),  # dmm-t's df columns
+        StudentT(0.3, 1.7, 5.0),
+        Gamma(2.5, 0.4),
+        ScalarInverseWishart(5.0, 6.0),
+    ]
+    for d in densities:
+        assert _same_bits(d._log_norm, _normalizer_through_scipy(d)), d
+    for d in (MIXING_PRIOR, Dirichlet([2.0, 3.5]), Dirichlet([1.0, 2.0, 3.0]), Dirichlet([0.5, 0.5])):
+        a = d.concentration
+        assert _same_bits(d._log_gamma_total, gammaln(a.sum())) and _same_bits(d._log_gamma_parts, np.sum(gammaln(a)))
 
 
 def _student_t_formula(x, loc, scale, df) -> float:

@@ -1,7 +1,11 @@
 """Module boundaries: no ``infmc`` module reaches into a sibling's private
-names, and the package re-exports only what its modules declare public."""
+names, the package re-exports only what its modules declare public, and
+importing it loads no scipy module."""
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import infmc
@@ -68,6 +72,66 @@ def test_no_module_uses_scipys_logsumexp():
             if imported or (isinstance(node, ast.Attribute) and node.attr == "logsumexp"):
                 users.append(path.name)
     assert users == []
+
+
+def _module_level_scipy_imports(source: str) -> list[int]:
+    """Lines that import scipy while the module loads: outside every function body."""
+    found, todo = [], [ast.parse(source)]
+    while todo:
+        for node in ast.iter_child_nodes(todo.pop()):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                found.append(node.lineno)
+            todo.append(node)
+    return sorted(found)
+
+
+def test_no_module_imports_scipy_at_module_level():
+    """scipy loads only inside the functions that need it, never with ``import infmc``."""
+    source = ("import scipy.special\nfrom scipy import stats\nclass A:\n    import scipy\n"
+              "def f():\n    from scipy.special import gammaln\nimport scipyx\nfrom .scipy import y\n")
+    assert _module_level_scipy_imports(source) == [1, 2, 4]
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for line in _module_level_scipy_imports(path.read_text())
+    ]
+    assert offenders == []
+
+
+_LIGHT_RUNS = """
+import sys
+from infmc.experiments import ExperimentConfig, dmm_replication, gauss_replication
+from infmc.rng import RandomSource
+
+def loaded():
+    return "scipy.special" in sys.modules
+
+print(loaded())
+gauss_replication(ExperimentConfig("gauss-centered", 1), 200, RandomSource(1).child(0, 0))
+print(loaded())
+small = dict(budgets=(40,), generations=2, data_count=20)
+dmm_replication(ExperimentConfig("dmm-gauss", 1, **small), 40, RandomSource(1).child(0, 0))
+print(loaded())
+dmm_replication(ExperimentConfig("dmm-t", 1, **small), 40, RandomSource(1).child(0, 0))
+print(loaded())
+"""
+
+
+def test_gaussian_runs_never_load_scipy_special():
+    """``import infmc``, a gauss-centered and a dmm-gauss replication leave
+    ``scipy.special`` unloaded; the Student-t mixture's array log-gamma loads
+    it.  A fresh interpreter, since this one has loaded it already."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _LIGHT_RUNS], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False", "False", "True"]
 
 
 def _object_arrays(source: str) -> list[int]:
