@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run the benchmark in alternating parent/change pairs and write every run,
 with a per-workload summary of the end-to-end metrics, to one JSON file.
+The summary gives each metric a verdict against its ``BENCHMARK.json`` bound.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload dmm-gauss --workload gauss-20k --pairs 10 --seconds 30 --seed 1 --output BENCH.json
@@ -29,6 +30,11 @@ SIDES = ("parent", "change")
 def better_directions(benchmark: dict) -> dict[str, str]:
     """Each end-to-end metric's ``better`` direction, ``lower`` or ``higher``."""
     return {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+
+
+def metric_bounds(benchmark: dict) -> dict[str, float]:
+    """Each end-to-end metric's bound: the largest relative worsening allowed."""
+    return {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
 
 
 def run_once(directory: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -75,12 +81,36 @@ def _spread(values: list[float]) -> tuple[float | None, list[float] | None]:
     return round(statistics.median(values), 4), quartiles
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def _worse_frac(parent_median: float | None, change_median: float | None, direction: str) -> float | None:
+    """How far the change's median moved from the parent's, relative to the
+    parent's, in the worse direction: positive is worse."""
+    if parent_median is None or change_median is None or parent_median == 0:
+        return None
+    moved = change_median - parent_median if direction == "lower" else parent_median - change_median
+    return round(moved / abs(parent_median), 4)
+
+
+def _verdict(entry: dict, direction: str, bound: float) -> str | None:
+    """``beyond_bound`` when the median got worse by more than ``bound``;
+    ``unresolved`` when the parent's IQR over its median exceeds ``bound``
+    and not every change run beats every parent run; else ``within_bound``."""
+    if entry["worse_frac"] is None:
+        return None
+    if entry["worse_frac"] > bound:
+        return "beyond_bound"
+    parent, change = ([v for v in entry[side] if v is not None] for side in SIDES)
+    separated = max(change) < min(parent) if direction == "lower" else min(change) > max(parent)
+    spread = entry["parent_iqr"] / abs(entry["parent_median"]) if entry["parent_iqr"] is not None else 0.0
+    return "unresolved" if spread > bound and not separated else "within_bound"
+
+
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """Per workload of the timed (``trace`` 0) runs and per end-to-end
     metric: each side's values in pair order, rounded to four decimals
     (``None`` where a run failed); their medians and quartiles; the parent's
-    interquartile range; and the pairs in which the change's value is
-    better, ties counting for neither side."""
+    interquartile range; the pairs in which the change's value is better,
+    ties counting for neither side; the median's relative worsening,
+    ``worse_frac``; and, for a metric with a ``bound``, its ``verdict``."""
     timed = [run for run in runs if run["trace"] == 0]
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in timed):
@@ -107,7 +137,10 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 "change_quartiles": change_q,
                 "change_wins": wins,
                 "parent_iqr": None if parent_q is None else round(parent_q[1] - parent_q[0], 4),
+                "worse_frac": _worse_frac(parent_median, change_median, direction),
             }
+            if bounds and metric in bounds:
+                entry[metric]["verdict"] = _verdict(entry[metric], direction, bounds[metric])
         summary[workload] = entry
     return summary
 
@@ -128,7 +161,8 @@ def main(argv=None) -> int:
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be >= 1 and --seconds positive")
 
-    better = better_directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better, bounds = better_directions(benchmark), metric_bounds(benchmark)
     directories = {"parent": args.parent, "change": args.change}
     runs: list[dict] = []
     for pair in range(args.pairs):
@@ -145,7 +179,7 @@ def main(argv=None) -> int:
                 payload = {
                     "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
                                f"--seconds {args.seconds:g} --trace 0",
-                    "summary": summarize(runs, better),
+                    "summary": summarize(runs, better, bounds),
                     "runs": runs,
                 }
                 args.output.write_text(json.dumps(payload, indent=1) + "\n")

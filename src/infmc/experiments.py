@@ -29,8 +29,8 @@ from .estimators import (
     evidence_estimate,
     self_normalized_estimate,
 )
+from . import factorized
 from .factorized import (
-    MAX_UNCAPPED_COMBINATIONS,
     FactorizedModel,
     FactorizedProposal,
     GroupedSampleSet,
@@ -91,8 +91,8 @@ class ExperimentConfig:
     plain run's samples over all ``generations``, so it must split into that
     many populations.  Only the inflated method groups its draws: with it, a
     Gaussian budget must be a multiple of ``group_size``, each mixture
-    population a multiple of ``inner_draws``, and an inflated generation's
-    combinations must stay within ``MAX_UNCAPPED_COMBINATIONS``.
+    population a multiple of ``inner_draws``.  A generation's diagnostic
+    labels, combinations times ``data_count``, must stay within the enumeration cap.
     """
 
     experiment: str
@@ -133,17 +133,19 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         inflated = "inflated" in self.methods
+        draws = self.inner_draws if inflated else 1  # the inner draws of the largest generation
         for budget in budgets:
             if mixture:
                 population, rest = divmod(budget, self.generations)
-                if population < 1 or rest or (inflated and population % self.inner_draws):
+                if population < 1 or rest or population % draws:
                     each = f", each a positive multiple of inner_draws {self.inner_draws}" if inflated else ""
                     raise ValueError(f"budget {budget} must split into {self.generations} generations{each}")
-                combinations = population // self.inner_draws * self.inner_draws**NUM_COMPONENTS
-                if inflated and combinations > MAX_UNCAPPED_COMBINATIONS:
+                combinations = population // draws * draws**NUM_COMPONENTS
+                if (labels := combinations * self.data_count) > factorized.MAX_UNCAPPED_COMBINATIONS:
                     raise ValueError(
-                        f"budget {budget} at inner_draws {self.inner_draws} makes {combinations} "
-                        f"combinations per generation, beyond the cap of {MAX_UNCAPPED_COMBINATIONS}"
+                        f"budget {budget} at inner_draws {draws} makes {combinations} combinations per generation, "
+                        f"beyond the cap: their {labels} labels at data_count {self.data_count} "
+                        f"exceed {factorized.MAX_UNCAPPED_COMBINATIONS}"
                     )
             elif budget < 1 or (inflated and budget % self.group_size):
                 multiple = f"multiple of group_size {self.group_size}" if inflated else "number of draws"

@@ -30,7 +30,7 @@ __all__ = [
     "grouped_inflate",
 ]
 
-# enumeration and materialization refuse beyond this many combinations
+# the enumeration cap, in combinations; each check reads it from this module at call time
 MAX_UNCAPPED_COMBINATIONS = 10**8
 
 
@@ -225,20 +225,13 @@ def recombine(
        inner_draws))``: one generator call per part, a tuple block's parts
        stacked on a last axis.
 
-    Raises :class:`InflationBudgetError`, before any draw, when the
-    ``outer_draws * inner_draws**K`` combinations exceed
-    ``MAX_UNCAPPED_COMBINATIONS``.
+    It enumerates nothing: the returned set itself refuses enumeration.
     """
     if outer_draws < 1:
         raise ValueError("outer_draws must be >= 1")
     if inner_draws < 1:
         raise ValueError("inner_draws must be >= 1")
     _check_blocks(model, prop)
-    k = model.num_blocks
-    if outer_draws * inner_draws**k > MAX_UNCAPPED_COMBINATIONS:
-        raise InflationBudgetError(
-            f"{outer_draws} x {inner_draws}^{k} combinations exceed {MAX_UNCAPPED_COMBINATIONS}"
-        )
     glob = prop.global_proposal
     global_values = None if glob is None else glob.sample_batch(rng, outer_draws)
     block_values = [density.sample_batch(rng, (outer_draws, inner_draws)) for density in prop.block_proposals]

@@ -24,7 +24,8 @@ from .estimators import (
     resample,
     self_normalized_estimate,
 )
-from .factorized import FactorizedModel, FactorizedProposal, GroupedSampleSet, recombine
+from . import factorized
+from .factorized import FactorizedModel, FactorizedProposal, GroupedSampleSet, InflationBudgetError, recombine
 from .rng import RandomSource
 
 __all__ = [
@@ -191,13 +192,17 @@ def run_pmc(
     plain run's count, and nothing else scores them.  A kernel
     generation draws its outer draws' centers in one ``integers`` call and
     builds one proposal for all of them; then :func:`recombine` makes its
-    draws, and :func:`resample` draws the next population.
+    draws, and :func:`resample` draws the next population from the
+    materialized set; so the loop raises :class:`InflationBudgetError`, before
+    its first draw, when a generation's combinations pass the enumeration cap.
 
     The cumulative estimate over generations ``1..t`` is the union
     decomposition of the pooled self-normalized estimate: each generation's
     own estimate, weighted by its share of the total weight.
     """
     outer = cfg.population_size // cfg.inner_draws
+    if outer * cfg.inner_draws**model.num_blocks > factorized.MAX_UNCAPPED_COMBINATIONS:
+        raise InflationBudgetError(f"{outer} x {cfg.inner_draws}^{model.num_blocks} combinations exceed the cap")
     block_evals = cfg.population_size * model.num_blocks  # outer * inner_draws values per block
     generations: list[Generation] = []
     prev_resampled: list | None = None

@@ -213,6 +213,22 @@ class TestRunDmm:
                 generations=2, data_count=20,
             )
 
+    def test_diagnostic_labels_beyond_the_cap_are_refused_before_running(self):
+        # 4 * 10**6 combinations per generation are within the cap; their 100 labels each are not
+        with pytest.raises(ValueError, match="400000000 labels at data_count 100 exceed 100000000"):
+            ExperimentConfig("dmm-gauss", 1, budgets=(2000,), generations=1, inner_draws=2000)
+        ExperimentConfig("dmm-gauss", 1, budgets=(2000,), generations=1, inner_draws=2000, data_count=25)
+
+    @pytest.mark.parametrize("cap, refused", [(19999, True), (20000, False)])
+    def test_the_label_count_reads_the_cap_at_call_time(self, monkeypatch, cap, refused):
+        # the default mixture generation: 50 outer draws x 2^2 combinations x 100 observations
+        monkeypatch.setattr(factorized, "MAX_UNCAPPED_COMBINATIONS", cap)
+        if refused:
+            with pytest.raises(ValueError, match="20000 labels"):
+                ExperimentConfig("dmm-t", 1)
+        else:
+            ExperimentConfig("dmm-t", 1)
+
     def test_single_generation_trace(self):
         cfg = ExperimentConfig(
             experiment="dmm-gauss", seed=17, budgets=(20,), replications=2,

@@ -221,9 +221,47 @@ class TestInflate:
             assert lw == pytest.approx(oracle, abs=1e-12)
 
     def test_refuses_huge_uncapped_enumeration(self):
-        model = priors_only_model(2)
+        # recombine draws the 10**10 combinations cheaply; only enumerating them is refused
+        drawn = inflate(priors_only_model(2), gaussian_proposal(2), 1, 100000, RandomSource(0))
+        assert drawn.size == 10**10
         with pytest.raises(InflationBudgetError):
-            inflate(model, gaussian_proposal(2), 1, 100000, RandomSource(0))
+            drawn.materialize()
+        with pytest.raises(InflationBudgetError):
+            drawn.points
+
+    def test_thirty_two_blocks_with_a_global_block_contract_by_hand(self):
+        # 4 * 10**32 combinations, far beyond len()'s 2**63 - 1: every sum is written out per block
+        k, outer, inner = 32, 4, 10
+        y = RandomSource(3).generator.normal(size=k)
+        prior, mu_prior = DiagGaussian(0.0, 1.0), DiagGaussian(0.0, 4.0)
+        lik = lambda j: lambda mu, theta: -0.5 * (y[j] - theta - mu) ** 2  # N(y_j | theta_j + mu, 1), unnormalized
+        model = FactorizedModel(
+            num_blocks=k,
+            global_log_prior=mu_prior.log_density_each,
+            block_log_priors=(prior.log_density_each,) * k,
+            block_log_likelihoods=tuple(lik(j) for j in range(k)),
+            log_evidence_offset=-7.5,
+        )
+        mu_prop = DiagGaussian(0.5, 1.5)
+        prop = FactorizedProposal(tuple(DiagGaussian(y[j], 2.0) for j in range(k)), global_proposal=mu_prop)
+        drawn = recombine(model, prop, outer, inner, RandomSource(4))
+        assert drawn.size == outer * inner**k
+        with pytest.raises(InflationBudgetError):
+            drawn.materialize()
+
+        def log_normal(x, mean, var):
+            return -0.5 * (np.log(2 * np.pi * var) + (x - mean) ** 2 / var)
+
+        mu, x = drawn.global_values, drawn.values  # (outer,) and (outer, k, inner)
+        base = log_normal(mu, 0.0, 4.0) - 7.5 - log_normal(mu, 0.5, 1.5)
+        c = log_normal(x, 0.0, 1.0) - 0.5 * (y[:, None] - x - mu[:, None, None]) ** 2 - log_normal(x, y[:, None], 2.0)
+        block_sums = np.logaddexp.reduce(c, axis=2)  # L_gj
+        group_sums = base + block_sums.sum(axis=1)  # W_g
+        total = np.logaddexp.reduce(group_sums)  # W
+        assert drawn.log_weight_sum == pytest.approx(total, abs=1e-12)
+        within = np.sum(np.exp(c - block_sums[..., None]) * x, axis=2)  # per group and block
+        expected = np.exp(group_sums - total) @ within
+        np.testing.assert_allclose(drawn.self_normalized_mean(), expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize(
         "outer_draws, inner_draws, refused",

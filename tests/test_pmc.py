@@ -312,16 +312,21 @@ class TestRunPmc:
             ]
             assert _best_log_likelihoods(model, spec, gen.sample_set)[1] == max(per_combination)
 
-    def test_combination_cap_applies_before_any_block_evaluation(self, monkeypatch):
+    @pytest.mark.parametrize("cap", [15, 16])
+    def test_combination_cap_applies_before_any_block_evaluation(self, monkeypatch, cap):
         ds = make_synthetic("gaussian", (-2.0, 2.0), 7, count=20)
         spec = DmmSpec(ds.observations)
         model, calls = _counting_likelihoods(dmm_model(spec))
         init = dmm_init_proposal(spec)
-        monkeypatch.setattr(factorized, "MAX_UNCAPPED_COMBINATIONS", 10)
+        monkeypatch.setattr(factorized, "MAX_UNCAPPED_COMBINATIONS", cap)
         cfg = PmcConfig(population_size=4, generations=1, kernel=GaussianKernel(0.25), inner_draws=4)
-        with pytest.raises(InflationBudgetError):
-            run_pmc(model, init, cfg, RandomSource(0))  # one outer draw emits 4^2 = 16 > 10
-        assert calls == []
+        if cap < 16:  # one outer draw emits 4^2 = 16 combinations
+            with pytest.raises(InflationBudgetError):
+                run_pmc(model, init, cfg, RandomSource(0))
+            assert calls == []
+        else:
+            run_pmc(model, init, cfg, RandomSource(0))
+            assert sum(calls) == cfg.population_size * model.num_blocks == 8
 
 
 class TestResamplingLaw:
