@@ -13,10 +13,14 @@ own checkout's ``src/`` and ``perfbench/``; runs go one at a time.  Pair
 when ``p`` is even.  A run that exits nonzero or whose last line is not a
 result object is kept with its exit code and the tail of its stderr.  The
 file is rewritten after every run, so a stopped session keeps what it ran.
+It records each side's ``tree_digest``, which names the code a side timed
+even when its checkout holds uncommitted edits.  Equal digests are allowed:
+a change to the benchmark may time its own tree on both sides.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -35,6 +39,22 @@ def better_directions(benchmark: dict) -> dict[str, str]:
 def metric_bounds(benchmark: dict) -> dict[str, float]:
     """Each end-to-end metric's bound: the largest relative worsening allowed."""
     return {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
+
+
+def tree_digest(directory: Path) -> str:
+    """sha256 over the ``.py`` files under ``src/`` and ``perfbench/``: each
+    file's path relative to ``directory``, its size and its bytes, in path order."""
+    files = {
+        path.relative_to(directory).as_posix(): path
+        for top in ("src", "perfbench")
+        for path in (directory / top).rglob("*.py")
+    }
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        data = files[name].read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def run_once(directory: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -164,6 +184,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better, bounds = better_directions(benchmark), metric_bounds(benchmark)
     directories = {"parent": args.parent, "change": args.change}
+    digests = {side: tree_digest(directory) for side, directory in directories.items()}
     runs: list[dict] = []
     for pair in range(args.pairs):
         seed = args.seed + pair
@@ -179,6 +200,7 @@ def main(argv=None) -> int:
                 payload = {
                     "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
                                f"--seconds {args.seconds:g} --trace 0",
+                    "tree_digests": digests,
                     "summary": summarize(runs, better, bounds),
                     "runs": runs,
                 }

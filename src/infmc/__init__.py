@@ -15,13 +15,12 @@ from .estimators import (
     SampleSet,
     TestFunction,
     combine,
-    decomposition_residual,
-    error_convexity_margin,
     evidence_estimate,
     resample,
     self_normalized_estimate,
     snis_variance_estimate,
     standard_estimate,
+    union_decomposition,
 )
 from .factorized import (
     FactorizedModel,

@@ -24,8 +24,7 @@ __all__ = [
     "snis_variance_estimate",
     "evidence_estimate",
     "combine",
-    "decomposition_residual",
-    "error_convexity_margin",
+    "union_decomposition",
     "resample",
     "log_sum_exp",
 ]
@@ -250,50 +249,21 @@ def combine(sets: Sequence[SampleSet]) -> SampleSet:
 _ESTIMATORS = {STANDARD: standard_estimate, SELF_NORMALIZED: self_normalized_estimate}
 
 
-def _convex_lambdas(sets: Sequence[SampleSet], union: SampleSet, kind: str) -> np.ndarray:
+def union_decomposition(sets: Sequence[SampleSet], h: TestFunction, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union's estimate, the per-set estimates and their convex weights
+    ``lambdas``: set sizes (standard kind) or weight-sum fractions
+    (self-normalized kind).  In exact arithmetic the union's estimate is
+    ``lambdas @ per_set`` for any partition of the union into ``sets``."""
+    if kind not in _ESTIMATORS:
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    estimator = _ESTIMATORS[kind]
+    union = combine(list(sets))
     if kind == STANDARD:
-        return np.array([len(s) / len(union) for s in sets])
-    if kind == SELF_NORMALIZED:
-        return np.exp(np.array([s.log_weight_sum for s in sets]) - union.log_weight_sum)
-    raise ValueError(f"unknown estimator kind {kind!r}")
-
-
-def decomposition_residual(sets: Sequence[SampleSet], h: TestFunction, kind: str) -> float:
-    """Max-norm gap between the estimate on the union and the convex
-    combination of per-set estimates.
-
-    The combination weights are set sizes (standard kind) or weight-sum
-    fractions (self-normalized kind); in exact arithmetic the gap is zero for
-    any partition, so the residual measures accumulation error only.
-    """
-    estimator = _ESTIMATORS[kind]
-    union = combine(list(sets))
-    lambdas = _convex_lambdas(sets, union, kind)
+        lambdas = np.array([len(s) / len(union) for s in sets])
+    else:
+        lambdas = np.exp(np.array([s.log_weight_sum for s in sets]) - union.log_weight_sum)
     per_set = np.array([estimator(s, h) for s in sets])
-    combined = lambdas @ per_set
-    return float(np.max(np.abs(estimator(union, h) - combined)))
-
-
-def error_convexity_margin(
-    sets: Sequence[SampleSet],
-    h: TestFunction,
-    kind: str,
-    reference: np.ndarray,
-    ord: float = 2,
-) -> float:
-    """Slack in the bound "convex combination of normed errors >= normed
-    error of the combined estimate", for any reference vector and norm.
-
-    Nonnegative up to floating-point error for every valid input.
-    """
-    estimator = _ESTIMATORS[kind]
-    union = combine(list(sets))
-    lambdas = _convex_lambdas(sets, union, kind)
-    reference = np.asarray(reference, dtype=float)
-    per_set = np.array([estimator(s, h) for s in sets])
-    avg_error = float(lambdas @ [np.linalg.norm(v - reference, ord=ord) for v in per_set])
-    combined_error = float(np.linalg.norm(lambdas @ per_set - reference, ord=ord))
-    return avg_error - combined_error
+    return estimator(union, h), per_set, lambdas
 
 
 def resample(x: SampleSet, count: int, rng: RandomSource) -> list:

@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -24,10 +25,9 @@ from .distributions import DiagGaussian
 from .estimators import (
     SampleSet,
     TestFunction,
-    decomposition_residual,
-    error_convexity_margin,
     evidence_estimate,
     self_normalized_estimate,
+    union_decomposition,
 )
 from . import factorized
 from .factorized import (
@@ -87,12 +87,12 @@ class ExperimentConfig:
 
     Unset ``budgets`` and ``replications`` resolve per experiment family:
     (2000,) x 25 for the mixture experiments, (200, 2000, 20000) x 50
-    otherwise.  A budget must be positive, and a mixture budget counts the
-    plain run's samples over all ``generations``, so it must split into that
-    many populations.  Only the inflated method groups its draws: with it, a
-    Gaussian budget must be a multiple of ``group_size``, each mixture
-    population a multiple of ``inner_draws``.  A generation's diagnostic
-    labels, combinations times ``data_count``, must stay within the enumeration cap.
+    otherwise.  A budget must be a positive integer, and a mixture budget
+    counts the plain run's samples over all ``generations``, so it must split
+    into that many populations.  Only the inflated method groups its draws:
+    with it, a Gaussian budget must be a multiple of ``group_size``, each
+    mixture population a multiple of ``inner_draws``.  The diagnostic labels
+    enumerated at once, combinations x ``data_count`` x replications in flight, stay within the cap.
     """
 
     experiment: str
@@ -121,6 +121,8 @@ class ExperimentConfig:
             object.__setattr__(self, "replications", 25 if mixture else 50)
         if self.budgets is None:
             object.__setattr__(self, "budgets", (2000,) if mixture else (200, 2000, 20000))
+        if refused := [b for b in self.budgets if not isinstance(b, numbers.Integral)]:
+            raise ValueError(f"budget {refused[0]!r} must be an integer")
         budgets = tuple(int(b) for b in self.budgets)
         object.__setattr__(self, "budgets", budgets)
         if not budgets or any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
@@ -134,6 +136,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1")
         inflated = "inflated" in self.methods
         draws = self.inner_draws if inflated else 1  # the inner draws of the largest generation
+        in_flight = min(self.workers, self.replications)  # replications enumerating labels at once
         for budget in budgets:
             if mixture:
                 population, rest = divmod(budget, self.generations)
@@ -141,11 +144,11 @@ class ExperimentConfig:
                     each = f", each a positive multiple of inner_draws {self.inner_draws}" if inflated else ""
                     raise ValueError(f"budget {budget} must split into {self.generations} generations{each}")
                 combinations = population // draws * draws**NUM_COMPONENTS
-                if (labels := combinations * self.data_count) > factorized.MAX_UNCAPPED_COMBINATIONS:
+                if (labels := combinations * self.data_count * in_flight) > factorized.MAX_UNCAPPED_COMBINATIONS:
                     raise ValueError(
                         f"budget {budget} at inner_draws {draws} makes {combinations} combinations per generation, "
-                        f"beyond the cap: their {labels} labels at data_count {self.data_count} "
-                        f"exceed {factorized.MAX_UNCAPPED_COMBINATIONS}"
+                        f"beyond the cap: their {labels} labels at data_count {self.data_count} exceed "
+                        f"{factorized.MAX_UNCAPPED_COMBINATIONS} over {in_flight} replications on {self.workers} workers"
                     )
             elif budget < 1 or (inflated and budget % self.group_size):
                 multiple = f"multiple of group_size {self.group_size}" if inflated else "number of draws"
@@ -510,6 +513,11 @@ def _counting_likelihoods(model: FactorizedModel) -> tuple[FactorizedModel, list
     return replace(model, block_log_likelihoods=tuple(map(counted, model.block_log_likelihoods))), counts
 
 
+def _residual(estimate: np.ndarray, per_set: np.ndarray, lambdas: np.ndarray) -> float:
+    """Max-norm gap between a :func:`union_decomposition`'s union estimate and ``lambdas @ per_set``."""
+    return float(np.max(np.abs(estimate - lambdas @ per_set)))
+
+
 def run_theorem_suite(seed: int, instances: int = 500, inflation_instances: int = 200) -> TheoremReport:
     """Execute the estimator and recombination property checks on randomized
     instances and report the worst residual per check."""
@@ -519,29 +527,29 @@ def run_theorem_suite(seed: int, instances: int = 500, inflation_instances: int 
     h = TestFunction.identity(2)
     checks: list[CheckResult] = []
 
+    kinds = ("standard", "self-normalized")
     partitions = [_random_partition(rng.child(0, i), 1000, float(rng.child(1, i).generator.random() * 600)) for i in range(instances)]
-    for kind in ("standard", "self-normalized"):
-        worst = max(decomposition_residual(sets, h, kind) for sets in partitions)
-        checks.append(CheckResult(f"union-decomposition-{kind}", instances, worst, 1e-10, worst < 1e-10))
-
     ref_rng = rng.child(2)
+    residuals: dict[str, list[float]] = {kind: [] for kind in kinds}
     worst_margin = 0.0
     for sets in partitions:
         reference = ref_rng.generator.standard_normal(2)
-        for kind in ("standard", "self-normalized"):
+        for kind in kinds:
+            estimate, per_set, lambdas = union_decomposition(sets, h, kind)
+            residuals[kind].append(_residual(estimate, per_set, lambdas))
+            combined = lambdas @ per_set
             for ord in (1, 2, np.inf):
-                margin = error_convexity_margin(sets, h, kind, reference, ord)
-                worst_margin = min(worst_margin, margin)
+                avg_error = float(lambdas @ [np.linalg.norm(v - reference, ord=ord) for v in per_set])
+                worst_margin = min(worst_margin, avg_error - float(np.linalg.norm(combined - reference, ord=ord)))
+    for kind in kinds:
+        worst = max(residuals[kind])
+        checks.append(CheckResult(f"union-decomposition-{kind}", instances, worst, 1e-10, worst < 1e-10))
     checks.append(
         CheckResult("error-convexity-bound", instances * 6, worst_margin, -1e-12, worst_margin >= -1e-12)
     )
 
     adversarial = [_random_partition(rng.child(3, i), 1000, 600.0) for i in range(50)]
-    worst_adv = max(
-        decomposition_residual(sets, h, kind)
-        for sets in adversarial
-        for kind in ("standard", "self-normalized")
-    )
+    worst_adv = max(_residual(*union_decomposition(sets, h, kind)) for sets in adversarial for kind in kinds)
     checks.append(CheckResult("union-decomposition-600-log-units", 100, worst_adv, 1e-8, worst_adv < 1e-8))
 
     worst_cache = 0.0

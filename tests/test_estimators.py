@@ -9,14 +9,13 @@ from infmc.estimators import (
     SampleSet,
     TestFunction,
     combine,
-    decomposition_residual,
-    error_convexity_margin,
     evidence_estimate,
     log_sum_exp,
     resample,
     self_normalized_estimate,
     snis_variance_estimate,
     standard_estimate,
+    union_decomposition,
 )
 from infmc.rng import RandomSource
 
@@ -296,6 +295,17 @@ def random_partition(seed, span=600.0, max_total=60, dim=2):
     return [SampleSet(points[a:b], log_w[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def decomposition_residual(sets, h, kind):
+    estimate, per_set, lambdas = union_decomposition(sets, h, kind)
+    return float(np.max(np.abs(estimate - lambdas @ per_set)))
+
+
+def error_convexity_margin(sets, h, kind, reference, ord):
+    _, per_set, lambdas = union_decomposition(sets, h, kind)
+    avg_error = float(lambdas @ [np.linalg.norm(v - reference, ord=ord) for v in per_set])
+    return avg_error - float(np.linalg.norm(lambdas @ per_set - reference, ord=ord))
+
+
 class TestDecomposition:
     """The union estimate equals the convex combination of per-part estimates."""
 
@@ -304,6 +314,17 @@ class TestDecomposition:
         union = combine(sets)
         assert decomposition_residual([union], TestFunction.identity(2), "standard") == 0.0
         assert decomposition_residual([union], TestFunction.identity(2), "self-normalized") == 0.0
+
+    def test_one_set_is_its_own_union(self):
+        union = combine(random_partition(0))
+        for kind in ("standard", "self-normalized"):
+            estimate, per_set, lambdas = union_decomposition([union], TestFunction.identity(2), kind)
+            assert lambdas.tolist() == [1.0]
+            assert per_set.tolist() == [estimate.tolist()]
+
+    def test_unknown_kind_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown estimator kind 'bogus'"):
+            union_decomposition(random_partition(0), TestFunction.identity(2), "bogus")
 
     def test_two_explicit_parts(self):
         rng = np.random.default_rng(3)

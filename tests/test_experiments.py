@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from infmc import factorized
+from infmc import estimators, factorized
 from infmc.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -42,6 +42,11 @@ class TestConfig:
             tiny_gauss_config(budgets=(200, 200))
         with pytest.raises(ValueError, match="one or more"):
             tiny_gauss_config(budgets=())
+
+    def test_budgets_must_be_integers(self):
+        with pytest.raises(ValueError, match="budget 200.9 must be an integer"):
+            tiny_gauss_config(budgets=(200.9, 2000), replications=2)
+        assert tiny_gauss_config(budgets=(np.int64(200), 400)).budgets == (200, 400)
 
     def test_true_means_name_both_components(self):
         for means in [(1.0,), (-2.0, 0.0, 2.0)]:
@@ -219,6 +224,15 @@ class TestRunDmm:
             ExperimentConfig("dmm-gauss", 1, budgets=(2000,), generations=1, inner_draws=2000)
         ExperimentConfig("dmm-gauss", 1, budgets=(2000,), generations=1, inner_draws=2000, data_count=25)
 
+    def test_the_label_cap_counts_the_replications_in_flight(self):
+        # 10**6 combinations x 100 labels reach the cap on one worker; a second replication in flight passes it
+        config = dict(budgets=(2000,), generations=1, inner_draws=500)
+        ExperimentConfig("dmm-gauss", 1, **config, workers=1)
+        with pytest.raises(ValueError, match="200000000 labels at data_count 100 exceed 100000000 over 2 replications on 2 workers"):
+            ExperimentConfig("dmm-gauss", 1, **config, workers=2)
+        # no more replications run at once than there are
+        ExperimentConfig("dmm-gauss", 1, **config, workers=3, replications=2, data_count=50)
+
     @pytest.mark.parametrize("cap, refused", [(19999, True), (20000, False)])
     def test_the_label_count_reads_the_cap_at_call_time(self, monkeypatch, cap, refused):
         # the default mixture generation: 50 outer draws x 2^2 combinations x 100 observations
@@ -311,6 +325,14 @@ class TestTheoremSuite:
         assert counts == [3 * 2] * 2  # one call per block, on its (6, 3) parameter sets
         model.block_log_likelihoods[0]((np.array([0.5, 0.5]), np.zeros(20, dtype=int)), (0.0, 1.0, 5.0))
         assert counts[-1] == 1
+
+    def test_each_partition_is_decomposed_once_per_kind(self, monkeypatch):
+        # one union per (partition, kind): 2 kinds x 7 partitions, and 2 x 50 adversarial ones
+        calls = []
+        original = estimators.combine
+        monkeypatch.setattr(estimators, "combine", lambda sets: calls.append(1) or original(sets))
+        run_theorem_suite(seed=8, instances=7, inflation_instances=1)
+        assert len(calls) == 2 * 7 + 100
 
     def test_instance_counts_floor(self):
         for counts in (dict(instances=0), dict(inflation_instances=0)):

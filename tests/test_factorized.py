@@ -14,10 +14,10 @@ from infmc.estimators import (
     DegenerateWeightsError,
     SampleSet,
     TestFunction,
-    decomposition_residual,
     evidence_estimate,
     resample,
     self_normalized_estimate,
+    union_decomposition,
 )
 from infmc.experiments import _counting_likelihoods
 from infmc.factorized import (
@@ -329,7 +329,8 @@ class TestInflate:
         points, log_weights = drawn.points, drawn.log_weights
         parts = [SampleSet(points[first + c], log_weights[first + c]) for c in range(per_draw)]
         for kind in ("standard", "self-normalized"):
-            assert decomposition_residual(parts, h, kind) < 1e-10
+            estimate, per_set, lambdas = union_decomposition(parts, h, kind)
+            assert np.max(np.abs(estimate - lambdas @ per_set)) < 1e-10
 
 
 class TestRecombineStream:

@@ -98,3 +98,16 @@ def test_bench_pairs_reads_each_bound_from_the_benchmark():
     bounds = bench_pairs.metric_bounds(benchmark)
     assert set(bounds) == set(bench_pairs.better_directions(benchmark))
     assert bounds["setup_s"] == 0.25 and bounds["peak_rss_mb"] == 0.1
+
+
+def test_bench_pairs_tree_digest_names_the_code_a_side_runs(tmp_path):
+    bench_pairs = _load_script("bench_pairs")
+    trees = [tmp_path / name for name in ("a", "b", "c")]
+    for tree in trees:
+        (tree / "src" / "pkg").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        (tree / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+        (tree / "perfbench" / "run.py").write_text("print('run')\n")
+    (trees[2] / "src" / "pkg" / "mod.py").write_text("x = 2\n")
+    a, b, c = map(bench_pairs.tree_digest, trees)
+    assert a == b != c
