@@ -3,8 +3,10 @@
 the 15 entries with the largest cumulative time and the 15 with the largest
 internal time.  One unprofiled run goes first, so that imports made on first
 use (``scipy.special`` in a Student-t run) and other one-time set-up stay out
-of the profile.  The last line is the replication's wall time without the
-profiler, the median of 5 runs after that warm-up.
+of the profile.  Then one warm run's minor page faults (``getrusage``) and
+one warm run's traced allocation peak (``tracemalloc``).  The last line is
+the replication's wall time without the profiler, the median of 5 runs after
+that warm-up.
 
     PYTHONPATH=src python scripts/profile_replication.py --experiment dmm-gauss --seed 1
 
@@ -14,8 +16,10 @@ gauss`` (budget 20000, groups of 100) would run at that seed.
 import argparse
 import cProfile
 import pstats
+import resource
 import statistics
 import time
+import tracemalloc
 
 from infmc import experiments
 from infmc.rng import RandomSource
@@ -43,6 +47,16 @@ stats = pstats.Stats(profile)
 print(f"total calls: {stats.total_calls}")
 stats.sort_stats("cumulative").print_stats(15)
 stats.sort_stats("tottime").print_stats(15)
+
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+replication(cfg, budget, source())
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+print(f"minor page faults: {faults} (one warm run)")
+tracemalloc.start()
+replication(cfg, budget, source())
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(f"traced allocation peak: {peak / 2**20:.2f} MiB (one warm run)")
 
 walls = []
 for _ in range(5):

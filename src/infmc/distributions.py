@@ -168,11 +168,22 @@ class DiagGaussian(Density):
 
 def student_t_logpdf(x, loc, scale, df, log_norm=None):
     """Elementwise Student-t log density with location, scale and degrees of
-    freedom; ``log_norm``, its x-free part, may be passed in precomputed."""
+    freedom; ``log_norm``, its x-free part, may be passed in precomputed.
+
+    The result is built in one array of the broadcast shape, each step of
+    ``log_norm - (df + 1) / 2 * log1p(z * z / df)`` with ``z = (x - loc) /
+    scale`` written over it; scalar arguments give a scalar."""
     if log_norm is None:
         log_norm = log_gamma((df + 1.0) / 2.0) - log_gamma(df / 2.0) - 0.5 * np.log(df * np.pi) - np.log(scale)
-    z = (x - loc) / scale
-    return log_norm - (df + 1.0) / 2.0 * np.log1p(z * z / df)
+    out = np.empty(np.broadcast_shapes(*map(np.shape, (x, loc, scale, df, log_norm))))
+    np.subtract(x, loc, out=out)
+    out /= scale
+    np.multiply(out, out, out=out)
+    out /= df
+    np.log1p(out, out=out)
+    out *= (df + 1.0) / 2.0
+    np.subtract(log_norm, out, out=out)
+    return out[()]
 
 
 class StudentT(Density):

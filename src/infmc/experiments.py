@@ -358,44 +358,48 @@ def _best_log_likelihoods(model: FactorizedModel, spec: DmmSpec, sample_set: Gro
     return best, float(np.max(marginal))
 
 
+def _dmm_method(cfg: ExperimentConfig, budget: int, src: RandomSource, spec: DmmSpec, model: FactorizedModel,
+                init: FactorizedProposal, method: str) -> dict:
+    """One method's run within :func:`dmm_replication` and its summaries; its
+    generations are released on return, before the next method runs."""
+    truth = np.asarray(cfg.true_means, dtype=float)
+    pmc_cfg = PmcConfig(
+        population_size=budget // cfg.generations,
+        generations=cfg.generations,
+        kernel=_MIXTURES[cfg.experiment][1],
+        inner_draws=cfg.inner_draws if method == "inflated" else 1,
+        global_proposal_builder=functools.partial(MixtureAssignmentProposal, spec),
+    )
+    t0 = time.perf_counter()
+    gens = run_pmc(model, init, pmc_cfg, src.child(1, METHODS.index(method)), component_means_function(spec))
+    wall = time.perf_counter() - t0
+    # components are exchangeable: every generation's estimate is aligned, as the final one is
+    estimates = [_aligned_estimate(g.cumulative_estimate, truth) for g in gens]
+    best, best_marginal = map(np.array, zip(*(_best_log_likelihoods(model, spec, g.sample_set) for g in gens)))
+    errors = [np.linalg.norm(e - truth) for e in estimates]
+    trace = trace_metrics(best, errors, [g.block_evals for g in gens])
+    return {
+        "estimate": estimates[-1],
+        "error": float(errors[-1]),
+        "trace": trace,
+        "best_marginal": best_marginal,
+        "block_evals": int(trace.block_evals.sum()),
+        "samples_per_generation": len(gens[0].sample_set),
+        "wall": wall,
+    }
+
+
 def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> dict:
     """One (plain, inflated) pair on a fresh synthetic dataset at matched
-    likelihood-evaluation budgets."""
-    family, kernel = _MIXTURES[cfg.experiment]
+    likelihood-evaluation budgets, one method's generations alive at a time."""
+    family, _ = _MIXTURES[cfg.experiment]
     data_seed = int(src.child(0).generator.integers(2**63))
     dataset = make_synthetic(family, cfg.true_means, data_seed, cfg.data_count)
     spec = DmmSpec(dataset.observations, family)
-    model = dmm_model(spec)
-    init = dmm_init_proposal(spec)
-    h = component_means_function(spec)
-    truth = np.asarray(cfg.true_means, dtype=float)
-
-    out: dict[str, dict] = {"truth": truth, "dataset_seed": data_seed}
+    model, init = dmm_model(spec), dmm_init_proposal(spec)
+    out: dict[str, dict] = {"truth": np.asarray(cfg.true_means, dtype=float), "dataset_seed": data_seed}
     for method in cfg.methods:
-        pmc_cfg = PmcConfig(
-            population_size=budget // cfg.generations,
-            generations=cfg.generations,
-            kernel=kernel,
-            inner_draws=cfg.inner_draws if method == "inflated" else 1,
-            global_proposal_builder=functools.partial(MixtureAssignmentProposal, spec),
-        )
-        t0 = time.perf_counter()
-        gens = run_pmc(model, init, pmc_cfg, src.child(1, METHODS.index(method)), h)
-        wall = time.perf_counter() - t0
-        # components are exchangeable: every generation's estimate is aligned, as the final one is
-        estimates = [_aligned_estimate(g.cumulative_estimate, truth) for g in gens]
-        best, best_marginal = map(np.array, zip(*(_best_log_likelihoods(model, spec, g.sample_set) for g in gens)))
-        errors = [np.linalg.norm(e - truth) for e in estimates]
-        trace = trace_metrics(best, errors, [g.block_evals for g in gens])
-        out[method] = {
-            "estimate": estimates[-1],
-            "error": float(errors[-1]),
-            "trace": trace,
-            "best_marginal": best_marginal,
-            "block_evals": int(trace.block_evals.sum()),
-            "samples_per_generation": len(gens[0].sample_set),
-            "wall": wall,
-        }
+        out[method] = _dmm_method(cfg, budget, src, spec, model, init, method)
     return out
 
 

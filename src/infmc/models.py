@@ -46,6 +46,8 @@ GAUSSIAN = "gaussian"
 STUDENT_T = "student-t"
 SYNTHETIC_T_DF = 30.0
 NUM_COMPONENTS = 2
+# the smallest unsigned integer type that names every component: one byte per drawn label at K = 2
+LABEL_DTYPE = np.min_scalar_type(NUM_COMPONENTS - 1)
 # one prior on the mixing weights, shared by the model and every assignment proposal
 MIXING_PRIOR = Dirichlet((1.0,) * NUM_COMPONENTS)
 
@@ -131,14 +133,19 @@ class DmmSpec:
         3)`` (mean, variance, df) for student-t.  The result is ``(...,
         len(obs))``, and ``-inf`` where a variance or df is not positive."""
         obs = np.asarray(obs, dtype=float)
-        if self.component_family == GAUSSIAN:
-            return -0.5 * (LOG_TWO_PI + (obs - np.asarray(params, dtype=float)[..., None]) ** 2)
         params = np.asarray(params, dtype=float)
+        if self.component_family == GAUSSIAN:
+            # built in one output array: -0.5 * (LOG_TWO_PI + (obs - mean) ** 2), operation for operation
+            comp = np.subtract(obs, params[..., None])
+            comp **= 2
+            comp += LOG_TWO_PI
+            comp *= -0.5
+            return comp
         mean, var, df = (params[..., i, None] for i in range(3))
-        outside = (var <= 0.0) | (df <= 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):  # masked just below
             comp = student_t_logpdf(obs, mean, np.sqrt(var), df)
-        return np.where(outside, -np.inf, comp)
+        np.copyto(comp, -np.inf, where=(var <= 0.0) | (df <= 0.0))
+        return comp
 
     def marginal_data_log_likelihood(self, weights, block_params):
         """Mixture log likelihood of the data with assignments summed out.
@@ -146,12 +153,13 @@ class DmmSpec:
         Broadcasts over leading batch axes: ``weights`` is ``(..., K)`` and
         ``block_params`` is ``(..., K)`` for the gaussian family or
         ``(..., K, 3)`` (mean, variance, degrees of freedom) for student-t;
-        the result has the batch shape.
+        the result has the batch shape.  ``block_params`` carries the whole
+        batch shape; ``weights`` may broadcast over it.
         """
         weights = np.asarray(weights, dtype=float)
         comp = np.swapaxes(self.component_log_density_each(self.data, block_params), -1, -2)
         with np.errstate(divide="ignore"):
-            comp = comp + np.log(weights)[..., None, :]
+            comp += np.log(weights)[..., None, :]
         return np.sum(log_sum_exp(comp, -1)[0][..., 0], axis=-1)
 
 
@@ -214,14 +222,16 @@ class MixtureAssignmentProposal(Density):
 
         Each label is ``Generator.choice(K, p=exp(table row))``'s: the cdf
         ``c_k = c_{k-1} + p_k`` is ``cumsum``'s, built slice by slice over
-        the K components, and the label counts the ``c_k / c_K <= u``."""
+        the K components, and the label counts the ``c_k / c_K <= u``.
+        Labels are ``LABEL_DTYPE``, the smallest unsigned type naming every
+        component."""
         weights = MIXING_PRIOR.sample_batch(rng, shape)
         uniforms = rng.generator.random(weights.shape[:-1] + self.spec.data.shape)
         probs = np.exp(self._label_log_probs(weights))
         cdf = [probs[..., 0]]
         for k in range(1, probs.shape[-1]):
             cdf.append(cdf[-1] + probs[..., k])
-        labels = np.zeros(uniforms.shape, dtype=int)
+        labels = np.zeros(uniforms.shape, dtype=LABEL_DTYPE)
         for c_k in cdf:
             labels += c_k / cdf[-1] <= uniforms
         return weights, labels
@@ -250,9 +260,10 @@ def dmm_model(spec: DmmSpec) -> FactorizedModel:
     def make_likelihood(j: int):
         def block_log_likelihood(phi, params):
             _, labels = phi
-            # every observation, those assigned elsewhere masked to 0: one shape for a batch of label rows
+            # every observation, those assigned elsewhere masked to 0 in place: one shape for a batch of label rows
             comp = spec.component_log_density_each(spec.data, params)
-            return np.where(np.asarray(labels) == j, comp, 0.0).sum(axis=-1)
+            np.copyto(comp, 0.0, where=np.asarray(labels) != j)
+            return comp.sum(axis=-1)
 
         return block_log_likelihood
 

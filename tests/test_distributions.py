@@ -13,6 +13,7 @@ from infmc.distributions import (
     TupleDensity,
     _positive,
     log_gamma,
+    student_t_logpdf,
 )
 from infmc.models import MIXING_PRIOR, STUDENT_T, DmmSpec, GaussianToy
 from infmc.pmc import GammaKernel, VarianceKernel
@@ -493,6 +494,11 @@ class TestStudentT:
             assert d.log_density(x) == pytest.approx(
                 scipy.stats.t.logpdf(x, df=5.0, loc=0.3, scale=1.7), abs=1e-12
             )
+
+    def test_logpdf_of_scalars_is_a_scalar_with_the_formulas_bits(self):
+        for x in [-2.0, 0.0, 0.3, 4.5]:
+            got = student_t_logpdf(x, 0.3, 1.7, 5.0)
+            assert type(got) is np.float64 and got == _student_t_formula(x, 0.3, 1.7, 5.0)
 
 
 class TestGamma:

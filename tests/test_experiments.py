@@ -1,11 +1,13 @@
+import gc
 import json
 import math
+import weakref
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from infmc import estimators, factorized
+from infmc import estimators, experiments, factorized
 from infmc.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -210,6 +212,27 @@ class TestRunDmm:
             for method in ("plain", "inflated"):
                 run = record[method]
                 assert run["estimate_error"][-1] == run["final_error"], (record["replication"], method)
+
+    def test_one_methods_generations_are_alive_at_a_time(self, monkeypatch):
+        """By the inflated run's start, the plain run's generations and their labels are freed."""
+        first_run, alive_at_second_call = [], []
+        original = experiments.run_pmc
+
+        def run_pmc(*args, **kwargs):
+            if first_run:
+                gc.collect()
+                alive_at_second_call.append(sum(ref() is not None for ref in first_run))
+            generations = original(*args, **kwargs)
+            if not first_run:
+                first_run.extend(weakref.ref(g) for g in generations)
+                first_run.extend(weakref.ref(g.sample_set.global_values[1]) for g in generations)
+            return generations
+
+        monkeypatch.setattr(experiments, "run_pmc", run_pmc)
+        cfg = ExperimentConfig(experiment="dmm-gauss", seed=11, budgets=(40,), replications=2, generations=2,
+                               data_count=30)
+        experiments.dmm_replication(cfg, 40, RandomSource(11).child(0, 0))
+        assert len(first_run) == 4 and alive_at_second_call == [0]
 
     def test_budget_must_divide_generations(self):
         with pytest.raises(ValueError):

@@ -398,7 +398,12 @@ class TestRecombineStream:
             cdf = np.cumsum(np.exp(log_r - logsumexp(log_r, axis=-1, keepdims=True)), axis=-1)
             labels = np.minimum((uniforms[..., None] > cdf).sum(axis=-1), 1)
         assert np.array_equal(drawn.global_values[0], weights)
+        # one byte per label, in the draws and in every combination's aligned batch
+        assert drawn.global_values[1].dtype == np.uint8
         assert np.array_equal(drawn.global_values[1], labels)
+        aligned_labels = drawn.aligned()[0][1]
+        assert aligned_labels.dtype == np.uint8
+        assert np.array_equal(aligned_labels, np.repeat(labels, inner_draws**2, axis=0))
         assert np.array_equal(drawn.values, np.stack(blocks, axis=1))
         assert run.rng.generator.bit_generator.state == g.bit_generator.state
 

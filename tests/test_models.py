@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -197,6 +198,45 @@ class TestDmmModel:
         if family == "student-t":
             # the other component still explains the data
             assert np.all(np.isfinite(batched[[5, 6, 7, 8, 10]])) and batched[9] == -np.inf
+
+
+class TestStudentTTable:
+    """The student-t component table over (mean, variance, df) rows: one
+    output array, with the bits of the formula written out."""
+
+    SPEC = DmmSpec(make_synthetic("student-t", (-2.0, 2.0), 4).observations, "student-t")
+
+    @staticmethod
+    def _params():
+        rng = np.random.default_rng(5)
+        params = np.stack([rng.normal(0.0, 2.0, 200), rng.gamma(2.0, 1.0, 200), rng.gamma(2.0, 5.0, 200)], axis=-1)
+        params[3, 1], params[4, 1], params[5, 2], params[6, 2] = 0.0, -1.0, 0.0, -2.0  # outside the support
+        params[7, 1:] = (-1.0, 0.0)
+        return params
+
+    def test_equals_the_written_out_formula_bit_for_bit(self):
+        params = self._params()
+        mean, var, df = (params[:, i, None] for i in range(3))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.sqrt(var)
+            log_norm = gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * np.log(df * np.pi) - np.log(scale)
+            z = (self.SPEC.data - mean) / scale
+            formula = log_norm - (df + 1.0) / 2.0 * np.log1p(z * z / df)
+        expected = np.where((var <= 0.0) | (df <= 0.0), -np.inf, formula)
+        table = self.SPEC.component_log_density_each(self.SPEC.data, params)
+        assert table.shape == (200, 100) and np.array_equal(table, expected)
+        assert (table[3:8] == -np.inf).all() and np.isfinite(np.delete(table, range(3, 8), axis=0)).all()
+
+    def test_traced_peak_is_at_most_twice_the_tables_bytes(self):
+        params = self._params()
+        self.SPEC.component_log_density_each(self.SPEC.data, params)  # first use loads scipy.special: untraced
+        tracemalloc.start()
+        try:
+            table = self.SPEC.component_log_density_each(self.SPEC.data, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * table.nbytes, (peak, table.nbytes)
 
 
 class TestComponentMeansFunction:
