@@ -15,7 +15,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .distributions import Density
-from .estimators import DegenerateWeightsError, SampleSet, log_sum_exp
+from .estimators import DegenerateWeightsError, SampleSet, TestFunction, log_sum_exp, self_normalized_estimate
 from .rng import RandomSource
 
 __all__ = [
@@ -321,13 +321,17 @@ class GroupedSampleSet:
         """Self-normalized estimate of the identity over every combination of
         scalar blocks: per block ``j``, ``sum_g e^(W_g - L_gj) sum_i e^(c_gji)
         x_gji / W`` with group weight sums ``W_g``, block sums ``L_gj`` and
-        total ``W``, through the sign-tracking :func:`log_sum_exp`."""
+        total ``W``, through the sign-tracking :func:`log_sum_exp`.  With one
+        inner draw the set is plain importance sampling: enumerating it is
+        faster than the contraction and gives the oracle's bits, so it does."""
         if self.contributions.shape[0] == 0:
             raise ValueError("estimation requires a non-empty sample set")
         if self.log_weight_sum == -np.inf:
             raise DegenerateWeightsError("all weights are zero")
         if self.values.ndim != 3:
             raise ValueError("the contracted mean takes scalar blocks; estimate tuple blocks on .materialize()")
+        if self.contributions.shape[2] == 1:
+            return self_normalized_estimate(self.materialize(), TestFunction.identity(self.contributions.shape[1]))
         block_log_abs, block_sign = log_sum_exp(self.contributions, 2, self.values)
         group_sums = self._group_sums[:, None]
         with np.errstate(invalid="ignore"):
@@ -340,10 +344,13 @@ class GroupedSampleSet:
         """Log of the evidence estimate ``(1/size) sum w`` over every
         combination, as the mean over groups of ``base + sum_j (L_gj - log
         n)``: unit weights give exactly 0, which ``log_weight_sum -
-        log(size)`` does not."""
+        log(size)`` does not.  With one inner draw the group sums are those
+        means, so ``log_weight_sum - log(groups)`` has the same bits."""
         if self.contributions.shape[0] == 0:
             raise ValueError("estimation requires a non-empty sample set")
         groups, _, n = self.contributions.shape
+        if n == 1:
+            return float(self.log_weight_sum - np.log(groups))
         log_means = self._per_group(self._block_sums - np.log(n))
         return float(log_sum_exp(log_means, 0)[0][0] - np.log(groups))
 

@@ -369,6 +369,10 @@ def load_dataset(path) -> SyntheticDataset:
     means = tuple(float(v) for v in fields["means"].split(","))
     if len(means) != NUM_COMPONENTS:
         raise ValueError(f"dataset header needs {NUM_COMPONENTS} means, got {len(means)}")
+    if not np.all(np.isfinite(means)):
+        raise ValueError(f"dataset means must be finite, got {fields['means']!r}")
+    if not fields["seed"].isdecimal():
+        raise ValueError(f"dataset seed must be a nonnegative integer, got {fields['seed']!r}")
     obs = np.array([float(line) for line in text[1:] if line.strip()])
     if obs.size == 0:
         raise ValueError("dataset file holds no observations")

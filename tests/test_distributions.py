@@ -51,6 +51,10 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             RandomSource(-1)
 
+    def test_child_needs_a_key(self):
+        with pytest.raises(ValueError, match="at least one integer key"):
+            RandomSource(1).child()
+
 
 class TestDiagGaussian:
     def test_standard_normal_at_mode_2d(self):
@@ -568,6 +572,12 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             Dirichlet([1.0, 0.0])
 
+    def test_one_component_and_points_of_another_dimension_are_refused(self):
+        with pytest.raises(ValueError, match="at least two components"):
+            Dirichlet([2.0])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            Dirichlet([1.0, 2.0]).log_density_each(np.full((4, 3), 1.0 / 3.0))
+
     @pytest.mark.parametrize("concentration", [(1.0, 1.0), (2.0, 3.0)])
     @pytest.mark.parametrize("x", [[np.nan, np.nan], [np.nan, 0.5], [np.inf, 0.0], [np.inf, -np.inf]])
     def test_non_finite_point_is_outside_the_support(self, concentration, x):
@@ -575,6 +585,10 @@ class TestDirichlet:
 
 
 class TestTupleDensity:
+    def test_needs_a_part(self):
+        with pytest.raises(ValueError, match="at least one part"):
+            TupleDensity([])
+
     def test_sums_parts(self):
         d = TupleDensity([DiagGaussian(0.0, 1.0), Gamma(1.0, 1.0)])
         value = (0.5, 2.0)

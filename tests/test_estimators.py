@@ -170,6 +170,17 @@ class TestSampleSet:
         s = make_set([[0.0], [1.0]], [0.0, -np.inf])
         assert s.log_weight_sum == pytest.approx(0.0, abs=1e-12)
 
+    def test_log_weights_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            SampleSet(np.zeros((2, 1)), np.zeros((2, 1)))
+
+
+class TestTestFunction:
+    def test_values_of_the_wrong_shape_are_refused(self):
+        s = make_set([[0.0], [1.0]], [0.0, 0.0])
+        with pytest.raises(ValueError, match=r"test function returned \(2, 1\), expected \(2, 2\)"):
+            self_normalized_estimate(s, TestFunction(lambda pts: pts, 2))
+
 
 class TestStandardEstimate:
     def test_unit_weights_collapse_to_sample_mean(self):
@@ -282,6 +293,10 @@ class TestCombine:
         a = make_set([[1.0]], [0.0])
         u = combine([a, a])
         assert len(u) == 2
+
+    def test_no_sets_is_refused(self):
+        with pytest.raises(ValueError, match="at least one sample set"):
+            combine([])
 
 
 def random_partition(seed, span=600.0, max_total=60, dim=2):

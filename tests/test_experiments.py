@@ -80,6 +80,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_gauss_config(experiment="gauss-diagonal")
 
+    @pytest.mark.parametrize("field, value", [("method", "neither"), ("format", "xml")])
+    def test_unknown_method_or_format(self, field, value):
+        with pytest.raises(ValueError, match=f"unknown {field} '{value}'"):
+            tiny_gauss_config(**{field: value})
+
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -120,6 +125,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="'seed' is given more than once"):
             ExperimentConfig.read_file(path)
 
+    def test_config_file_rejects_a_line_without_equals(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("schema_version = 1\nexperiment gauss-centered\n")
+        with pytest.raises(ValueError, match="config line without '=': 'experiment gauss-centered'"):
+            ExperimentConfig.read_file(path)
+
 
 class TestMetricRow:
     def test_bias_variance_identity_enforced(self):
@@ -157,6 +168,12 @@ class TestRunGauss:
             run_gauss(tiny_gauss_config(budgets=(150,)))
         with pytest.raises(ValueError):
             run_gauss(tiny_gauss_config(budgets=(50, 100), group_size=100))
+
+    def test_each_runner_refuses_the_other_family(self):
+        with pytest.raises(ValueError, match="run_gauss cannot run 'dmm-gauss'"):
+            run_gauss(ExperimentConfig("dmm-gauss", seed=1))
+        with pytest.raises(ValueError, match="run_dmm cannot run 'gauss-centered'"):
+            run_dmm(tiny_gauss_config())
 
     def test_determinism_and_worker_invariance(self):
         a = run_gauss(tiny_gauss_config())

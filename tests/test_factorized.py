@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -85,6 +86,25 @@ def gaussian_proposal(num_blocks=2, with_global=False, center=0.0):
         block_proposals=tuple(DiagGaussian(center, 2.0) for _ in range(num_blocks)),
         global_proposal=DiagGaussian(0.0, 2.0) if with_global else None,
     )
+
+
+class TestModelAndProposalShapes:
+    @pytest.mark.parametrize(
+        "num_blocks, priors, likelihoods, problem",
+        [
+            (0, 0, 0, "at least one block"),
+            (2, 1, 2, "one block prior per block"),
+            (2, 2, 3, "one block likelihood per block"),
+        ],
+    )
+    def test_model_block_counts_must_agree(self, num_blocks, priors, likelihoods, problem):
+        prior, lik = DiagGaussian(0.0, 1.0).log_density_each, lambda phi, g: np.zeros(np.shape(g))
+        with pytest.raises(ValueError, match=problem):
+            FactorizedModel(num_blocks, lambda phi: 0.0, (prior,) * priors, (lik,) * likelihoods)
+
+    def test_proposal_needs_a_block(self):
+        with pytest.raises(ValueError, match="at least one block"):
+            FactorizedProposal(block_proposals=())
 
 
 class TestPlainSampler:
@@ -561,6 +581,12 @@ class TestGroupedInflate:
         with pytest.raises(ValueError):
             grouped_inflate(pts, 3, toy.model(), toy.proposal())
 
+    @pytest.mark.parametrize("shape", [(10,), (10, 3), (5, 2, 1)])
+    def test_points_of_another_shape_are_refused(self, shape):
+        toy = GaussianToy()
+        with pytest.raises(ValueError, match=re.escape(f"points must be (n, 2), got {shape}")):
+            grouped_inflate(np.zeros(shape), 5, toy.model(), toy.proposal())
+
     @pytest.mark.parametrize("num_blocks", [1, 3])
     def test_proposal_block_count_must_match_model(self, num_blocks):
         """Every caller of the shared block-term function refuses the mismatch."""
@@ -636,14 +662,13 @@ class TestGroupedContraction:
         assert np.array_equal(groups_of_one.points, plain.points)
         assert np.array_equal(groups_of_one.log_weights, plain.log_weights)
         grouped = grouped_inflate(pts, 1, model, prop)
-        np.testing.assert_allclose(
-            grouped.self_normalized_mean(),
-            self_normalized_estimate(plain, TestFunction.identity(2)),
-            rtol=1e-12,
-            atol=1e-12,
-        )
+        plain_mean, plain_evidence = self_normalized_estimate(plain, TestFunction.identity(2)), evidence_estimate(plain)
+        np.testing.assert_allclose(grouped.self_normalized_mean(), plain_mean, rtol=1e-12, atol=1e-12)
         assert grouped.log_weight_sum == pytest.approx(plain.log_weight_sum, abs=1e-12)
-        assert grouped.log_evidence() == pytest.approx(evidence_estimate(plain), abs=1e-12)
+        assert grouped.log_evidence() == pytest.approx(plain_evidence, abs=1e-12)
+        # groups of one are the plain set, so the set estimates on its enumeration: the same bits
+        assert np.array_equal(grouped.self_normalized_mean(), plain_mean)
+        assert grouped.log_evidence() == plain_evidence
 
     @pytest.mark.parametrize("center", [0.0, -3.0], ids=["centered", "off-center"])
     def test_one_group_of_the_whole_budget_is_each_blocks_own_estimate(self, center):
@@ -711,6 +736,15 @@ class TestGroupedContraction:
         contrib[1, 0, 2] = bad
         with pytest.raises(ValueError, match="NaN or \\+inf"):
             GroupedSampleSet(0.0, contrib, np.ones_like(contrib))
+
+    @pytest.mark.parametrize(
+        "contributions, values",
+        [((2, 3), (2, 3)), ((2, 2, 3), (2, 2, 4)), ((2, 0, 3), (2, 0, 3)), ((2, 2, 0), (2, 2, 0))],
+        ids=["two-axes", "values-mismatch", "no-blocks", "no-draws"],
+    )
+    def test_contributions_and_values_of_other_shapes_are_refused(self, contributions, values):
+        with pytest.raises(ValueError, match=re.escape("contributions must be (groups, K >= 1, n >= 1)")):
+            GroupedSampleSet(0.0, np.zeros(contributions), np.zeros(values))
 
 
 class TestTupleBlocksAndPerGroupBase:

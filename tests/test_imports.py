@@ -200,3 +200,30 @@ def test_every_name_the_benchmark_traces_exists():
             # wrapped on every Density subclass that defines them, by name
             missing += [k.value for k in node.value.keys if not hasattr(modules["distributions"].Density, k.value)]
     assert seen > 20 and missing == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module-level import binds that nothing else in the module reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in bound if name not in read)
+
+
+def test_no_module_keeps_an_unused_import():
+    """A stale import is dead code, and perfbench patches every namespace
+    that holds a traced name, so it would patch one more."""
+    source = ("from __future__ import annotations\nimport os, numpy as np\nimport a.b\nfrom .m import x, y as z\n"
+              "def f():\n    import sys\n    return np.zeros(x)\nclass C(a.b.Base):\n    pass\n")
+    assert _unused_imports(source) == ["os", "z"]
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.stem != "__init__" and (names := _unused_imports(path.read_text()))
+    }
+    assert offenders == {}

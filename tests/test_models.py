@@ -74,6 +74,10 @@ def small_spec(family="gaussian"):
 
 
 class TestDmmModel:
+    def test_unknown_component_family_is_refused(self):
+        with pytest.raises(ValueError, match="unknown component family 'cauchy'"):
+            small_spec("cauchy")
+
     def test_empty_component_contributes_nothing(self):
         spec = small_spec()
         model = dmm_model(spec)
@@ -496,8 +500,15 @@ class TestSynthetic:
             ("# schema=1 seed=1 kind=gaussian means=-1.0,1.0\n", "no observations"),
             ("# schema=1 seed=1 kind=gaussian means=-1.0,1.0\n1.0\nnan\n", "non-finite observation"),
             ("# schema=1 seed=1 kind=student-t means=-1.0,1.0\ninf\n", "non-finite observation"),
+            ("# schema=1 seed=1 kind=gaussian means=nan,1.0\n1.0\n", "means must be finite, got 'nan,1.0'"),
+            ("# schema=1 seed=1 kind=gaussian means=-1.0,inf\n1.0\n", "means must be finite, got '-1.0,inf'"),
+            ("# schema=1 seed=-5 kind=gaussian means=-1.0,1.0\n1.0\n", "seed must be a nonnegative integer, got '-5'"),
+            ("# schema=2 seed=1 kind=gaussian means=-1.0,1.0\n1.0\n", "unrecognized dataset header"),
         ],
-        ids=["empty", "one-mean", "no-means", "no-seed", "unknown-kind", "no-observations", "nan", "inf"],
+        ids=[
+            "empty", "one-mean", "no-means", "no-seed", "unknown-kind", "no-observations", "nan", "inf", "nan-means",
+            "inf-means", "negative-seed", "unrecognized-header",
+        ],
     )
     def test_bad_file_is_refused_with_its_problem(self, tmp_path, text, problem):
         path = tmp_path / "data.txt"

@@ -89,6 +89,8 @@ class TestKernels:
             GaussianKernel(0.0)
         with pytest.raises(ValueError):
             GammaKernel(-1.0)
+        with pytest.raises(ValueError, match="cv must be positive"):
+            VarianceKernel(0.0)
 
 
 class TestConfig:
@@ -99,6 +101,8 @@ class TestConfig:
     def test_basic_validation(self):
         with pytest.raises(ValueError):
             PmcConfig(population_size=0, generations=1, kernel=GaussianKernel())
+        with pytest.raises(ValueError, match="inner_draws must be >= 1"):
+            PmcConfig(population_size=4, generations=1, kernel=GaussianKernel(), inner_draws=0)
 
 
 class TestRunPmc:
