@@ -323,7 +323,9 @@ class GroupedSampleSet:
         x_gji / W`` with group weight sums ``W_g``, block sums ``L_gj`` and
         total ``W``, through the sign-tracking :func:`log_sum_exp`.  With one
         inner draw the set is plain importance sampling: enumerating it is
-        faster than the contraction and gives the oracle's bits, so it does."""
+        faster than the contraction and gives the oracle's bits, so it does,
+        and so refuses, with :class:`InflationBudgetError`, a set beyond
+        ``MAX_UNCAPPED_COMBINATIONS`` groups."""
         if self.contributions.shape[0] == 0:
             raise ValueError("estimation requires a non-empty sample set")
         if self.log_weight_sum == -np.inf:
@@ -344,13 +346,10 @@ class GroupedSampleSet:
         """Log of the evidence estimate ``(1/size) sum w`` over every
         combination, as the mean over groups of ``base + sum_j (L_gj - log
         n)``: unit weights give exactly 0, which ``log_weight_sum -
-        log(size)`` does not.  With one inner draw the group sums are those
-        means, so ``log_weight_sum - log(groups)`` has the same bits."""
+        log(size)`` does not."""
         if self.contributions.shape[0] == 0:
             raise ValueError("estimation requires a non-empty sample set")
         groups, _, n = self.contributions.shape
-        if n == 1:
-            return float(self.log_weight_sum - np.log(groups))
         log_means = self._per_group(self._block_sums - np.log(n))
         return float(log_sum_exp(log_means, 0)[0][0] - np.log(groups))
 

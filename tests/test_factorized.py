@@ -666,7 +666,8 @@ class TestGroupedContraction:
         np.testing.assert_allclose(grouped.self_normalized_mean(), plain_mean, rtol=1e-12, atol=1e-12)
         assert grouped.log_weight_sum == pytest.approx(plain.log_weight_sum, abs=1e-12)
         assert grouped.log_evidence() == pytest.approx(plain_evidence, abs=1e-12)
-        # groups of one are the plain set, so the set estimates on its enumeration: the same bits
+        # groups of one are the plain set: the mean is estimated on its enumeration, and the
+        # evidence's per-group means are its group sums, so both give the plain set's bits
         assert np.array_equal(grouped.self_normalized_mean(), plain_mean)
         assert grouped.log_evidence() == plain_evidence
 
