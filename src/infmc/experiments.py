@@ -7,6 +7,7 @@ and across worker counts; aggregation always reduces in replication order.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -254,20 +255,42 @@ def _metric_rows(
 
 
 def _replicate(cfg: ExperimentConfig, replication: Callable[[ExperimentConfig, int, RandomSource], dict]):
-    """Yield ``(budget, results)`` per budget: ``replication(cfg, budget,
-    src)`` for every replication, in replication order, on ``cfg.workers``
-    threads.  Replication ``r`` at budget index ``bi`` draws only from
-    ``RandomSource(cfg.seed).child(bi, r)``, so the results do not depend on
-    the worker count."""
+    """Yield ``(budget, results)`` per budget, ``results`` an iterator over
+    ``replication(cfg, budget, src)`` for every replication, in replication
+    order; a budget's results are consumed before the next budget is asked
+    for.  At one worker the replications run one at a time on the calling
+    thread as the iterator is read.  On ``cfg.workers`` threads at most
+    ``2 × workers`` replications are submitted at once, one running and one
+    queued per worker, and the next is submitted as the oldest result is
+    taken.  When a replication raises, or the consumer closes the iterator,
+    the queued replications are cancelled and the running ones finish before
+    the exception propagates.  Replication ``r`` at budget index ``bi``
+    draws only from ``RandomSource(cfg.seed).child(bi, r)``, so the results
+    do not depend on the worker count."""
     root = RandomSource(cfg.seed)
     for bi, budget in enumerate(cfg.budgets):
-        run = lambda r: replication(cfg, budget, root.child(bi, r))
+        run = lambda r, bi=bi, budget=budget: replication(cfg, budget, root.child(bi, r))
         if cfg.workers == 1:
-            results = [run(r) for r in range(cfg.replications)]
+            yield budget, map(run, range(cfg.replications))
         else:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(run, range(cfg.replications)))
-        yield budget, results
+            yield budget, _windowed(run, cfg.replications, cfg.workers)
+
+
+def _windowed(run: Callable[[int], dict], count: int, workers: int):
+    """``run(r)`` for ``r`` in ``range(count)`` on ``workers`` threads, yielded
+    in order with at most ``2 × workers`` calls submitted; see :func:`_replicate`."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: collections.deque = collections.deque()
+        try:
+            for r in range(count):
+                pending.append(pool.submit(run, r))
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +330,19 @@ def run_gauss(cfg: ExperimentConfig) -> list[MetricRow]:
     toy = GaussianToy()
     rows: list[MetricRow] = []
     for budget, results in _replicate(cfg, gauss_replication):
+        # each result is reduced to its estimates, log evidence and wall time as it arrives
+        estimates = {method: np.empty((cfg.replications, toy.dimension)) for method in cfg.methods}
+        log_ev = {method: np.empty(cfg.replications) for method in cfg.methods}
+        wall = dict.fromkeys(cfg.methods, 0.0)
+        for r, res in enumerate(results):
+            for method in cfg.methods:
+                estimates[method][r] = res[method]["expectation"]
+                log_ev[method][r] = res[method]["log_evidence"]
+                wall[method] += res[method]["wall"]
         for method in cfg.methods:
-            estimates = np.array([res[method]["expectation"] for res in results])
-            log_ev = np.array([res[method]["log_evidence"] for res in results])
-            wall = float(sum(res[method]["wall"] for res in results))
-            lev_mse = float(np.mean((log_ev - toy.true_log_evidence) ** 2))
-            rows.extend(_metric_rows(cfg.experiment, method, budget, estimates, toy.true_mean, lev_mse, wall))
+            lev_mse = float(np.mean((log_ev[method] - toy.true_log_evidence) ** 2))
+            rows.extend(_metric_rows(cfg.experiment, method, budget, estimates[method], toy.true_mean, lev_mse,
+                                     wall[method]))
     return rows
 
 
@@ -397,6 +427,7 @@ def run_dmm(cfg: ExperimentConfig) -> tuple[list[MetricRow], list[dict]]:
     rows: list[MetricRow] = []
     all_traces: list[dict] = []
     for budget, results in _replicate(cfg, dmm_replication):
+        results = list(results)
         for r, res in enumerate(results):
             record = {"budget": int(budget), "replication": r, "dataset_seed": res["dataset_seed"]}
             for method in cfg.methods:

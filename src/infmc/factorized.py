@@ -142,7 +142,9 @@ def _block_terms(model: FactorizedModel, density: Density, j: int, global_values
     prior, lik = model.block_log_priors[j](flat), model.block_log_likelihoods[j](global_values, flat)
     if not np.shape(prior) == np.shape(lik) == (log_q.size,):
         raise ValueError(f"block {j}'s prior and likelihood must return one term per value, as log q does")
-    return (prior + lik).reshape(log_q.shape) - log_q
+    terms = (prior + lik).reshape(log_q.shape)
+    terms -= log_q
+    return terms
 
 
 def _check_blocks(model: FactorizedModel, prop: FactorizedProposal) -> None:

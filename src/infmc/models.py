@@ -99,7 +99,9 @@ class GaussianToy:
         """``(count, dimension)`` draws from :meth:`proposal` in one shot."""
         center = np.broadcast_to(np.asarray(center, dtype=float), (self.dimension,))
         draws = rng.generator.standard_t(self.proposal_df, size=(count, self.dimension))
-        return center + np.sqrt(self.variance) * draws
+        draws *= np.sqrt(self.variance)
+        draws += center
+        return draws
 
 
 @dataclass(frozen=True)

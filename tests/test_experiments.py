@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import threading
 import weakref
 from dataclasses import asdict
 
@@ -10,6 +11,7 @@ import pytest
 from infmc import estimators, experiments, factorized
 from infmc.experiments import (
     CSV_COLUMNS,
+    METHODS,
     ExperimentConfig,
     MetricRow,
     _counting_likelihoods,
@@ -318,6 +320,53 @@ class TestRunDmm:
         for a, b in zip(traces_serial, traces_threaded):
             assert a["plain"]["best_log_likelihood"] == b["plain"]["best_log_likelihood"]
             assert a["inflated"]["final_estimate"] == b["inflated"]["final_estimate"]
+
+
+class TestReplicate:
+    """The replication driver's submission window, order and failure path,
+    with a stub replication that records its index as it starts."""
+
+    @staticmethod
+    def indexing_stub(cfg, fail_at=None, result=lambda r: r):
+        # a replication's index, read off its stream's first draw
+        root = RandomSource(cfg.seed)
+        index = {int(root.child(0, r).generator.integers(2**63)): r for r in range(cfg.replications)}
+        started = []
+
+        def stub(cfg, budget, src):
+            r = index[int(src.generator.integers(2**63))]
+            started.append(r)
+            if r == fail_at:
+                raise ValueError(f"replication {r} failed")
+            return result(r)
+
+        return stub, started
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_submits_at_most_two_per_worker_and_yields_in_order(self, workers):
+        cfg = tiny_gauss_config(budgets=(200,), replications=50, workers=workers)
+        stub, started = self.indexing_stub(cfg)
+        (budget, results), = experiments._replicate(cfg, stub)
+        assert budget == 200
+        results = iter(results)
+        first = next(results)
+        assert first == 0 and len(started) <= 2 * workers
+        assert [first, *results] == list(range(50))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("runner, target", [(run_gauss, "gauss_replication"), (run_dmm, "dmm_replication")])
+    def test_a_failing_replication_cancels_the_queue(self, monkeypatch, runner, target, workers):
+        experiment = "gauss-centered" if runner is run_gauss else "dmm-gauss"
+        cfg = ExperimentConfig(experiment, 42, budgets=(200,), replications=50, workers=workers)
+        # shaped like a Gaussian result, which run_gauss reduces as it arrives
+        result = lambda r: {method: {"expectation": np.zeros(2), "log_evidence": 0.0, "wall": 0.0} for method in METHODS}
+        stub, started = self.indexing_stub(cfg, fail_at=5, result=result)
+        monkeypatch.setattr(experiments, target, stub)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="replication 5 failed"):
+            runner(cfg)
+        assert max(started) < 5 + 2 * workers
+        assert threading.active_count() == threads
 
 
 class TestTheoremSuite:
