@@ -3,10 +3,10 @@
 the 15 entries with the largest cumulative time and the 15 with the largest
 internal time.  One unprofiled run goes first, so that imports made on first
 use (``scipy.special`` in a Student-t run) and other one-time set-up stay out
-of the profile.  Then one warm run's minor page faults (``getrusage``) and
-one warm run's traced allocation peak (``tracemalloc``).  The last line is
-the replication's wall time without the profiler, the median of 5 runs after
-that warm-up.
+of the profile.  Then one warm run's traced allocation peak
+(``tracemalloc``), then 5 timed warm runs: their minor page faults
+(``getrusage``), as a mean per replication, and, on the last line, the
+replication's wall time without the profiler, the median of the 5 runs.
 
     PYTHONPATH=src python scripts/profile_replication.py --experiment dmm-gauss --seed 1
 
@@ -48,10 +48,6 @@ print(f"total calls: {stats.total_calls}")
 stats.sort_stats("cumulative").print_stats(15)
 stats.sort_stats("tottime").print_stats(15)
 
-faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-replication(cfg, budget, source())
-faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-print(f"minor page faults: {faults} (one warm run)")
 tracemalloc.start()
 replication(cfg, budget, source())
 peak = tracemalloc.get_traced_memory()[1]
@@ -59,9 +55,12 @@ tracemalloc.stop()
 print(f"traced allocation peak: {peak / 2**20:.2f} MiB (one warm run)")
 
 walls = []
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(5):
     src = source()
     start = time.perf_counter()
     replication(cfg, budget, src)
     walls.append(time.perf_counter() - start)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+print(f"minor page faults: {faults / len(walls):.1f} per replication (mean of 5 warm runs)")
 print(f"wall time without the profiler: {statistics.median(walls):.4f} s (median of 5 runs after one warm-up)")

@@ -8,6 +8,7 @@ never materialized).
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -129,20 +130,14 @@ def _general_log_sum_exp(a: np.ndarray, axis: int, b: np.ndarray | None):
     return np.log1p(s) + np.log(m) + a_max, sign
 
 
-def _check_log_weights(log_weights: np.ndarray) -> None:
-    # one pass: the maximum is NaN if any entry is NaN, and +inf if any is +inf
-    if not log_weights.max(initial=-np.inf) < np.inf:
-        raise ValueError("log weights must be finite or -inf; found NaN or +inf")
-
-
 class SampleSet:
     """An ordered collection of weighted samples with its cached log weight sum.
 
     ``points`` is an array whose first axis indexes the samples: ``(n, d)``
     floats for vector-valued points, or a recombination's ``(n, K, ...)``
     block values; estimators only ever hand points to a :class:`TestFunction`.
-    Instances are immutable after construction and safe to share across
-    threads.
+    A set holds at least one sample, so ``log_weight_sum`` is -inf only when
+    every weight is zero.  Immutable, and safe to share across threads.
     """
 
     __slots__ = ("points", "log_weights", "log_weight_sum")
@@ -151,12 +146,16 @@ class SampleSet:
         log_weights = np.asarray(log_weights, dtype=float)
         if log_weights.ndim != 1:
             raise ValueError("log_weights must be one-dimensional")
-        _check_log_weights(log_weights)
+        # one pass: the maximum is NaN if any entry is NaN, and +inf if any is +inf
+        if not log_weights.max(initial=-np.inf) < np.inf:
+            raise ValueError("log weights must be finite or -inf; found NaN or +inf")
         if not isinstance(points, np.ndarray) or points.ndim == 0 or len(points) != log_weights.size:
             raise ValueError("points must be an array with one row per log weight")
+        if not log_weights.size:
+            raise ValueError("a sample set must be non-empty")
         self.points = points
         self.log_weights = log_weights
-        self.log_weight_sum = float(log_sum_exp(log_weights, 0)[0][0]) if log_weights.size else -np.inf
+        self.log_weight_sum = float(log_sum_exp(log_weights, 0)[0][0])
 
     def __len__(self) -> int:
         return int(self.log_weights.size)
@@ -187,11 +186,6 @@ class TestFunction:
         return cls(lambda pts: np.asarray(pts, dtype=float).reshape(-1, dim), dim)
 
 
-def _require_nonempty(x: SampleSet) -> None:
-    if len(x) == 0:
-        raise ValueError("estimation requires a non-empty sample set")
-
-
 def _signed_weighted_sum(log_weights: np.ndarray, values: np.ndarray):
     """log|sum_i b_i e^{a_i}| and its sign, per column of ``values``."""
     log_abs, sign = log_sum_exp(log_weights[:, None], 0, values)
@@ -201,7 +195,6 @@ def _signed_weighted_sum(log_weights: np.ndarray, values: np.ndarray):
 def standard_estimate(x: SampleSet, h: TestFunction) -> np.ndarray:
     """Mean of ``w * h`` over the set, a ``(dim,)`` array; requires weights
     from a normalized target."""
-    _require_nonempty(x)
     values = h(x.points)
     log_abs, sign = _signed_weighted_sum(x.log_weights, values)
     return sign * np.exp(log_abs - np.log(len(x)))
@@ -210,7 +203,6 @@ def standard_estimate(x: SampleSet, h: TestFunction) -> np.ndarray:
 def self_normalized_estimate(x: SampleSet, h: TestFunction) -> np.ndarray:
     """Weight-sum-normalized estimate, a ``(dim,)`` array; valid when the
     target is known only up to a constant (the constant cancels)."""
-    _require_nonempty(x)
     if x.log_weight_sum == -np.inf:
         raise DegenerateWeightsError("all weights are zero")
     values = h(x.points)
@@ -232,7 +224,6 @@ def snis_variance_estimate(x: SampleSet, h: TestFunction) -> np.ndarray:
 def evidence_estimate(x: SampleSet) -> float:
     """Log of the normalizing-constant estimate ``(1/n) sum_i w_i``,
     kept in log space throughout."""
-    _require_nonempty(x)
     return float(x.log_weight_sum - np.log(len(x)))
 
 
@@ -270,13 +261,14 @@ def resample(x: SampleSet, count: int, rng: RandomSource) -> list:
     """``count`` multinomial draws with replacement, proportional to the log
     weights as listed over their own log-sum-exp, so a factored set draws what
     its enumeration does; one object per distinct drawn sample."""
-    _require_nonempty(x)
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     if x.log_weight_sum == -np.inf:
         raise DegenerateWeightsError("cannot resample: all weights are zero")
     log_weights = x.log_weights
     probs = np.exp(log_weights - log_sum_exp(log_weights, 0)[0][0])
     probs /= probs.sum()
-    indices = rng.generator.choice(len(x), size=int(count), replace=True, p=probs)
+    indices = rng.generator.choice(len(x), size=count, replace=True, p=probs)
     distinct, which = np.unique(indices, return_inverse=True)
     rows = list(x.points[distinct])
     return [rows[i] for i in which]

@@ -124,9 +124,13 @@ class ExperimentConfig:
             raise ValueError("budgets must be one or more strictly increasing values")
         if len(self.true_means) != 2 or not all(map(math.isfinite, self.true_means)):
             raise ValueError(f"true_means must give the two component means, finite, got {self.true_means!r}")
+        counts = ("replications", "workers", "group_size", "generations", "inner_draws", "data_count")
+        for name in counts:
+            if not isinstance(value := getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} {value!r} must be an integer")
         if self.replications < 2:
             raise ValueError("need at least 2 replications to estimate variances")
-        for name in ("workers", "group_size", "generations", "inner_draws", "data_count"):
+        for name in counts[1:]:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         inflated = "inflated" in self.methods

@@ -282,8 +282,9 @@ class GroupedSampleSet:
     contributions[g, j, i_j]``.  Weight sums over a group factor into
     per-block log-sum-exps, so the weight sum, the evidence and the
     self-normalized mean of scalar blocks cost ``O(groups * K * n)``.
-    ``size`` is a Python int, so it holds counts beyond ``len()``'s 2**63 -
-    1.  Immutable after construction.
+    ``size`` is a Python int, so it holds counts beyond ``len()``'s 2**63 - 1.
+    A set holds at least one group, so ``log_weight_sum`` is -inf only when
+    every weight is zero.  Immutable after construction.
     """
 
     __slots__ = ("base", "contributions", "values", "global_values", "size", "log_weight_sum", "_block_sums",
@@ -295,9 +296,11 @@ class GroupedSampleSet:
         values = np.asarray(values, dtype=float)
         if contributions.ndim != 3 or values.shape[:3] != contributions.shape or 0 in contributions.shape[1:]:
             raise ValueError("contributions must be (groups, K >= 1, n >= 1) and values (groups, K, n, ...)")
+        if not len(contributions):
+            raise ValueError("a sample set must be non-empty")
         if base.shape not in ((), contributions.shape[:1]):
             raise ValueError("base must be one term, or one term per group")
-        if not (base.max(initial=-np.inf) < np.inf and contributions.max(initial=-np.inf) < np.inf):
+        if not (base.max() < np.inf and contributions.max() < np.inf):
             raise ValueError("log weights must be finite or -inf; found NaN or +inf")
         self.base = base
         self.contributions = contributions
@@ -307,7 +310,7 @@ class GroupedSampleSet:
         self.size = groups * n**k
         self._block_sums = log_sum_exp(contributions, 2)[0][..., 0]  # L_gj = lse_i c_gji
         self._group_sums = self._per_group(self._block_sums)  # W_g, group g's weight sum
-        self.log_weight_sum = float(log_sum_exp(self._group_sums, 0)[0][0]) if len(contributions) else -np.inf
+        self.log_weight_sum = float(log_sum_exp(self._group_sums, 0)[0][0])
 
     def _per_group(self, block_terms: np.ndarray) -> np.ndarray:
         """``((base + t_g1) + t_g2) + ...`` per group, the order of :attr:`log_weights`."""
@@ -328,8 +331,6 @@ class GroupedSampleSet:
         faster than the contraction and gives the oracle's bits, so it does,
         and so refuses, with :class:`InflationBudgetError`, a set beyond
         ``MAX_UNCAPPED_COMBINATIONS`` groups."""
-        if self.contributions.shape[0] == 0:
-            raise ValueError("estimation requires a non-empty sample set")
         if self.log_weight_sum == -np.inf:
             raise DegenerateWeightsError("all weights are zero")
         if self.values.ndim != 3:
@@ -349,8 +350,6 @@ class GroupedSampleSet:
         combination, as the mean over groups of ``base + sum_j (L_gj - log
         n)``: unit weights give exactly 0, which ``log_weight_sum -
         log(size)`` does not."""
-        if self.contributions.shape[0] == 0:
-            raise ValueError("estimation requires a non-empty sample set")
         groups, _, n = self.contributions.shape
         log_means = self._per_group(self._block_sums - np.log(n))
         return float(log_sum_exp(log_means, 0)[0][0] - np.log(groups))

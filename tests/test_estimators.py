@@ -174,6 +174,10 @@ class TestSampleSet:
         with pytest.raises(ValueError, match="one-dimensional"):
             SampleSet(np.zeros((2, 1)), np.zeros((2, 1)))
 
+    def test_an_empty_set_is_refused_when_built(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            SampleSet(np.empty((0, 1)), np.empty(0))
+
 
 class TestTestFunction:
     def test_values_of_the_wrong_shape_are_refused(self):
@@ -405,6 +409,11 @@ class TestResample:
         s = make_set([[1.0]], [-np.inf])
         with pytest.raises(DegenerateWeightsError):
             resample(s, 3, RandomSource(0))
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5, 2.0, "3"])
+    def test_a_count_that_is_not_a_positive_integer_is_refused(self, count):
+        with pytest.raises(ValueError, match=f"count must be an integer >= 1, got {count!r}"):
+            resample(make_set([[1.0]], [0.0]), count, RandomSource(0))
 
     def test_preserves_weighted_mean_in_expectation(self):
         s = make_set([[0.0], [1.0], [4.0]], np.log([0.2, 0.3, 0.5]))

@@ -52,6 +52,21 @@ class TestConfig:
             tiny_gauss_config(budgets=(200.9, 2000), replications=2)
         assert tiny_gauss_config(budgets=(np.int64(200), 400)).budgets == (200, 400)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("replications", 2.5),
+            ("workers", 1.5),
+            ("group_size", 2.5),
+            ("generations", 2.5),
+            ("inner_draws", 2.0),
+            ("data_count", 20.5),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} {value} must be an integer"):
+            ExperimentConfig("gauss-centered", 1, budgets=(200,), **{field: value})
+
     def test_true_means_name_both_components(self):
         for means in [(1.0,), (-2.0, 0.0, 2.0)]:
             with pytest.raises(ValueError, match="two component means"):

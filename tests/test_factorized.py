@@ -705,18 +705,33 @@ class TestGroupedContraction:
             grouped.materialize()
 
     def test_empty_set_refuses_estimation(self):
-        grouped = GroupedSampleSet(0.0, np.zeros((0, 2, 3)), np.zeros((0, 2, 3)))
-        assert grouped.size == 0 and grouped.log_weight_sum == -np.inf
-        for estimate in (grouped.self_normalized_mean, grouped.log_evidence):
+        # no empty set is ever built, so none reaches an estimator
+        toy = GaussianToy(dimension=2)
+        model, prop = toy.model(), toy.proposal()
+        builds = [
+            lambda: GroupedSampleSet(0.0, np.zeros((0, 2, 3)), np.zeros((0, 2, 3))),
+            lambda: grouped_inflate(np.empty((0, 2)), 100, model, prop),
+            lambda: weigh(model, prop, None, np.empty((0, 2, 3))),
+        ]
+        for build in builds:
             with pytest.raises(ValueError, match="non-empty"):
-                estimate()
+                build()
 
     def test_zero_total_weight_is_degenerate(self):
         contrib = np.full((2, 2, 3), -np.inf)
         grouped = GroupedSampleSet(-1000.0, contrib, np.ones_like(contrib))
-        assert grouped.log_weight_sum == -np.inf
-        with pytest.raises(DegenerateWeightsError):
-            grouped.self_normalized_mean()
+        enumerated = grouped.materialize()
+        assert grouped.log_weight_sum == enumerated.log_weight_sum == -np.inf
+        assert grouped.log_evidence() == evidence_estimate(enumerated) == -np.inf
+        degenerate = [
+            grouped.self_normalized_mean,
+            lambda: self_normalized_estimate(enumerated, TestFunction.identity(2)),
+            lambda: resample(grouped, 3, RandomSource(0)),
+            lambda: resample(enumerated, 3, RandomSource(0)),
+        ]
+        for estimate in degenerate:
+            with pytest.raises(DegenerateWeightsError):
+                estimate()
 
     @pytest.mark.parametrize("block_1_values", ["signed", "zero"])
     def test_a_zero_weight_group_or_block_value_drops_out(self, block_1_values):

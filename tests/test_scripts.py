@@ -26,7 +26,8 @@ def test_profile_replication_runs(experiment):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("total calls:")
-    last = done.stdout.rstrip("\n").splitlines()[-1]
+    faults, last = done.stdout.rstrip("\n").splitlines()[-2:]
+    assert re.fullmatch(r"minor page faults: \d+\.\d per replication \(mean of 5 warm runs\)", faults), faults
     wall = re.fullmatch(r"wall time without the profiler: (\d+\.\d{4}) s \(median of 5 runs after one warm-up\)", last)
     assert wall and float(wall.group(1)) > 0.0, last
 
