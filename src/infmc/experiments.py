@@ -122,8 +122,11 @@ class ExperimentConfig:
         object.__setattr__(self, "budgets", budgets)
         if not budgets or any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
             raise ValueError("budgets must be one or more strictly increasing values")
-        if len(self.true_means) != 2 or not all(map(math.isfinite, self.true_means)):
-            raise ValueError(f"true_means must give the two component means, finite, got {self.true_means!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed {self.seed!r} must be an integer >= 0")
+        means = self.true_means
+        if len(means) != NUM_COMPONENTS or not all(isinstance(m, numbers.Real) and math.isfinite(m) for m in means):
+            raise ValueError(f"true_means must give the two component means, finite, got {means!r}")
         counts = ("replications", "workers", "group_size", "generations", "inner_draws", "data_count")
         for name in counts:
             if not isinstance(value := getattr(self, name), numbers.Integral):

@@ -362,8 +362,14 @@ def load_dataset(path) -> SyntheticDataset:
     header = text[0]
     if not header.startswith("# schema=1 "):
         raise ValueError(f"unrecognized dataset header: {header!r}")
-    fields = dict(part.split("=", 1) for part in header[2:].split() if "=" in part)
-    missing = [key for key in ("seed", "kind", "means") if key not in fields]
+    keys, fields = ("schema", "seed", "kind", "means"), {}
+    for key, _, value in (part.partition("=") for part in header[2:].split()):
+        if key not in keys:
+            raise ValueError(f"unknown dataset header key {key!r}")
+        if key in fields:
+            raise ValueError(f"dataset header key {key!r} is given more than once")
+        fields[key] = value
+    missing = [key for key in keys[1:] if key not in fields]
     if missing:
         raise ValueError(f"dataset header lacks {', '.join(missing)}: {header!r}")
     if fields["kind"] not in (GAUSSIAN, STUDENT_T):

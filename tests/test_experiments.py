@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import threading
 import weakref
 from dataclasses import asdict
@@ -61,14 +62,19 @@ class TestConfig:
             ("generations", 2.5),
             ("inner_draws", 2.0),
             ("data_count", 20.5),
+            ("seed", None),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", "3"),
         ],
     )
     def test_counts_must_be_integers(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} {value} must be an integer"):
-            ExperimentConfig("gauss-centered", 1, budgets=(200,), **{field: value})
+        settings = {"seed": 1, "budgets": (200,), field: value}
+        with pytest.raises(ValueError, match=re.escape(f"{field} {value!r} must be an integer")):
+            ExperimentConfig("gauss-centered", **settings)
 
     def test_true_means_name_both_components(self):
-        for means in [(1.0,), (-2.0, 0.0, 2.0)]:
+        for means in [(1.0,), (-2.0, 0.0, 2.0), ("a", "b")]:
             with pytest.raises(ValueError, match="two component means"):
                 tiny_gauss_config(true_means=means)
             with pytest.raises(ValueError, match="two component means"):

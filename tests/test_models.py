@@ -504,10 +504,13 @@ class TestSynthetic:
             ("# schema=1 seed=1 kind=gaussian means=-1.0,inf\n1.0\n", "means must be finite, got '-1.0,inf'"),
             ("# schema=1 seed=-5 kind=gaussian means=-1.0,1.0\n1.0\n", "seed must be a nonnegative integer, got '-5'"),
             ("# schema=2 seed=1 kind=gaussian means=-1.0,1.0\n1.0\n", "unrecognized dataset header"),
+            ("# schema=1 seed=1 kind=gaussian means=-2,2 seed=99 kind=student-t\n1.0\n",
+             "dataset header key 'seed' is given more than once"),
+            ("# schema=1 seed=1 kind=gaussian means=-1.0,1.0 extra=3\n1.0\n", "unknown dataset header key 'extra'"),
         ],
         ids=[
             "empty", "one-mean", "no-means", "no-seed", "unknown-kind", "no-observations", "nan", "inf", "nan-means",
-            "inf-means", "negative-seed", "unrecognized-header",
+            "inf-means", "negative-seed", "unrecognized-header", "repeated-key", "unknown-key",
         ],
     )
     def test_bad_file_is_refused_with_its_problem(self, tmp_path, text, problem):
