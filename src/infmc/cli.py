@@ -1,4 +1,4 @@
-"""Command-line harness: ``gauss``, ``dmm``, ``theorems`` and ``emit-data``."""
+"""Command-line harness: ``gauss``, ``dmm`` and ``theorems``."""
 from __future__ import annotations
 
 import argparse
@@ -19,7 +19,6 @@ from .experiments import (
     run_gauss,
     run_theorem_suite,
 )
-from .models import GAUSSIAN, STUDENT_T, make_synthetic, save_dataset
 
 __all__ = ["main"]
 
@@ -146,16 +145,6 @@ def _cmd_theorems(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_emit_data(args: argparse.Namespace) -> int:
-    with _usage_errors(args):
-        _refuse_non_file("--output", args.output)
-        means = ExperimentConfig.parse_value("true_means", args.means)
-        dataset = make_synthetic(args.kind, means, args.seed, count=args.count)
-    save_dataset(dataset, args.output)
-    print(f"wrote {dataset.observations.size} observations to {args.output}")
-    return 0
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="infmc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -180,13 +169,6 @@ def _parser() -> argparse.ArgumentParser:
     theorems.add_argument("--output", type=str, default=None)
     theorems.set_defaults(func=_cmd_theorems, parser=theorems)
 
-    emit_data = sub.add_parser("emit-data", help="write a synthetic mixture dataset")
-    emit_data.add_argument("--seed", type=_seed, required=True)
-    emit_data.add_argument("--kind", choices=[GAUSSIAN, STUDENT_T], default=GAUSSIAN)
-    emit_data.add_argument("--means", default="-2,2", help="comma-separated")
-    emit_data.add_argument("--count", type=int, default=100)
-    emit_data.add_argument("--output", type=str, required=True)
-    emit_data.set_defaults(func=_cmd_emit_data, parser=emit_data)
     return parser
 
 

@@ -7,7 +7,7 @@ and across worker counts; aggregation always reduces in replication order.
 """
 from __future__ import annotations
 
-import collections
+import collections.abc
 import functools
 import itertools
 import json
@@ -116,6 +116,8 @@ class ExperimentConfig:
             object.__setattr__(self, "replications", 25 if mixture else 50)
         if self.budgets is None:
             object.__setattr__(self, "budgets", (2000,) if mixture else (200, 2000, 20000))
+        if not isinstance(self.budgets, collections.abc.Iterable):
+            raise ValueError(f"budgets {self.budgets!r} must be a sequence of integers")
         if refused := [b for b in self.budgets if not isinstance(b, numbers.Integral)]:
             raise ValueError(f"budget {refused[0]!r} must be an integer")
         budgets = tuple(int(b) for b in self.budgets)
@@ -125,7 +127,8 @@ class ExperimentConfig:
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed {self.seed!r} must be an integer >= 0")
         means = self.true_means
-        if len(means) != NUM_COMPONENTS or not all(isinstance(m, numbers.Real) and math.isfinite(m) for m in means):
+        sized = isinstance(means, collections.abc.Sized) and len(means) == NUM_COMPONENTS
+        if not sized or not all(isinstance(m, numbers.Real) and math.isfinite(m) for m in means):
             raise ValueError(f"true_means must give the two component means, finite, got {means!r}")
         counts = ("replications", "workers", "group_size", "generations", "inner_draws", "data_count")
         for name in counts:
@@ -416,8 +419,7 @@ def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> di
     likelihood-evaluation budgets, one method's generations alive at a time."""
     family, _ = _MIXTURES[cfg.experiment]
     data_seed = int(src.child(0).generator.integers(2**63))
-    dataset = make_synthetic(family, cfg.true_means, data_seed, cfg.data_count)
-    spec = DmmSpec(dataset.observations, family)
+    spec = DmmSpec(make_synthetic(family, cfg.true_means, data_seed, cfg.data_count), family)
     model, init = dmm_model(spec), dmm_init_proposal(spec)
     out: dict[str, dict] = {"truth": np.asarray(cfg.true_means, dtype=float), "dataset_seed": data_seed}
     for method in cfg.methods:

@@ -10,7 +10,6 @@ block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -36,10 +35,7 @@ __all__ = [
     "dmm_model",
     "dmm_init_proposal",
     "component_means_function",
-    "SyntheticDataset",
     "make_synthetic",
-    "save_dataset",
-    "load_dataset",
 ]
 
 GAUSSIAN = "gaussian"
@@ -295,33 +291,14 @@ def component_means_function(spec: DmmSpec) -> TestFunction:
     return TestFunction(lambda pts: pts, NUM_COMPONENTS)
 
 
-@dataclass(frozen=True)
-class SyntheticDataset:
-    """Observations drawn from a known two-component mixture."""
-
-    observations: np.ndarray
-    true_means: tuple[float, float]
-    seed: int
-    kind: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "observations", np.asarray(self.observations, dtype=float))
-
-
-def make_synthetic(
-    kind: str,
-    means: tuple[float, float],
-    seed: int,
-    count: int = 100,
-    mixing: float = 0.5,
-) -> SyntheticDataset:
-    """Draw ``count`` observations from an equal (or configured) mixture of
-    two unit-scale components centered on ``means``.
+def make_synthetic(kind: str, means: tuple[float, float], seed: int, count: int = 100) -> np.ndarray:
+    """The ``(count,)`` observations of an equal mixture of two unit-scale
+    components centered on ``means``.
 
     The gaussian kind uses unit-variance normals; the student-t kind uses
     unit-scale t components with 30 degrees of freedom.  Raises
-    ``ValueError``, before any draw, for means that are not two finite
-    values and for a ``mixing`` outside [0, 1].
+    ``ValueError``, before any draw, for an unknown kind, a ``count`` below 1
+    and means that are not two finite values.
     """
     if kind not in (GAUSSIAN, STUDENT_T):
         raise ValueError(f"unknown synthetic kind {kind!r}")
@@ -332,58 +309,10 @@ def make_synthetic(
         raise ValueError(f"means must give the two component means, got {means!r}")
     if not np.all(np.isfinite(means_arr)):
         raise ValueError(f"means must be finite, got {means!r}")
-    if not 0.0 <= mixing <= 1.0:
-        raise ValueError(f"mixing must lie in [0, 1], got {mixing!r}")
     rng = RandomSource(seed)
-    labels = (rng.generator.random(count) < (1.0 - mixing)).astype(int)
+    labels = (rng.generator.random(count) < 0.5).astype(int)
     if kind == GAUSSIAN:
         noise = rng.generator.standard_normal(count)
     else:
         noise = rng.generator.standard_t(SYNTHETIC_T_DF, size=count)
-    obs = means_arr[labels] + noise
-    return SyntheticDataset(obs, (float(means_arr[0]), float(means_arr[1])), seed, kind)
-
-
-def save_dataset(dataset: SyntheticDataset, path) -> None:
-    """One observation per line, header comment recording seed and truth."""
-    means = ",".join(repr(m) for m in dataset.true_means)
-    lines = [f"# schema=1 seed={dataset.seed} kind={dataset.kind} means={means}"]
-    lines.extend(repr(float(x)) for x in dataset.observations)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_dataset(path) -> SyntheticDataset:
-    """The dataset in a file written by :func:`save_dataset`.  Raises
-    ``ValueError`` for a file that :func:`save_dataset` could not have
-    written from :func:`make_synthetic`'s output."""
-    text = Path(path).read_text().strip().splitlines()
-    if not text:
-        raise ValueError(f"empty dataset file {str(path)!r}")
-    header = text[0]
-    if not header.startswith("# schema=1 "):
-        raise ValueError(f"unrecognized dataset header: {header!r}")
-    keys, fields = ("schema", "seed", "kind", "means"), {}
-    for key, _, value in (part.partition("=") for part in header[2:].split()):
-        if key not in keys:
-            raise ValueError(f"unknown dataset header key {key!r}")
-        if key in fields:
-            raise ValueError(f"dataset header key {key!r} is given more than once")
-        fields[key] = value
-    missing = [key for key in keys[1:] if key not in fields]
-    if missing:
-        raise ValueError(f"dataset header lacks {', '.join(missing)}: {header!r}")
-    if fields["kind"] not in (GAUSSIAN, STUDENT_T):
-        raise ValueError(f"unknown dataset kind {fields['kind']!r}")
-    means = tuple(float(v) for v in fields["means"].split(","))
-    if len(means) != NUM_COMPONENTS:
-        raise ValueError(f"dataset header needs {NUM_COMPONENTS} means, got {len(means)}")
-    if not np.all(np.isfinite(means)):
-        raise ValueError(f"dataset means must be finite, got {fields['means']!r}")
-    if not fields["seed"].isdecimal():
-        raise ValueError(f"dataset seed must be a nonnegative integer, got {fields['seed']!r}")
-    obs = np.array([float(line) for line in text[1:] if line.strip()])
-    if obs.size == 0:
-        raise ValueError("dataset file holds no observations")
-    if not np.all(np.isfinite(obs)):
-        raise ValueError("dataset file holds a non-finite observation")
-    return SyntheticDataset(obs, means, int(fields["seed"]), fields["kind"])
+    return means_arr[labels] + noise

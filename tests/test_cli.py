@@ -2,12 +2,10 @@ import argparse
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
 from infmc.cli import _parser, main
 from infmc.experiments import ExperimentConfig
-from infmc.models import load_dataset
 
 
 class TestGaussCommand:
@@ -133,22 +131,6 @@ class TestTheoremsCommand:
         assert all(c["passed"] for c in payload["checks"])
 
 
-class TestEmitDataCommand:
-    def test_round_trips_through_loader(self, tmp_path):
-        out = tmp_path / "data.txt"
-        code = main([
-            "emit-data", "--seed", "7", "--kind", "student-t", "--means=-1.5,2.5",
-            "--count", "60", "--output", str(out),
-        ])
-        assert code == 0
-        ds = load_dataset(out)
-        assert ds.kind == "student-t"
-        assert ds.seed == 7
-        assert ds.true_means == (-1.5, 2.5)
-        assert ds.observations.size == 60
-        assert np.isfinite(ds.observations).all()
-
-
 class TestUsageErrors:
     def test_invalid_input_is_a_usage_error(self, tmp_path, tmp_path_factory, capsys):
         three_means = tmp_path_factory.mktemp("config") / "three-means.cfg"
@@ -167,8 +149,6 @@ class TestUsageErrors:
             (["theorems", "--instances", "0"], "instances must be >= 1"),
             (["gauss", "--budgets", "150"], "budget 150 must be a positive multiple of group_size 100"),
             (["dmm", "--budgets", "45"], "budget 45 must split into 20 generations"),
-            (["emit-data", "--count", "0"], "count must be >= 1"),
-            (["emit-data", "--means", "nan,0"], "means must be finite"),
             (["dmm", "--means", "inf,0"], "true_means must give the two component means, finite"),
             (
                 ["dmm", "--budgets", "10001", "--generations", "1", "--inner-draws", "10001", "--replications", "2"],
@@ -181,6 +161,7 @@ class TestUsageErrors:
                 ["dmm", "--method", "both", "--inner-draws", "3", "--budgets", "40", "--generations", "2"],
                 "budget 40 must split into 2 generations, each a positive multiple of inner_draws 3",
             ),
+            (["emit-data"], "invalid choice: 'emit-data'"),
             (  # the traces would replace the metrics
                 ["dmm", "--budgets", "40", "--generations", "2", "--replications", "2", "--data-count", "20",
                  "--traces", f"{tmp_path}/./never.csv"],
@@ -194,7 +175,7 @@ class TestUsageErrors:
             assert exit_info.value.code == 2
             assert message in capsys.readouterr().err
             assert not out.exists()
-        for command in ("gauss", "dmm", "theorems", "emit-data"):
+        for command in ("gauss", "dmm", "theorems"):
             out = tmp_path / "never.csv"
             with pytest.raises(SystemExit) as exit_info:
                 main([command, "--seed", "-1", "--output", str(out)])
@@ -213,12 +194,11 @@ class TestUsageErrors:
         [
             (["gauss", "--output", "{path}"], "--output"),
             (["dmm", "--output", "{path}"], "--output"),
-            (["emit-data", "--output", "{path}"], "--output"),
             (["theorems", "--output", "{path}"], "--output"),
             (["dmm", "--output", "{file}", "--traces", "{path}"], "--traces"),
             (["gauss", "--config", "{path}", "--output", "{file}"], "--config"),
         ],
-        ids=["gauss", "dmm", "emit-data", "theorems", "dmm-traces", "gauss-config"],
+        ids=["gauss", "dmm", "theorems", "dmm-traces", "gauss-config"],
     )
     def test_path_that_names_no_file_is_refused_before_any_work(self, tmp_path, capsys, argv, flag):
         paths = ["", str(tmp_path), str(tmp_path / "missing" / "never.csv")]

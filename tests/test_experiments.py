@@ -51,6 +51,8 @@ class TestConfig:
     def test_budgets_must_be_integers(self):
         with pytest.raises(ValueError, match="budget 200.9 must be an integer"):
             tiny_gauss_config(budgets=(200.9, 2000), replications=2)
+        with pytest.raises(ValueError, match="budgets 200 must be a sequence of integers"):
+            tiny_gauss_config(budgets=200)
         assert tiny_gauss_config(budgets=(np.int64(200), 400)).budgets == (200, 400)
 
     @pytest.mark.parametrize(
@@ -74,7 +76,7 @@ class TestConfig:
             ExperimentConfig("gauss-centered", **settings)
 
     def test_true_means_name_both_components(self):
-        for means in [(1.0,), (-2.0, 0.0, 2.0), ("a", "b")]:
+        for means in [(1.0,), (-2.0, 0.0, 2.0), ("a", "b"), 3.0]:
             with pytest.raises(ValueError, match="two component means"):
                 tiny_gauss_config(true_means=means)
             with pytest.raises(ValueError, match="two component means"):
@@ -429,7 +431,7 @@ class TestTheoremSuite:
 
     def test_a_tuple_valued_block_counts_one_per_value(self):
         # dmm-t's block value is (mean, variance, df): three floats, one value
-        spec = DmmSpec(make_synthetic("student-t", (-2.0, 2.0), 4, count=20).observations, "student-t")
+        spec = DmmSpec(make_synthetic("student-t", (-2.0, 2.0), 4, count=20), "student-t")
         model, counts = _counting_likelihoods(dmm_model(spec))
         inflate(model, dmm_init_proposal(spec), 3, 2, RandomSource(1))
         assert counts == [3 * 2] * 2  # one call per block, on its (6, 3) parameter sets

@@ -362,7 +362,7 @@ class TestRecombineStream:
     def _drawn(self, family, proposal, inner_draws):
         """One generation's draws from the prior proposal or a kernel
         proposal, with what made them; ``centers`` is None for the prior."""
-        spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 4, count=40).observations, family)
+        spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 4, count=40), family)
         if family == "gaussian":
             kernel = GaussianKernel(0.25)
         else:

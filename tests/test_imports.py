@@ -155,6 +155,43 @@ def test_no_module_builds_object_arrays():
     assert offenders == []
 
 
+# public names that only ``perfbench/spans.py`` wraps, kept until the benchmark stops tracing them
+TRACED_ONLY = [
+    "estimators.evidence_estimate",
+    "estimators.snis_variance_estimate",
+    "factorized.plain_factorized_sampler",
+    "pmc.pooled_estimate",
+]
+
+
+def _uncalled_public_names(paths: list[Path]) -> list[str]:
+    """``module.name`` for each name of a package module's ``__all__`` that no
+    ``Name`` or ``Attribute`` read in ``paths`` refers to; a docstring or an
+    ``__all__`` entry is a string, and an import or a definition binds the
+    name without reading it."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{m.__name__.split('.')[-1]}.{n}" for m in _modules() for n in m.__all__ if n not in read)
+
+
+def test_every_public_name_has_a_caller(tmp_path):
+    """A public name that nothing in the package or its scripts reads is dead
+    code, whatever tests and docstrings say of it."""
+    probe = tmp_path / "probe.py"
+    probe.write_text('"""rng.RandomSource"""\nfrom infmc.rng import RandomSource\n__all__ = ["RandomSource"]\n')
+    assert "rng.RandomSource" in _uncalled_public_names([probe])
+    probe.write_text("from infmc import rng\nsource = rng.RandomSource(1)\n")
+    assert "rng.RandomSource" not in _uncalled_public_names([probe])
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    paths = sorted(PACKAGE_DIR.glob("*.py")) + sorted(scripts.glob("*.py"))
+    assert _uncalled_public_names(paths) == TRACED_ONLY
+
+
 def _subclasses(cls: type) -> list[type]:
     return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
 

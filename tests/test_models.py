@@ -12,13 +12,10 @@ from infmc.models import (
     DmmSpec,
     GaussianToy,
     MixtureAssignmentProposal,
-    SyntheticDataset,
     component_means_function,
     dmm_init_proposal,
     dmm_model,
-    load_dataset,
     make_synthetic,
-    save_dataset,
 )
 from infmc.rng import RandomSource
 
@@ -130,7 +127,7 @@ class TestDmmModel:
 
     @pytest.mark.parametrize("family", ["gaussian", "student-t"])
     def test_batched_block_likelihood_equals_the_compacted_subset_sum(self, family):
-        spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 4, count=40).observations, family)
+        spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 4, count=40), family)
         model = dmm_model(spec)
         rng = np.random.default_rng(9)
         rows = 25
@@ -170,7 +167,7 @@ class TestDmmModel:
 
     @pytest.mark.parametrize("family", ["gaussian", "student-t"])
     def test_batched_marginal_equals_per_point_loop_bitwise(self, family):
-        spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 4).observations, family)
+        spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 4), family)
         rng = np.random.default_rng(8)
         weights = rng.dirichlet((1.0, 1.0), size=30)
         weights[3] = (0.0, 1.0)  # an empty component
@@ -208,7 +205,7 @@ class TestStudentTTable:
     """The student-t component table over (mean, variance, df) rows: one
     output array, with the bits of the formula written out."""
 
-    SPEC = DmmSpec(make_synthetic("student-t", (-2.0, 2.0), 4).observations, "student-t")
+    SPEC = DmmSpec(make_synthetic("student-t", (-2.0, 2.0), 4), "student-t")
 
     @staticmethod
     def _params():
@@ -246,7 +243,7 @@ class TestStudentTTable:
 class TestComponentMeansFunction:
     @pytest.mark.parametrize("family", ["gaussian", "student-t"])
     def test_equals_per_point_extraction_bitwise(self, family):
-        spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 4, count=20).observations, family)
+        spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 4, count=20), family)
         points = recombine(dmm_model(spec), dmm_init_proposal(spec), 5, 2, RandomSource(3)).points
         if family == "gaussian":
             per_point = [list(p) for p in points]
@@ -281,7 +278,7 @@ class TestMixingLogProb:
 
     @pytest.mark.parametrize("informed", [False, True])
     def test_equals_per_label_logs_on_proposal_draws(self, informed):
-        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6, count=40).observations)
+        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6, count=40))
         rng = RandomSource(41)
         points = [self._proposal(spec, informed).sample(rng) for _ in range(200)]
         stacked = tuple(np.stack(part) for part in zip(*points))
@@ -290,7 +287,7 @@ class TestMixingLogProb:
 
     @pytest.mark.parametrize("informed", [False, True])
     def test_batch_rows_equal_one_by_one_scoring(self, informed):
-        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6, count=3).observations)
+        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6, count=3))
         prop = self._proposal(spec, informed)
         rows = [
             ([0.3, 0.7], [0, 1, 1]),
@@ -336,7 +333,7 @@ class TestGlobalProposals:
 
     @pytest.mark.parametrize("informed", [False, True])
     def test_sample_batch_then_log_density_each_equals_log_density_row_by_row(self, informed):
-        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6).observations)
+        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6))
         references = np.array([(-1.0, 2.5), (0.5, -3.0)] * 10)
         # one reference table row per outer draw, as a generation's kernel proposals are
         prop = MixtureAssignmentProposal(spec, references if informed else None)
@@ -365,7 +362,7 @@ class TestGlobalProposals:
                 return np.array([next(pinned) for _ in range(shape)])
 
         monkeypatch.setattr(models, "MIXING_PRIOR", PinnedPrior((1.0, 1.0)))
-        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6).observations)
+        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6))
         prop = MixtureAssignmentProposal(spec)
         pinned, rng, chosen = iter(all_weights), RandomSource(41), []
         for weights in all_weights:
@@ -395,7 +392,7 @@ class TestGlobalProposals:
         monkeypatch.setattr(models, "MIXING_PRIOR", PinnedPrior((1.0, 1.0)))
         # at equal weights an observation at x has responsibility 1 / (1 + exp(4x)) for
         # component 0, so |x| near 6.9 puts it within about 1e-12 of 0 or 1
-        data = np.concatenate([make_synthetic("gaussian", (-2.0, 2.0), 7).observations, np.linspace(-7.5, 7.5, 31)])
+        data = np.concatenate([make_synthetic("gaussian", (-2.0, 2.0), 7), np.linspace(-7.5, 7.5, 31)])
         spec = DmmSpec(data)
         centers = (-2.0, 2.0)
         prop = MixtureAssignmentProposal(spec, centers)
@@ -441,88 +438,36 @@ class TestGlobalProposals:
 
 class TestSynthetic:
     def test_gaussian_mixture_grand_mean(self):
-        ds = make_synthetic("gaussian", (-2.0, 2.0), 77)
-        assert ds.observations.size == 100
-        assert abs(ds.observations.mean()) < 0.5
+        obs = make_synthetic("gaussian", (-2.0, 2.0), 77)
+        assert obs.shape == (100,)
+        assert abs(obs.mean()) < 0.5
 
     def test_equal_means_still_valid(self):
-        ds = make_synthetic("gaussian", (1.0, 1.0), 5)
-        assert ds.observations.size == 100
-        assert abs(ds.observations.mean() - 1.0) < 0.5
+        obs = make_synthetic("gaussian", (1.0, 1.0), 5)
+        assert obs.shape == (100,)
+        assert abs(obs.mean() - 1.0) < 0.5
 
     def test_t_components_have_t_variance(self):
-        ds = make_synthetic("student-t", (-40.0, 40.0), 11, count=2000)
-        left = ds.observations[ds.observations < 0] + 40.0
-        right = ds.observations[ds.observations > 0] - 40.0
+        obs = make_synthetic("student-t", (-40.0, 40.0), 11, count=2000)
+        left = obs[obs < 0] + 40.0
+        right = obs[obs > 0] - 40.0
         for comp in (left, right):
             assert comp.var() == pytest.approx(30.0 / 28.0, rel=0.25)
-
-    def test_mixing_proportion_configurable(self):
-        ds = make_synthetic("gaussian", (-50.0, 50.0), 3, count=1000, mixing=0.9)
-        assert np.mean(ds.observations < 0) == pytest.approx(0.9, abs=0.05)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_synthetic("poisson", (0.0, 1.0), 0)
 
     @pytest.mark.parametrize(
-        "means, mixing, problem",
+        "means, count, problem",
         [
-            ((-2.0, 2.0, 5.0), 0.5, "means must give the two component means"),
-            ((1.0,), 0.5, "means must give the two component means"),
-            ((-2.0, 2.0), 3.0, r"mixing must lie in \[0, 1\]"),
+            ((-2.0, 2.0, 5.0), 100, "means must give the two component means"),
+            ((1.0,), 100, "means must give the two component means"),
+            ((float("nan"), 0.0), 100, "means must be finite"),
+            ((-2.0, 2.0), 0, "count must be >= 1"),
         ],
-        ids=["three-means", "one-mean", "mixing-above-one"],
+        ids=["three-means", "one-mean", "nan-mean", "no-observations"],
     )
-    def test_refuses_means_and_mixing_it_cannot_honour(self, means, mixing, problem):
+    def test_refuses_means_and_count_it_cannot_honour(self, means, count, problem):
         with pytest.raises(ValueError, match=problem):
-            make_synthetic("gaussian", means, 1, mixing=mixing)
-
-    def test_round_trip_serialization(self, tmp_path):
-        ds = make_synthetic("student-t", (-2.0, 2.0), 99)
-        path = tmp_path / "data.txt"
-        save_dataset(ds, path)
-        loaded = load_dataset(path)
-        assert isinstance(loaded, SyntheticDataset)
-        assert loaded.seed == 99
-        assert loaded.kind == "student-t"
-        assert loaded.true_means == ds.true_means
-        assert np.array_equal(loaded.observations, ds.observations)
-
-    @pytest.mark.parametrize(
-        "text, problem",
-        [
-            ("", "empty dataset file"),
-            ("# schema=1 seed=1 kind=gaussian means=0.5\n1.0\n", "needs 2 means, got 1"),
-            ("# schema=1 seed=1 kind=gaussian\n1.0\n", "lacks means"),
-            ("# schema=1 kind=gaussian means=-1.0,1.0\n1.0\n", "lacks seed"),
-            ("# schema=1 seed=1 kind=weird means=-1.0,1.0\n1.0\n", "unknown dataset kind 'weird'"),
-            ("# schema=1 seed=1 kind=gaussian means=-1.0,1.0\n", "no observations"),
-            ("# schema=1 seed=1 kind=gaussian means=-1.0,1.0\n1.0\nnan\n", "non-finite observation"),
-            ("# schema=1 seed=1 kind=student-t means=-1.0,1.0\ninf\n", "non-finite observation"),
-            ("# schema=1 seed=1 kind=gaussian means=nan,1.0\n1.0\n", "means must be finite, got 'nan,1.0'"),
-            ("# schema=1 seed=1 kind=gaussian means=-1.0,inf\n1.0\n", "means must be finite, got '-1.0,inf'"),
-            ("# schema=1 seed=-5 kind=gaussian means=-1.0,1.0\n1.0\n", "seed must be a nonnegative integer, got '-5'"),
-            ("# schema=2 seed=1 kind=gaussian means=-1.0,1.0\n1.0\n", "unrecognized dataset header"),
-            ("# schema=1 seed=1 kind=gaussian means=-2,2 seed=99 kind=student-t\n1.0\n",
-             "dataset header key 'seed' is given more than once"),
-            ("# schema=1 seed=1 kind=gaussian means=-1.0,1.0 extra=3\n1.0\n", "unknown dataset header key 'extra'"),
-        ],
-        ids=[
-            "empty", "one-mean", "no-means", "no-seed", "unknown-kind", "no-observations", "nan", "inf", "nan-means",
-            "inf-means", "negative-seed", "unrecognized-header", "repeated-key", "unknown-key",
-        ],
-    )
-    def test_bad_file_is_refused_with_its_problem(self, tmp_path, text, problem):
-        path = tmp_path / "data.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=problem):
-            load_dataset(path)
-
-    def test_header_is_commented(self, tmp_path):
-        ds = make_synthetic("gaussian", (-1.0, 1.0), 1, count=5)
-        path = tmp_path / "data.txt"
-        save_dataset(ds, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# schema=1 seed=1 kind=gaussian means=")
-        assert len(lines) == 6
+            make_synthetic("gaussian", means, 1, count=count)

@@ -129,7 +129,7 @@ class TestRunPmc:
             cfg = PmcConfig(20, 4, GaussianKernel(0.5), inner_draws)
         else:
             family = "gaussian" if target == "dmm-gauss" else "student-t"
-            spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 3, count=30).observations, family)
+            spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 3, count=30), family)
             model, init, h = dmm_model(spec), dmm_init_proposal(spec), component_means_function(spec)
             kernel = GaussianKernel(0.25)
             if family == "student-t":
@@ -184,8 +184,7 @@ class TestRunPmc:
         assert hits >= 45
 
     def test_determinism(self):
-        ds = make_synthetic("gaussian", (-2.0, 2.0), 5, count=30)
-        spec = DmmSpec(ds.observations)
+        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 5, count=30))
         model, init = dmm_model(spec), dmm_init_proposal(spec)
         h = component_means_function(spec)
         cfg = PmcConfig(population_size=50, generations=3, kernel=GaussianKernel(0.25))
@@ -235,7 +234,7 @@ class TestRunPmc:
                 method = getattr(self._generator, name)
                 return lambda *args, **kwargs: calls.append(name) or method(*args, **kwargs)
 
-        spec = DmmSpec(make_synthetic("student-t", (-2.0, 2.0), 3, count=30).observations, "student-t")
+        spec = DmmSpec(make_synthetic("student-t", (-2.0, 2.0), 3, count=30), "student-t")
         kernel = TupleKernel([GaussianKernel(0.25), VarianceKernel(0.3), GammaKernel(0.3)])
         cfg = PmcConfig(40, 2, kernel, 2, functools.partial(MixtureAssignmentProposal, spec))
         rng = RandomSource(4)
@@ -249,8 +248,7 @@ class TestRunPmc:
         assert calls == [*first, "choice", *second, "choice"]
 
     def test_inflated_generations_match_plain_eval_budget(self, monkeypatch):
-        ds = make_synthetic("gaussian", (-2.0, 2.0), 7, count=40)
-        spec = DmmSpec(ds.observations)
+        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 7, count=40))
         model, counts = _counting_likelihoods(dmm_model(spec))
         init = dmm_init_proposal(spec)
         h = component_means_function(spec)
@@ -280,7 +278,7 @@ class TestRunPmc:
 
     @staticmethod
     def _mixture_run(family, inner_draws):
-        spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 3, count=30).observations, family)
+        spec = DmmSpec(make_synthetic(family, (-2.0, 2.0), 3, count=30), family)
         model = dmm_model(spec)
         if family == "gaussian":
             kernel = GaussianKernel(0.25)
@@ -318,8 +316,7 @@ class TestRunPmc:
 
     @pytest.mark.parametrize("cap", [15, 16])
     def test_combination_cap_applies_before_any_block_evaluation(self, monkeypatch, cap):
-        ds = make_synthetic("gaussian", (-2.0, 2.0), 7, count=20)
-        spec = DmmSpec(ds.observations)
+        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 7, count=20))
         model, calls = _counting_likelihoods(dmm_model(spec))
         init = dmm_init_proposal(spec)
         monkeypatch.setattr(factorized, "MAX_UNCAPPED_COMBINATIONS", cap)
