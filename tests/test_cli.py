@@ -197,8 +197,9 @@ class TestUsageErrors:
             (["theorems", "--output", "{path}"], "--output"),
             (["dmm", "--output", "{file}", "--traces", "{path}"], "--traces"),
             (["gauss", "--config", "{path}", "--output", "{file}"], "--config"),
+            (["dmm", "--config", "{path}", "--output", "{file}"], "--config"),
         ],
-        ids=["gauss", "dmm", "theorems", "dmm-traces", "gauss-config"],
+        ids=["gauss", "dmm", "theorems", "dmm-traces", "gauss-config", "dmm-config"],
     )
     def test_path_that_names_no_file_is_refused_before_any_work(self, tmp_path, capsys, argv, flag):
         paths = ["", str(tmp_path), str(tmp_path / "missing" / "never.csv")]

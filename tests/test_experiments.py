@@ -276,6 +276,23 @@ class TestRunDmm:
         experiments.dmm_replication(cfg, 40, RandomSource(11).child(0, 0))
         assert len(first_run) == 4 and alive_at_second_call == [0]
 
+    @pytest.mark.parametrize("experiment, family", [("dmm-gauss", "gaussian"), ("dmm-t", "student-t")])
+    def test_the_recorded_dataset_seed_regenerates_the_data(self, monkeypatch, experiment, family):
+        """A replication's data is drawn in process; its recorded seed is all it takes to draw it again."""
+        seen = []
+        original = experiments.DmmSpec
+
+        def spec(data, component_family):
+            seen.append(data)
+            return original(data, component_family)
+
+        monkeypatch.setattr(experiments, "DmmSpec", spec)
+        cfg = ExperimentConfig(experiment=experiment, seed=11, budgets=(40,), replications=2, generations=2,
+                               data_count=30, true_means=(-1.5, 2.5))
+        out = experiments.dmm_replication(cfg, 40, RandomSource(11).child(0, 0))
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], make_synthetic(family, (-1.5, 2.5), out["dataset_seed"], count=30))
+
     def test_budget_must_divide_generations(self):
         with pytest.raises(ValueError):
             ExperimentConfig(

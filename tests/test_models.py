@@ -454,6 +454,42 @@ class TestSynthetic:
         for comp in (left, right):
             assert comp.var() == pytest.approx(30.0 / 28.0, rel=0.25)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "student-t"])
+    def test_components_are_drawn_in_equal_proportion(self, kind):
+        obs = make_synthetic(kind, (-50.0, 50.0), 3, count=1000)
+        assert np.mean(obs < 0) == pytest.approx(0.5, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "kind, draw_noise",
+        [
+            ("gaussian", lambda generator, count: generator.standard_normal(count)),
+            ("student-t", lambda generator, count: generator.standard_t(30.0, size=count)),
+        ],
+        ids=["gaussian", "student-t"],
+    )
+    def test_labels_then_noise_come_from_the_seed(self, kind, draw_noise):
+        """The seed a dmm trace records regenerates its data bit for bit:
+        labels first, as ``random(count) < 0.5`` picking the second mean,
+        then one noise draw per observation."""
+        generator = RandomSource(21).generator
+        second = generator.random(50) < 0.5
+        expected = np.where(second, 2.5, -1.5) + draw_noise(generator, 50)
+        assert np.array_equal(make_synthetic(kind, (-1.5, 2.5), 21, count=50), expected)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "student-t"])
+    def test_other_seeds_give_other_data(self, kind):
+        first = make_synthetic(kind, (-2.0, 2.0), 8)
+        assert np.array_equal(first, make_synthetic(kind, (-2.0, 2.0), 8))
+        assert not np.array_equal(first, make_synthetic(kind, (-2.0, 2.0), 9))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "student-t"])
+    @pytest.mark.parametrize("count", [1, 100])
+    def test_returns_count_finite_observations(self, kind, count):
+        obs = make_synthetic(kind, (-2.0, 2.0), 4, count=count)
+        assert obs.shape == (count,) and obs.dtype == np.float64
+        assert np.isfinite(obs).all()
+        assert np.array_equal(DmmSpec(obs, kind).data, obs)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_synthetic("poisson", (0.0, 1.0), 0)
@@ -463,10 +499,15 @@ class TestSynthetic:
         [
             ((-2.0, 2.0, 5.0), 100, "means must give the two component means"),
             ((1.0,), 100, "means must give the two component means"),
+            ((), 100, "means must give the two component means"),
+            (((-2.0, 2.0),), 100, "means must give the two component means"),
             ((float("nan"), 0.0), 100, "means must be finite"),
+            ((0.0, -float("inf")), 100, "means must be finite"),
             ((-2.0, 2.0), 0, "count must be >= 1"),
+            ((-2.0, 2.0), -3, "count must be >= 1"),
         ],
-        ids=["three-means", "one-mean", "nan-mean", "no-observations"],
+        ids=["three-means", "one-mean", "no-means", "means-in-a-row", "nan-mean", "inf-mean", "no-observations",
+             "negative-count"],
     )
     def test_refuses_means_and_count_it_cannot_honour(self, means, count, problem):
         with pytest.raises(ValueError, match=problem):
