@@ -124,13 +124,25 @@ def _verdict(entry: dict, direction: str, bound: float) -> str | None:
     return "unresolved" if spread > bound and not separated else "within_bound"
 
 
+def _gain(entry: dict, direction: str, pairs: int) -> bool:
+    """Whether a claimed gain holds: the change is better in at least 9 of
+    every 10 pairs, ties counting for neither side, and its median is better
+    than the parent's by more than the parent's IQR."""
+    parent, change, iqr = entry["parent_median"], entry["change_median"], entry["parent_iqr"]
+    if parent is None or change is None or iqr is None:
+        return False
+    gained = parent - change if direction == "lower" else change - parent
+    return 10 * entry["change_wins"] >= 9 * pairs and gained > iqr
+
+
 def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """Per workload of the timed (``trace`` 0) runs and per end-to-end
     metric: each side's values in pair order, rounded to four decimals
     (``None`` where a run failed); their medians and quartiles; the parent's
     interquartile range; the pairs in which the change's value is better,
     ties counting for neither side; the median's relative worsening,
-    ``worse_frac``; and, for a metric with a ``bound``, its ``verdict``."""
+    ``worse_frac``; whether a claimed ``gain`` holds; and, for a metric
+    with a ``bound``, its ``verdict``."""
     timed = [run for run in runs if run["trace"] == 0]
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in timed):
@@ -159,6 +171,7 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
                 "parent_iqr": None if parent_q is None else round(parent_q[1] - parent_q[0], 4),
                 "worse_frac": _worse_frac(parent_median, change_median, direction),
             }
+            entry[metric]["gain"] = _gain(entry[metric], direction, len(pairs))
             if bounds and metric in bounds:
                 entry[metric]["verdict"] = _verdict(entry[metric], direction, bounds[metric])
         summary[workload] = entry

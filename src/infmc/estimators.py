@@ -266,7 +266,9 @@ def resample(x: SampleSet, count: int, rng: RandomSource) -> list:
     if x.log_weight_sum == -np.inf:
         raise DegenerateWeightsError("cannot resample: all weights are zero")
     log_weights = x.log_weights
-    probs = np.exp(log_weights - log_sum_exp(log_weights, 0)[0][0])
+    # a SampleSet summed its weights as listed when built; a factored set summed its groups instead
+    total = x.log_weight_sum if isinstance(x, SampleSet) else log_sum_exp(log_weights, 0)[0][0]
+    probs = np.exp(log_weights - total)
     probs /= probs.sum()
     indices = rng.generator.choice(len(x), size=count, replace=True, p=probs)
     distinct, which = np.unique(indices, return_inverse=True)

@@ -427,36 +427,63 @@ def dmm_replication(cfg: ExperimentConfig, budget: int, src: RandomSource) -> di
     return out
 
 
+def _trace_columns(best: np.ndarray, marginal: np.ndarray, errors: np.ndarray, evals: np.ndarray,
+                   estimates: np.ndarray, final_errors: np.ndarray) -> dict[str, list]:
+    """One method's trace fields over a budget's replications, each a list
+    with one JSON-ready entry per replication, in trace-record key order."""
+    return {
+        "best_log_likelihood": best.tolist(),
+        "best_log_likelihood_so_far": np.maximum.accumulate(best, axis=1).tolist(),
+        "best_marginal_log_likelihood": marginal.tolist(),
+        "best_marginal_so_far": np.maximum.accumulate(marginal, axis=1).tolist(),
+        "estimate_error": errors.tolist(),
+        "block_evals": evals.tolist(),
+        "final_estimate": estimates.tolist(),
+        "final_error": final_errors.tolist(),
+    }
+
+
 def run_dmm(cfg: ExperimentConfig) -> tuple[list[MetricRow], list[dict]]:
-    """Mixture-model comparison; returns the metric rows plus the raw
+    """Mixture-model comparison; returns the metric rows plus the
     per-replication traces (best log likelihood, errors, eval counts)."""
     if cfg.experiment not in DMM_EXPERIMENTS:
         raise ValueError(f"run_dmm cannot run {cfg.experiment!r}")
     truth = np.asarray(cfg.true_means, dtype=float)
+    reps, gens = cfg.replications, cfg.generations
     rows: list[MetricRow] = []
     all_traces: list[dict] = []
     for budget, results in _replicate(cfg, dmm_replication):
-        results = list(results)
+        # each result is reduced into these arrays as it arrives; the trace records are built once they are full
+        seeds = np.empty(reps, dtype=np.int64)
+        estimates = {method: np.empty((reps, truth.size)) for method in cfg.methods}
+        final_errors = {method: np.empty(reps) for method in cfg.methods}
+        best, marginal, errors = ({method: np.empty((reps, gens)) for method in cfg.methods} for _ in range(3))
+        evals = {method: np.empty((reps, gens), dtype=np.int64) for method in cfg.methods}
+        wall = dict.fromkeys(cfg.methods, 0.0)
         for r, res in enumerate(results):
-            record = {"budget": int(budget), "replication": r, "dataset_seed": res["dataset_seed"]}
+            seeds[r] = res["dataset_seed"]
             for method in cfg.methods:
-                trace = res[method]["trace"]
-                best_marginal = res[method]["best_marginal"]
-                record[method] = {
-                    "best_log_likelihood": trace.best_log_likelihood.tolist(),
-                    "best_log_likelihood_so_far": trace.best_log_likelihood_so_far.tolist(),
-                    "best_marginal_log_likelihood": best_marginal.tolist(),
-                    "best_marginal_so_far": np.maximum.accumulate(best_marginal).tolist(),
-                    "estimate_error": trace.estimate_error.tolist(),
-                    "block_evals": trace.block_evals.tolist(),
-                    "final_estimate": np.asarray(res[method]["estimate"]).tolist(),
-                    "final_error": res[method]["error"],
-                }
+                out = res[method]
+                estimates[method][r] = out["estimate"]
+                final_errors[method][r] = out["error"]
+                best[method][r] = out["trace"].best_log_likelihood
+                marginal[method][r] = out["best_marginal"]
+                errors[method][r] = out["trace"].estimate_error
+                evals[method][r] = out["trace"].block_evals
+                wall[method] += out["wall"]
+        columns = {
+            method: _trace_columns(best[method], marginal[method], errors[method], evals[method],
+                                   estimates[method], final_errors[method])
+            for method in cfg.methods
+        }
+        for r, seed in enumerate(seeds.tolist()):
+            record = {"budget": int(budget), "replication": r, "dataset_seed": seed}
+            for method in cfg.methods:
+                record[method] = {key: column[r] for key, column in columns[method].items()}
             all_traces.append(record)
         for method in cfg.methods:
-            estimates = np.array([res[method]["estimate"] for res in results])
-            wall = float(sum(res[method]["wall"] for res in results))
-            rows.extend(_metric_rows(cfg.experiment, method, budget, estimates, truth, float("nan"), wall))
+            rows.extend(_metric_rows(cfg.experiment, method, budget, estimates[method], truth, float("nan"),
+                                     wall[method]))
     return rows, all_traces
 
 

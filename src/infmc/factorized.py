@@ -211,7 +211,11 @@ def recombine(
     Make ``outer_draws`` global draws and, per global draw, ``inner_draws``
     draws per block, then :func:`weigh` them: the result stands for every
     cross-combination of block indices, one group per global draw.  One
-    inner draw is plain importance sampling.  ``prop``'s densities hold
+    inner draw is plain importance sampling.  With a global block, the
+    inner draws average the blocks given each drawn global value, so the
+    estimate is consistent only as ``outer_draws`` grows; at one outer draw
+    it estimates the expectation conditional on that global value, however
+    many inner draws are made.  ``prop``'s densities hold
     scalar parameters, shared by every outer draw, or ``(outer_draws, 1)``
     parameter columns, one row per outer draw.
 
@@ -282,6 +286,10 @@ class GroupedSampleSet:
     contributions[g, j, i_j]``.  Weight sums over a group factor into
     per-block log-sum-exps, so the weight sum, the evidence and the
     self-normalized mean of scalar blocks cost ``O(groups * K * n)``.
+    With a global block, a group's combinations average its blocks given
+    that group's one global value, so an estimate from the set is
+    consistent only as the groups grow; from one group it estimates the
+    expectation conditional on that group's global value.
     ``size`` is a Python int, so it holds counts beyond ``len()``'s 2**63 - 1.
     A set holds at least one group, so ``log_weight_sum`` is -inf only when
     every weight is zero.  Immutable after construction.

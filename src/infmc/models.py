@@ -194,12 +194,15 @@ class MixtureAssignmentProposal(Density):
     draw, or ``(outer, K, ...)`` rows, one per outer draw; the reference
     table is ``(observations, K)`` or ``(outer, observations, K)``.  The
     density is the Dirichlet term plus each label's entry of the label
-    log-probability table.
+    log-probability table.  A draw keeps the table it drew its labels from
+    until the next score: scoring the weights array that draw returned
+    reads it instead of normalizing the same table again.
     """
 
     def __init__(self, spec: DmmSpec, centers=None):
         self.spec = spec
         self._reference = None
+        self._drawn = None  # (weights, table) of the last draw, until the next score
         if centers is not None:
             self._reference = np.swapaxes(spec.component_log_density_each(spec.data, centers), -1, -2)
             self.rows = len(self._reference) if self._reference.ndim == 3 else None
@@ -222,10 +225,14 @@ class MixtureAssignmentProposal(Density):
         ``c_k = c_{k-1} + p_k`` is ``cumsum``'s, built slice by slice over
         the K components, and the label counts the ``c_k / c_K <= u``.
         Labels are ``LABEL_DTYPE``, the smallest unsigned type naming every
-        component."""
+        component.  The weights come back read-only, since the table kept
+        for their score must stay theirs."""
         weights = MIXING_PRIOR.sample_batch(rng, shape)
         uniforms = rng.generator.random(weights.shape[:-1] + self.spec.data.shape)
-        probs = np.exp(self._label_log_probs(weights))
+        table = self._label_log_probs(weights)
+        weights.flags.writeable = False
+        self._drawn = (weights, table)
+        probs = np.exp(table)
         cdf = [probs[..., 0]]
         for k in range(1, probs.shape[-1]):
             cdf.append(cdf[-1] + probs[..., k])
@@ -240,7 +247,9 @@ class MixtureAssignmentProposal(Density):
         weights, labels = np.asarray(xs[0], dtype=float), np.asarray(xs[1])
         if self.rows is not None and weights.shape[:-1] != (self.rows,):
             raise ValueError(f"{self.rows} reference rows score {self.rows} weight rows, got shape {weights.shape}")
-        return _mixing_log_density(weights, labels, self._label_log_probs(weights))
+        drawn, self._drawn = self._drawn, None
+        table = drawn[1] if drawn is not None and drawn[0] is weights else self._label_log_probs(weights)
+        return _mixing_log_density(weights, labels, table)
 
 
 def dmm_model(spec: DmmSpec) -> FactorizedModel:

@@ -24,6 +24,7 @@ from infmc.experiments import (
 )
 from infmc.factorized import inflate
 from infmc.models import DmmSpec, dmm_init_proposal, dmm_model, make_synthetic
+from infmc.pmc import trace_metrics
 from infmc.rng import RandomSource
 
 
@@ -393,20 +394,60 @@ class TestReplicate:
         assert first == 0 and len(started) <= 2 * workers
         assert [first, *results] == list(range(50))
 
+    class Output(dict):
+        """A stub replication's result: a dict that a weak reference can track."""
+
+    @classmethod
+    def shaped_result(cls, cfg):
+        """A stub result shaped like the replication function's that ``cfg``'s runner calls."""
+        if cfg.experiment in experiments.GAUSS_EXPERIMENTS:
+            return lambda r: cls.Output(
+                {method: {"expectation": np.zeros(2), "log_evidence": 0.0, "wall": 0.0} for method in METHODS})
+        series = np.arange(cfg.generations, dtype=float)
+
+        def result(r):
+            method_result = lambda: {
+                "estimate": np.array(cfg.true_means, dtype=float), "error": 0.0,
+                "trace": trace_metrics(series, series, np.full(cfg.generations, 2)), "best_marginal": series,
+                "block_evals": 2 * cfg.generations, "samples_per_generation": 1, "wall": 0.0,
+            }
+            return cls.Output(truth=np.array(cfg.true_means), dataset_seed=r, **{m: method_result() for m in METHODS})
+
+        return result
+
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("runner, target", [(run_gauss, "gauss_replication"), (run_dmm, "dmm_replication")])
     def test_a_failing_replication_cancels_the_queue(self, monkeypatch, runner, target, workers):
         experiment = "gauss-centered" if runner is run_gauss else "dmm-gauss"
         cfg = ExperimentConfig(experiment, 42, budgets=(200,), replications=50, workers=workers)
-        # shaped like a Gaussian result, which run_gauss reduces as it arrives
-        result = lambda r: {method: {"expectation": np.zeros(2), "log_evidence": 0.0, "wall": 0.0} for method in METHODS}
-        stub, started = self.indexing_stub(cfg, fail_at=5, result=result)
+        stub, started = self.indexing_stub(cfg, fail_at=5, result=self.shaped_result(cfg))
         monkeypatch.setattr(experiments, target, stub)
         threads = threading.active_count()
         with pytest.raises(ValueError, match="replication 5 failed"):
             runner(cfg)
         assert max(started) < 5 + 2 * workers
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("runner, target", [(run_gauss, "gauss_replication"), (run_dmm, "dmm_replication")])
+    def test_results_are_released_as_they_are_reduced(self, monkeypatch, runner, target, workers):
+        # at most the 2 x workers submitted results and the one being reduced are alive, whatever the replications
+        experiment = "gauss-centered" if runner is run_gauss else "dmm-gauss"
+        cfg = ExperimentConfig(experiment, 42, budgets=(200,), replications=30, workers=workers)
+        shaped, outputs, most_alive = self.shaped_result(cfg), [], []
+
+        def tracked(r):
+            most_alive.append(sum(ref() is not None for ref in outputs))
+            out = shaped(r)
+            outputs.append(weakref.ref(out))
+            return out
+
+        stub, started = self.indexing_stub(cfg, result=tracked)
+        monkeypatch.setattr(experiments, target, stub)
+        runner(cfg)
+        assert sorted(started) == list(range(30))
+        assert 1 <= max(most_alive) <= 2 * workers + 1
+        assert all(ref() is None for ref in outputs)
 
 
 class TestTheoremSuite:

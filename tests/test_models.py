@@ -350,6 +350,26 @@ class TestGlobalProposals:
             with pytest.raises(ValueError, match="reference rows"):
                 prop.log_density((weights[0], labels[0]))
 
+    @pytest.mark.parametrize("informed", [False, True])
+    def test_a_draw_table_scores_only_the_weights_it_drew(self, monkeypatch, informed):
+        spec = DmmSpec(make_synthetic("gaussian", (-2.0, 2.0), 6))
+        references = np.array([(-1.0, 2.5), (0.5, -3.0)] * 10) if informed else None
+        prop, never_drew = MixtureAssignmentProposal(spec, references), MixtureAssignmentProposal(spec, references)
+        tables = []
+        normalize = prop._label_log_probs
+        monkeypatch.setattr(prop, "_label_log_probs", lambda weights: tables.append(1) or normalize(weights))
+        weights, labels = prop.sample_batch(RandomSource(21), 20)
+        other = (weights[::-1].copy(), labels)
+        assert prop.log_density_each(other).tolist() == never_drew.log_density_each(other).tolist()
+        assert len(tables) == 2  # the draw's, then the other weights' own
+        assert prop.log_density_each((weights, labels)).tolist() == never_drew.log_density_each((weights, labels)).tolist()
+        assert len(tables) == 3  # the first score dropped the draw's table
+        weights, labels = prop.sample_batch(RandomSource(22), 20)
+        assert prop.log_density_each((weights, labels)).tolist() == never_drew.log_density_each((weights, labels)).tolist()
+        assert len(tables) == 4  # the draw's table, read by its score
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 0.5
+
     def test_prior_proposal_labels_equal_generator_choice(self, monkeypatch):
         """Labels and generator use are ``Generator.choice``'s, also at
         weights within 1e-12 of 0 and 1, drawn one by one or scored as one batch."""

@@ -93,6 +93,37 @@ def test_bench_pairs_verdict_against_the_bound(direction, parent, change, worse_
     assert "verdict" not in bench_pairs.summarize(runs, {"m": direction})["w"]["m"]
 
 
+def _better_in(pairs, parent, change):
+    """``change`` with its first ``len(change) - pairs`` values set worse than ``parent``'s (lower is better)."""
+    return [p + 1.0 if i < len(change) - pairs else c for i, (p, c) in enumerate(zip(parent, change))]
+
+
+WIDE = [1.0 + 25 * d for d in OFFSETS]  # parent IQR 0.0875
+
+
+@pytest.mark.parametrize(
+    "direction, parent, change, gain",
+    [
+        ("lower", [0.184 + d for d in OFFSETS], [0.250 + d for d in OFFSETS], False),  # worse
+        ("lower", WIDE, [0.7 + 5 * d for d in OFFSETS], True),
+        ("lower", WIDE, _better_in(9, WIDE, [0.7 + 5 * d for d in OFFSETS]), True),
+        ("lower", WIDE, _better_in(8, WIDE, [0.7 + 5 * d for d in OFFSETS]), False),
+        # better in every pair, but the medians differ by 0.05, within the parent's IQR
+        ("lower", WIDE, [v - 0.05 for v in WIDE], False),
+        ("lower", WIDE, [v - 0.1 for v in WIDE], True),
+        # ties count for neither side: 8 wins of 10
+        ("lower", WIDE, WIDE[:2] + [v - 0.5 for v in WIDE[2:]], False),
+        ("higher", [1000.0 + d for d in OFFSETS], [1100.0 + d for d in OFFSETS], True),
+        ("higher", [1000.0 + d for d in OFFSETS], [700.0 + d for d in OFFSETS], False),
+    ],
+)
+def test_bench_pairs_gain_holds_by_nine_in_ten_pairs_and_the_parent_iqr(direction, parent, change, gain):
+    bench_pairs = _load_script("bench_pairs")
+    summary = bench_pairs.summarize(_paired_runs("m", parent, change), {"m": direction})["w"]["m"]
+    assert summary["parent_iqr"] == pytest.approx(0.0875 if parent is WIDE else 0.0035, abs=2e-4)
+    assert summary["gain"] is gain
+
+
 def test_bench_pairs_reads_each_bound_from_the_benchmark():
     bench_pairs = _load_script("bench_pairs")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
